@@ -24,7 +24,7 @@ from .constructions import (
     exhaustive_monomial_search,
     froberg_monomial_ideal,
 )
-from .macaulay import ResourceLimit
+from .macaulay import ResourceLimit, SoundnessError
 from .monomials import monomial_count, monomial_to_str
 from .series import (
     DEFAULT_CAP,
@@ -68,6 +68,7 @@ class Config:
             raise ValueError("seed must be nonnegative")
         if not modp.is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
+        modp.check_modulus(self.prime)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -380,7 +381,9 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return args.func(args, cfg)
-    except (ResourceLimit, CapExceeded, HypothesisFailed, ValueError) as exc:
+    except (
+        ResourceLimit, CapExceeded, HypothesisFailed, SoundnessError, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

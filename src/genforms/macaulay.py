@@ -32,6 +32,11 @@ class ResourceLimit(RuntimeError):
     """A Macaulay matrix would exceed the configured entry budget."""
 
 
+class SoundnessError(ArithmeticError):
+    """A computed rank or verdict broke a bound that holds at every
+    specialization; the result must not be reported."""
+
+
 @dataclass(frozen=True)
 class ModPPoly:
     """Homogeneous polynomial over Z/p as a dense coefficient vector."""
@@ -42,6 +47,7 @@ class ModPPoly:
     prime: int = modp.DEFAULT_PRIME
 
     def __post_init__(self):
+        modp.check_modulus(self.prime)
         expected = monomial_count(self.n, self.degree)
         if len(self.coeffs) != expected:
             raise ValueError(
@@ -180,8 +186,10 @@ def macaulay_shape(family: FormFamily, e: int) -> tuple[int, int]:
 def ideal_dimension_at_degree(family: FormFamily, e: int) -> int:
     """dim of the degree-e graded piece of the ideal generated by the family.
 
-    Feeds per-generator row blocks to an incremental reducer, exiting
-    early once the ideal fills the whole degree.
+    Feeds each generator's block of Macaulay rows to one `modp.RowReducer`
+    (which eliminates it in fixed-size chunks against a reduced echelon
+    basis), and stops at the first block that brings the ideal to full
+    column rank, so later generators' rows are never built.
     """
     if e < 0:
         return 0
@@ -197,7 +205,10 @@ def ideal_dimension_at_degree(family: FormFamily, e: int) -> int:
         if reducer.full_column_rank:
             break
     dim = reducer.rank
-    assert dim <= rows_total and dim <= cols
+    if dim > rows_total or dim > cols:
+        raise SoundnessError(
+            f"degree-{e} rank {dim} exceeds the {rows_total}x{cols} matrix"
+        )
     return dim
 
 
@@ -231,7 +242,11 @@ def quotient_series_with_stats(family, max_deg, budget=None):
         dim = ideal_dimension_at_degree(family, e)
         coeff = cols - dim
         # first-order lower bound holds at every specialization
-        assert coeff >= cols - rows
+        if coeff < cols - rows:
+            raise SoundnessError(
+                f"degree-{e} coefficient {coeff} is below the first-order "
+                f"bound {cols - rows}"
+            )
         coeffs.append(coeff)
         stats.append(DegreeStat(e, rows, cols, dim))
         if coeff == 0:

@@ -26,6 +26,7 @@ from .macaulay import (
     FormFamily,
     ModPPoly,
     ResourceLimit,
+    SoundnessError,
     power,
     quotient_series_with_stats,
 )
@@ -77,6 +78,7 @@ class CaseSpec:
             )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        modp.check_modulus(self.prime)
 
     @property
     def effective_degree(self) -> int:
@@ -170,7 +172,11 @@ def verify_case(
             verdict = VERIFIED
             break
     millis = (time.perf_counter() - start) * 1000.0
-    assert verdict != VERIFIED or computed.coeffs == conjectured.coeffs
+    if verdict == VERIFIED and computed.coeffs != conjectured.coeffs:
+        raise SoundnessError(
+            f"Verified verdict for {spec} but computed {computed.coeffs} "
+            f"!= conjectured {conjectured.coeffs}"
+        )
     return VerificationRecord(
         spec, trunc, conjectured, computed, verdict, stats, tuple(seeds), millis
     )

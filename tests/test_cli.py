@@ -140,6 +140,15 @@ def test_bad_prime_exits_with_error(capsys):
     assert "not prime" in err
 
 
+def test_prime_above_2_31_exits_with_error(capsys, monkeypatch):
+    # prime, but outside the range where elimination mod p is exact
+    monkeypatch.setenv("GENFORMS_PRIME", "4294967311")
+    code, out, err = run(capsys, "verify", "--n", "3", "--d", "2", "--k", "4")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: modulus 4294967311 is outside [2, 2^31)")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--d", "2", "--k", "4"])  # missing --n

@@ -175,3 +175,8 @@ def test_family_text_round_trip():
     assert len(lines) == 2 and lines[0].startswith("3:")
     again = family_from_text(text, 2, seed=4)
     assert again.forms == fam.forms
+
+
+def test_forms_reject_prime_above_2_31():
+    with pytest.raises(ValueError, match="2\\^31"):
+        ModPPoly(2, 1, (1, 1), prime=4294967311)

@@ -6,30 +6,15 @@ import pytest
 from genforms import modp
 from genforms.modp import (
     DEFAULT_PRIME,
-    DivisionByZero,
     RowReducer,
-    add,
     incremental_rank,
-    inv,
     is_prime,
-    mul,
+    matmul_mod,
     rank,
-    sub,
 )
 
-
-def test_field_ops_small_prime():
-    assert mul(3, 5, 7) == 1
-    assert inv(3, 7) == 5
-    assert sub(2, 5, 7) == 4
-    for a in range(1, 7):
-        assert add(a, 7 - a, 7) == 0
-        assert mul(a, inv(a, 7), 7) == 1
-
-
-def test_inv_zero_raises():
-    with pytest.raises(DivisionByZero):
-        inv(0, 7)
+# smallest prime above 2^32: accepted by is_prime, outside the kernel's range
+BIG_PRIME = 4294967311
 
 
 def test_is_prime():
@@ -97,7 +82,7 @@ def test_incremental_rank_blockwise():
 def test_incremental_early_exit_full_column_rank():
     reducer = RowReducer(3, p=101)
     for row in np.eye(3, dtype=np.int64):
-        reducer.add_row(row)
+        assert reducer.add_rows(row) == 1
     assert reducer.rank == 3
     assert reducer.full_column_rank
     # further rows are ignored once the space is full
@@ -120,3 +105,52 @@ def test_telemetry_counts_eliminations():
     assert modp.ELIMINATION_CALLS == 2
     modp.reset_telemetry()
     assert modp.ELIMINATION_CALLS == 0
+
+
+def test_primes_at_or_above_2_31_are_rejected():
+    assert is_prime(BIG_PRIME)
+    # rank 1: the second row is twice the first mod BIG_PRIME
+    m = [[3, BIG_PRIME - 1], [6, 2 * (BIG_PRIME - 1) % BIG_PRIME]]
+    with pytest.raises(ValueError, match="2\\^31"):
+        rank(m, BIG_PRIME)
+    with pytest.raises(ValueError):
+        incremental_rank(iter(m), 2, BIG_PRIME)
+    with pytest.raises(ValueError):
+        RowReducer(2, 2**31)
+    with pytest.raises(ValueError):
+        matmul_mod(np.eye(2, dtype=np.int64), np.eye(2, dtype=np.int64), BIG_PRIME)
+    assert rank(m, DEFAULT_PRIME) == 2
+
+
+def test_matmul_mod_worst_case_entries_long_inner():
+    """All entries p - 1 and inner dimension 4099: every limb is at its
+    maximum, and the sum is checked against Python integers."""
+    p = DEFAULT_PRIME
+    inner = 4099
+    a = np.full((3, inner), p - 1, dtype=np.int64)
+    b = np.full((inner, 130), p - 1, dtype=np.int64)
+    expected = inner * (p - 1) * (p - 1) % p
+    assert (matmul_mod(a, b, p) == expected).all()
+
+
+def test_matmul_mod_random_against_python_ints():
+    p = DEFAULT_PRIME
+    rng = np.random.default_rng(29)
+    a = rng.integers(0, p, size=(7, 4096))
+    a[:, ::3] = p - 1
+    b = rng.integers(0, p, size=(4096, 5))
+    got = matmul_mod(a, b, p)
+    al, bl = a.tolist(), b.T.tolist()
+    for i in range(7):
+        for j in range(5):
+            assert got[i, j] == sum(x * y for x, y in zip(al[i], bl[j])) % p
+
+
+def test_matmul_mod_rejects_inner_dimension_outside_exact_range():
+    # zero-stride views: the check must fire before any work is done
+    a = np.broadcast_to(np.int64(1), (1, 2**20))
+    b = np.broadcast_to(np.int64(1), (2**20, 1))
+    with pytest.raises(ValueError, match="inner dimension"):
+        matmul_mod(a, b, DEFAULT_PRIME)
+    with pytest.raises(ValueError, match="inner dimensions differ"):
+        matmul_mod(np.ones((2, 3), dtype=np.int64), np.ones((4, 2), dtype=np.int64), 7)

@@ -1,8 +1,13 @@
 """Tests for case verification, the interval engine, and sweep planning."""
 
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import genforms
 
 from genforms.macaulay import DegreeStat, ResourceLimit
 from genforms.series import DegreeList, conjectured_series
@@ -191,3 +196,65 @@ def test_compare_pure_power_mix():
     assert rec.equal  # pure powers only vs three random quadrics
     with pytest.raises(ValueError):
         compare_pure_power_mix(3, 2, 2)
+
+
+def test_case_spec_rejects_prime_above_2_31():
+    with pytest.raises(ValueError, match="2\\^31"):
+        CaseSpec(3, 2, 1, 4, prime=4294967311)
+
+
+# Plants an over-reported rank, an ideal dimension above the row count and
+# a Verified verdict with computed != conjectured; each must raise even
+# with assertions stripped.
+_PLANTED = """
+import sys
+from genforms import macaulay, modp, verifier
+from genforms.macaulay import SoundnessError
+assert False, "assertions must be off"
+
+class OverReporting(modp.RowReducer):
+    @property
+    def rank(self):
+        return self.cols + 1
+
+family = macaulay.FormFamily.random(3, 2, 2, seed=0)
+failures = []
+reducer = modp.RowReducer
+modp.RowReducer = OverReporting
+try:
+    macaulay.ideal_dimension_at_degree(family, 3)
+    failures.append("rank above cols")
+except SoundnessError:
+    pass
+modp.RowReducer = reducer
+
+real = macaulay.ideal_dimension_at_degree
+macaulay.ideal_dimension_at_degree = lambda fam, e: real(fam, e) + 100
+try:
+    macaulay.quotient_series_with_stats(family, 4)
+    failures.append("first-order bound")
+except SoundnessError:
+    pass
+macaulay.ideal_dimension_at_degree = real
+
+verifier.lex_compare = lambda a, b: verifier.Ordering.EQUAL
+try:
+    verifier.verify_case(
+        verifier.CaseSpec(3, 2, 1, 2, trunc=4, trials=1),
+        family_builder=verifier.degenerate_family,
+    )
+    failures.append("verified mismatch")
+except SoundnessError:
+    pass
+if failures:
+    sys.exit("not raised: " + ", ".join(failures))
+"""
+
+
+def test_soundness_checks_survive_python_O():
+    src = str(Path(genforms.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _PLANTED],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
