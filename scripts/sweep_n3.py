@@ -11,7 +11,7 @@ power conjecture cases. It is not part of the acceptance gate; expect on
 the order of an hour of runtime at the default budget.
 
 Usage:
-    python3 scripts/sweep_n3.py [--max-dm 20] [--seed S] [--workers W]
+    python3 scripts/sweep_n3.py [--max-dm 20] [--seed S]
 """
 
 import argparse
@@ -28,7 +28,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-dm", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     shapes = [
@@ -43,7 +42,7 @@ def main():
         k_max = monomial_count(N, m * d)
         start = time.perf_counter()
         plan = plan_sweep(N, d, m, 1, k_max, seed=args.seed)
-        records, witnesses, failures = run_sweep(plan, workers=args.workers)
+        records, witnesses, failures = run_sweep(plan)
         elapsed = time.perf_counter() - start
         covered = {r.spec.k for r in records}
         for w in witnesses:

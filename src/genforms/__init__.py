@@ -17,7 +17,6 @@ from .series import (  # noqa: E402
 )
 from .monomials import (  # noqa: E402
     MonomialIdeal,
-    MonomialOrderTable,
     contains_power_of_maximal_ideal,
     enumerate_monomials,
     monomial_count,
@@ -32,7 +31,6 @@ from .macaulay import (  # noqa: E402
 from .verifier import (  # noqa: E402
     CaseSpec,
     VerificationRecord,
-    corollary2_suite,
     plan_sweep,
     verify_case,
     verify_interval,

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 from . import __version__, modp
@@ -57,12 +58,11 @@ class Config:
     seed: int = 0
     cap: int = DEFAULT_CAP
     trials: int = verifier.DEFAULT_TRIALS
-    workers: int = 1
     budget: int = verifier.DEFAULT_BUDGET
     cache_path: str | None = None
 
     def validate(self):
-        if min(self.prime, self.cap, self.trials, self.workers, self.budget) < 1:
+        if min(self.prime, self.cap, self.trials, self.budget) < 1:
             raise ValueError("all configuration values must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
@@ -103,31 +103,58 @@ def parse_range(text: str) -> tuple[int, int]:
 
 # ---------------------------------------------------------------- cache
 
+_KEY_FIELDS = ("n", "d", "m", "k", "prime", "seed", "trunc")
+
+
 def _cache_key(n, d, m, k, prime, seed, trunc):
     return (n, d, m, k, prime, seed, trunc)
 
 
 def load_cache(path):
+    """Records by key, the last line for a key winning. A line that is not
+    a record, such as the torn tail of an interrupted append, is skipped:
+    its case is a miss and gets recomputed."""
     cache = {}
     if path and os.path.exists(path):
         with open(path) as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
+                try:
+                    rec = json.loads(line)
+                    cache[_cache_key(*(rec[f] for f in _KEY_FIELDS))] = rec
+                except (ValueError, KeyError, TypeError):
                     continue
-                rec = json.loads(line)
-                key = _cache_key(
-                    rec["n"], rec["d"], rec["m"], rec["k"],
-                    rec["prime"], rec["seed"], rec["trunc"],
-                )
-                cache[key] = rec
     return cache
 
 
 def append_cache(path, record_dict):
+    """Append one JSON line. A torn last line is ended first, so the new
+    record does not run into it."""
     if path:
-        with open(path, "a") as fh:
-            fh.write(json.dumps(record_dict) + "\n")
+        with open(path, "a+b") as fh:
+            line = json.dumps(record_dict).encode() + b"\n"
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
+            fh.write(line)
+
+
+def _servable(rec, spec, trunc) -> bool:
+    """Whether a cache hit may be printed instead of recomputed: its
+    conjectured series must be this case's, a Verified record must have
+    computed exactly that series, and a NotAttained record must have tried
+    at least as many seeds as are asked for now."""
+    conjectured = list(conjectured_series(spec.degree_list, trunc).coeffs)
+    try:
+        if rec["conjectured"] != conjectured:
+            return False
+        if rec["verdict"] == verifier.VERIFIED:
+            return rec["computed"] == conjectured
+        if rec["verdict"] == verifier.NOT_ATTAINED:
+            return len(rec["seeds_tried"]) >= spec.trials
+    except (KeyError, TypeError):
+        pass
+    return False
 
 
 # ------------------------------------------------------------- commands
@@ -157,7 +184,7 @@ def cmd_verify(args, cfg):
     cache = load_cache(cfg.cache_path)
     key = _cache_key(spec.n, spec.d, spec.m, spec.k, spec.prime, spec.seed, trunc)
     modp.reset_telemetry()
-    if key in cache:
+    if key in cache and _servable(cache[key], spec, trunc):
         out = dict(cache[key])
         out["cached"] = True
         out["rank_calls"] = modp.ELIMINATION_CALLS
@@ -179,9 +206,7 @@ def cmd_sweep(args, cfg):
         seed=cfg.seed, prime=cfg.prime, trials=cfg.trials,
         cap=cfg.cap, budget=cfg.budget,
     )
-    records, witnesses, failures = run_sweep(
-        plan, cap=cfg.cap, budget=cfg.budget, workers=cfg.workers
-    )
+    records, witnesses, failures = run_sweep(plan, cap=cfg.cap, budget=cfg.budget)
     for rec in records:
         out = rec.to_dict()
         append_cache(cfg.cache_path, out)
@@ -251,27 +276,26 @@ def cmd_search(args, cfg):
 
 
 def cmd_table(args, cfg):
-    cells = TABLE_CELLS + STRETCH_CELLS
-    rows = []
     worst = EXIT_OK
-    for n, d, m in cells:
+    print(f"{'n':>3} {'d':>3} {'m':>3} {'k':>5} {'trunc':>5}  {'verdict':<15} seconds")
+    for n, d, m in TABLE_CELLS + STRETCH_CELLS:
         if args.budget == "small":
             ks = [monomial_count(n, m * d)]
         else:
             ks = suite_k_values(n, d, m, cfg.cap)
         for k in ks:
             spec = CaseSpec(n, d, m, k, seed=cfg.seed, prime=cfg.prime, trials=cfg.trials)
+            start = time.perf_counter()
             try:
                 rec = verify_case(spec, cap=cfg.cap, budget=cfg.budget)
-                verdict = rec.verdict
+                verdict, trunc = rec.verdict, rec.trunc
             except ResourceLimit:
-                verdict = "Skipped(budget)"
-            rows.append((n, d, m, k, verdict))
+                verdict, trunc = "Skipped(budget)", "-"
+            seconds = time.perf_counter() - start
+            print(f"{n:>3} {d:>3} {m:>3} {k:>5} {trunc:>5}  {verdict:<15} {seconds:7.2f}",
+                  flush=True)
             if verdict == verifier.NOT_ATTAINED:
                 worst = max(worst, EXIT_NOT_ATTAINED)
-    print(f"{'n':>3} {'d':>3} {'m':>3} {'k':>5}  verdict")
-    for n, d, m, k, verdict in rows:
-        print(f"{n:>3} {d:>3} {m:>3} {k:>5}  {verdict}")
     return worst
 
 
@@ -299,7 +323,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP, help="truncation cap")
     parser.add_argument("--trials", type=int, default=verifier.DEFAULT_TRIALS)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
         "--matrix-budget", type=int, default=verifier.DEFAULT_BUDGET,
         help="max entries per Macaulay matrix",
@@ -369,7 +392,7 @@ def config_from_args(args) -> Config:
     cache = args.cache or os.environ.get("GENFORMS_CACHE")
     cfg = Config(
         prime=prime, seed=seed, cap=args.cap, trials=args.trials,
-        workers=args.workers, budget=args.matrix_budget, cache_path=cache,
+        budget=args.matrix_budget, cache_path=cache,
     )
     cfg.validate()
     return cfg

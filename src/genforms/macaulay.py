@@ -109,25 +109,15 @@ def random_form(n, d, rng, prime=modp.DEFAULT_PRIME) -> ModPPoly:
 
 
 def multiply(f: ModPPoly, g: ModPPoly) -> ModPPoly:
-    """Exact product, convolution over exponent-vector addition."""
+    """Exact product: f's coefficient row times the Macaulay block of g in
+    degree deg f + deg g, whose rows are g times each degree-(deg f)
+    monomial in f's coefficient order."""
     if f.n != g.n or f.prime != g.prime:
         raise ValueError("operands must share n and prime")
-    n, p = f.n, f.prime
     degree = f.degree + g.degree
-    table = _rank_table(n, degree)
-    fmonos = enumerate_monomials(n, f.degree)
-    gmonos = enumerate_monomials(n, g.degree)
-    coeffs = [0] * monomial_count(n, degree)
-    for i, a in enumerate(f.coeffs):
-        if a == 0:
-            continue
-        mi = fmonos[i]
-        for j, b in enumerate(g.coeffs):
-            if b == 0:
-                continue
-            target = table[tuple(x + y for x, y in zip(mi, gmonos[j]))]
-            coeffs[target] = (coeffs[target] + a * b) % p
-    return ModPPoly(n, degree, tuple(coeffs), p)
+    row = np.array([f.coeffs], dtype=np.int64)
+    product = modp.matmul_mod(row, macaulay_rows(g, degree), f.prime)[0]
+    return ModPPoly(f.n, degree, tuple(product.tolist()), f.prime)
 
 
 def power(f: ModPPoly, m: int) -> ModPPoly:
@@ -269,23 +259,3 @@ def first_order_lower_bound(family: FormFamily, e: int) -> int:
         if f.degree <= e:
             total -= binomial(n + e - f.degree - 1, e - f.degree)
     return total
-
-
-def family_to_text(family: FormFamily) -> str:
-    """One line per form: "d: c0 c1 c2 ..." in monomial-rank order."""
-    return "\n".join(
-        f"{f.degree}: " + " ".join(str(c) for c in f.coeffs) for f in family.forms
-    )
-
-
-def family_from_text(text, n, prime=modp.DEFAULT_PRIME, seed=None) -> FormFamily:
-    forms = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        head, _, tail = line.partition(":")
-        degree = int(head)
-        coeffs = tuple(int(c) for c in tail.split())
-        forms.append(ModPPoly(n, degree, coeffs, prime))
-    return FormFamily(n, tuple(forms), prime, seed)

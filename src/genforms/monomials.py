@@ -17,10 +17,6 @@ from .series import TruncatedSeries
 Monomial = tuple[int, ...]
 
 
-class IndexOutOfRange(IndexError):
-    pass
-
-
 def monomial_count(n: int, d: int) -> int:
     """Number of degree-d monomials in n variables: C(n+d-1, d)."""
     if n < 1 or d < 0:
@@ -50,37 +46,6 @@ def _rank_table(n: int, d: int) -> dict:
 def rank(m: Monomial) -> int:
     """Position of a monomial in the fixed-degree enumeration."""
     return _rank_table(len(m), sum(m))[m]
-
-
-def unrank(n: int, d: int, index: int) -> Monomial:
-    monos = enumerate_monomials(n, d)
-    if not 0 <= index < len(monos):
-        raise IndexOutOfRange(f"index {index} not in [0, {len(monos)})")
-    return monos[index]
-
-
-@dataclass(frozen=True)
-class MonomialOrderTable:
-    """Bijection between [0, C(n+d-1,d)) and degree-d monomials."""
-
-    n: int
-    d: int
-
-    @property
-    def monomials(self) -> tuple[Monomial, ...]:
-        return enumerate_monomials(self.n, self.d)
-
-    def rank(self, m: Monomial) -> int:
-        table = _rank_table(self.n, self.d)
-        if m not in table:
-            raise IndexOutOfRange(f"{m} is not a degree-{self.d} monomial in {self.n} variables")
-        return table[m]
-
-    def unrank(self, index: int) -> Monomial:
-        return unrank(self.n, self.d, index)
-
-    def __len__(self) -> int:
-        return monomial_count(self.n, self.d)
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
@@ -154,35 +119,3 @@ def monomial_to_str(m: Monomial) -> str:
         elif e > 1:
             parts.append(f"x{i + 1}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def parse_monomial(text: str, n: int) -> Monomial:
-    """Inverse of monomial_to_str."""
-    exps = [0] * n
-    text = text.strip()
-    if text == "1":
-        return tuple(exps)
-    for factor in text.split("*"):
-        factor = factor.strip()
-        if "^" in factor:
-            var, power = factor.split("^")
-            power = int(power)
-        else:
-            var, power = factor, 1
-        if not var.startswith("x"):
-            raise ValueError(f"cannot parse factor {factor!r}")
-        idx = int(var[1:]) - 1
-        if not 0 <= idx < n:
-            raise ValueError(f"variable {var} out of range for n={n}")
-        exps[idx] += power
-    return tuple(exps)
-
-
-def ideal_to_text(ideal: MonomialIdeal) -> str:
-    """One generator per line, for CLI round-tripping."""
-    return "\n".join(monomial_to_str(g) for g in ideal.generators)
-
-
-def ideal_from_text(text: str, n: int) -> MonomialIdeal:
-    gens = [parse_monomial(line, n) for line in text.splitlines() if line.strip()]
-    return MonomialIdeal.from_generators(n, gens)

@@ -25,7 +25,6 @@ from .macaulay import (
     DegreeStat,
     FormFamily,
     ModPPoly,
-    ResourceLimit,
     SoundnessError,
     power,
     quotient_series_with_stats,
@@ -46,7 +45,6 @@ DEFAULT_BUDGET = 40_000_000
 
 VERIFIED = "Verified"
 NOT_ATTAINED = "NotAttained"
-ERROR = "Error"
 
 
 class DeductionInapplicable(RuntimeError):
@@ -379,20 +377,10 @@ def plan_sweep(
     return SweepPlan(tuple(cases), tuple(intervals), tuple(skipped))
 
 
-def run_sweep(plan: SweepPlan, cap=DEFAULT_CAP, budget=DEFAULT_BUDGET, workers=1):
-    """Execute a plan: direct cases first (optionally in parallel), then
-    interval deductions reusing the endpoint records."""
-    records = {}
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(lambda s: verify_case(s, cap, budget), plan.cases):
-                records[rec.spec.k] = rec
-    else:
-        for spec in plan.cases:
-            records[spec.k] = verify_case(spec, cap, budget)
-
+def run_sweep(plan: SweepPlan, cap=DEFAULT_CAP, budget=DEFAULT_BUDGET):
+    """Execute a plan: direct cases first, then interval deductions
+    reusing the endpoint records."""
+    records = {spec.k: verify_case(spec, cap, budget) for spec in plan.cases}
     witnesses = []
     failures = []
     for lo, hi in plan.intervals:
@@ -411,20 +399,10 @@ def run_sweep(plan: SweepPlan, cap=DEFAULT_CAP, budget=DEFAULT_BUDGET, workers=1
     return list(records.values()), witnesses, failures
 
 
-# The verified-cases table: (n, d, m) cells, mapped to the plain-form
-# degree d*m each cell settles. The last two cells are stretch scale.
+# The verified-cases table: (n, d, m) cells. The stretch cells are the
+# two largest.
 TABLE_CELLS = ((4, 2, 2), (4, 2, 3), (4, 3, 2), (5, 2, 2))
 STRETCH_CELLS = ((4, 2, 4), (4, 3, 3))
-COROLLARY2_DEGREES = {
-    (4, 2, 2): 4,
-    (4, 2, 3): 6,
-    (4, 3, 2): 6,
-    (4, 2, 4): 8,
-    (4, 3, 3): 9,
-    (5, 2, 2): 4,
-}
-assert {md for (n, _, _), md in COROLLARY2_DEGREES.items() if n == 4} == {4, 6, 8, 9}
-assert {md for (n, _, _), md in COROLLARY2_DEGREES.items() if n == 5} == {4}
 
 
 def suite_k_values(n, d, m, cap=DEFAULT_CAP):
@@ -437,34 +415,6 @@ def suite_k_values(n, d, m, cap=DEFAULT_CAP):
     endpoints = sorted({c.k for c in plan.cases})
     mid = min(endpoints, key=lambda k: abs(k - mid_target))
     return sorted({n + 1, mid, top})
-
-
-def corollary2_suite(
-    seed: int = 0,
-    prime: int = modp.DEFAULT_PRIME,
-    trials: int = DEFAULT_TRIALS,
-    cap: int = DEFAULT_CAP,
-    budget: int = DEFAULT_BUDGET,
-    include_stretch: bool = False,
-):
-    """verify_case over the table cells at a desk-scale k sample."""
-    records = []
-    cells = TABLE_CELLS + (STRETCH_CELLS if include_stretch else ())
-    for n, d, m in cells:
-        for k in suite_k_values(n, d, m, cap):
-            spec = CaseSpec(n, d, m, k, seed=seed, prime=prime, trials=trials)
-            try:
-                records.append(verify_case(spec, cap, budget))
-            except ResourceLimit:
-                trunc = resolve_truncation(spec, cap)
-                conjectured = conjectured_series(spec.degree_list, trunc)
-                records.append(
-                    VerificationRecord(
-                        spec, trunc, conjectured, TruncatedSeries(()),
-                        ERROR, (), (), 0.0,
-                    )
-                )
-    return records
 
 
 @dataclass(frozen=True)

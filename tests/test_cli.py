@@ -83,6 +83,72 @@ def test_verify_and_cache_round_trip(tmp_path, capsys):
     assert second["computed"] == first["computed"]
 
 
+VERIFY_342 = ("verify", "--n", "3", "--d", "2", "--k", "4")
+
+
+def cached_record(tmp_path, capsys):
+    """A cache holding the real record of (3, 2, 1, 4); returns its path
+    and the record."""
+    cache = tmp_path / "records.jsonl"
+    code, _, _ = run(capsys, "--cache", str(cache), *VERIFY_342)
+    assert code == EXIT_OK
+    return cache, json.loads(cache.read_text())
+
+
+def test_torn_cache_line_is_a_miss(tmp_path, capsys):
+    cache, rec = cached_record(tmp_path, capsys)
+    with open(cache, "a") as fh:
+        fh.write('{"n": 3, "d": 2, "m"')  # an interrupted append
+    argv = ("--cache", str(cache), "verify", "--n", "3", "--d", "2", "--k", "5")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["cached"] is False
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["cached"] is True
+    code, out, _ = run(capsys, "--cache", str(cache), *VERIFY_342)
+    assert code == EXIT_OK
+    served = json.loads(out)
+    assert served["cached"] is True and served["rank_calls"] == 0
+    assert served["computed"] == rec["computed"]
+
+
+@pytest.mark.parametrize(
+    "verdict, conjectured, computed",
+    [
+        ("Verified", [1, 3, 2, 0, 0], [1, 3, 3, 0, 0]),  # computed != conjectured
+        ("Verified", [1, 3, 3, 0, 0], [1, 3, 3, 0, 0]),  # not this case's series
+        ("NotAttained", [1, 3, 3, 0, 0], [1, 3, 4, 0, 0]),  # not this case's series
+    ],
+)
+def test_inconsistent_cache_hit_is_recomputed(
+    tmp_path, capsys, verdict, conjectured, computed
+):
+    cache, rec = cached_record(tmp_path, capsys)
+    rec.update(
+        verdict=verdict, conjectured=conjectured, computed=computed, seeds_tried=[0, 1, 2]
+    )
+    cache.write_text(json.dumps(rec) + "\n")
+    code, out, _ = run(capsys, "--cache", str(cache), *VERIFY_342)
+    assert code == EXIT_OK
+    out = json.loads(out)
+    assert out["cached"] is False and out["rank_calls"] > 0
+    assert out["computed"] == out["conjectured"] == [1, 3, 2, 0, 0]
+
+
+def test_short_not_attained_hit_is_recomputed(tmp_path, capsys):
+    cache, rec = cached_record(tmp_path, capsys)
+    rec.update(verdict="NotAttained", computed=[1, 3, 3, 0, 0], seeds_tried=[0])
+    cache.write_text(json.dumps(rec) + "\n")
+    code, out, _ = run(capsys, "--cache", str(cache), "--trials", "1", *VERIFY_342)
+    assert code == EXIT_NOT_ATTAINED
+    assert json.loads(out)["cached"] is True
+    code, out, _ = run(capsys, "--cache", str(cache), "--trials", "5", *VERIFY_342)
+    assert code == EXIT_OK
+    out = json.loads(out)
+    assert out["cached"] is False and out["verdict"] == "Verified"
+
+
 def test_verify_exit_code_reflects_verdict(capsys):
     code, out, _ = run(capsys, "verify", "--n", "3", "--d", "2", "--k", "4")
     assert code == EXIT_OK
@@ -131,6 +197,7 @@ def test_table_small(capsys):
     assert code == EXIT_OK
     lines = out.splitlines()
     assert len(lines) == 7  # header + six table cells
+    assert lines[0].split() == ["n", "d", "m", "k", "trunc", "verdict", "seconds"]
     assert all("Verified" in line for line in lines[1:])
 
 
@@ -152,6 +219,12 @@ def test_prime_above_2_31_exits_with_error(capsys, monkeypatch):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--d", "2", "--k", "4"])  # missing --n
+    assert exc.value.code == EXIT_ERROR
+
+
+def test_workers_option_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["--workers", "2", "sweep", "--n", "3", "--d", "2", "--k-range", "4..6"])
     assert exc.value.code == EXIT_ERROR
 
 

@@ -4,13 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genforms.macaulay import (
     FormFamily,
     ModPPoly,
     ResourceLimit,
-    family_from_text,
-    family_to_text,
     first_order_lower_bound,
     hilbert_series_of_quotient,
     ideal_dimension_at_degree,
@@ -21,10 +20,11 @@ from genforms.macaulay import (
     random_form,
 )
 from genforms.modp import DEFAULT_PRIME
-from genforms.monomials import monomial_count, rank as mono_rank
+from genforms.monomials import enumerate_monomials, monomial_count, rank as mono_rank
 from genforms.series import binomial
 
 P = DEFAULT_PRIME
+PRIMES = (2, 3, 101, 65537, 2**31 - 1)
 
 
 def form(n, terms, prime=P):
@@ -94,6 +94,60 @@ def test_power_identity_and_multinomial():
 def test_power_multiply_consistency(m):
     f = random_form(2, 2, np.random.default_rng(m))
     assert power(f, m) == multiply(power(f, m - 1), f)
+
+
+def reference_multiply(f, g):
+    """The product by convolution over exponent-vector addition, on
+    Python ints: the slow reference for `multiply`."""
+    n, p = f.n, f.prime
+    degree = f.degree + g.degree
+    coeffs = [0] * monomial_count(n, degree)
+    for a, u in zip(f.coeffs, enumerate_monomials(n, f.degree)):
+        for b, v in zip(g.coeffs, enumerate_monomials(n, g.degree)):
+            target = mono_rank(tuple(x + y for x, y in zip(u, v)))
+            coeffs[target] = (coeffs[target] + a * b) % p
+    return ModPPoly(n, degree, tuple(coeffs), p)
+
+
+def reference_power(f, m):
+    result = f
+    for _ in range(m - 1):
+        result = reference_multiply(result, f)
+    return result
+
+
+@st.composite
+def forms(draw, n, prime, max_degree=5):
+    """A form with uniform coefficients, or with every coefficient p - 1."""
+    degree = draw(st.integers(0, max_degree))
+    count = monomial_count(n, degree)
+    if draw(st.booleans()):
+        coeffs = [prime - 1] * count
+    else:
+        coeffs = draw(st.lists(st.integers(0, prime - 1), min_size=count, max_size=count))
+    return ModPPoly(n, degree, tuple(coeffs), prime)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), prime=st.sampled_from(PRIMES))
+def test_multiply_matches_reference(data, n, prime):
+    f = data.draw(forms(n, prime))
+    g = data.draw(forms(n, prime))
+    assert multiply(f, g) == reference_multiply(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), prime=st.sampled_from(PRIMES),
+       m=st.integers(1, 5))
+def test_power_matches_reference(data, n, prime, m):
+    f = data.draw(forms(n, prime))
+    assert power(f, m) == reference_power(f, m)
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_power_of_all_p_minus_1_form(prime):
+    f = ModPPoly(4, 5, (prime - 1,) * monomial_count(4, 5), prime)
+    assert power(f, 5) == reference_power(f, 5)
 
 
 def test_ideal_dimension_squares():
@@ -166,15 +220,6 @@ def test_resource_limit():
     fam = FormFamily.random(3, 2, 4, seed=0)
     with pytest.raises(ResourceLimit):
         quotient_series_with_stats(fam, 3, budget=10)
-
-
-def test_family_text_round_trip():
-    fam = FormFamily.random(2, 3, 2, seed=4)
-    text = family_to_text(fam)
-    lines = text.splitlines()
-    assert len(lines) == 2 and lines[0].startswith("3:")
-    again = family_from_text(text, 2, seed=4)
-    assert again.forms == fam.forms
 
 
 def test_forms_reject_prime_above_2_31():
