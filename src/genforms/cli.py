@@ -139,6 +139,20 @@ def append_cache(path, record_dict):
             fh.write(line)
 
 
+def _cache_hit(cache, spec, trunc):
+    """The cached record of spec at this truncation, read back, if it may
+    be served, else None."""
+    rec = cache.get(
+        _cache_key(spec.n, spec.d, spec.m, spec.k, spec.prime, spec.seed, trunc)
+    )
+    if rec is None or not _servable(rec, spec, trunc):
+        return None
+    try:
+        return verifier.VerificationRecord.from_dict(rec, spec)
+    except (LookupError, TypeError, ValueError):
+        return None  # not a whole record, or ranks off its series: recomputed
+
+
 def _servable(rec, spec, trunc) -> bool:
     """Whether a cache hit may be printed instead of recomputed: its
     conjectured series must be this case's, a Verified record must have
@@ -181,15 +195,14 @@ def cmd_verify(args, cfg):
         trunc=args.trunc, seed=cfg.seed, prime=cfg.prime, trials=cfg.trials,
     )
     trunc = verifier.resolve_truncation(spec, cfg.cap)
-    cache = load_cache(cfg.cache_path)
-    key = _cache_key(spec.n, spec.d, spec.m, spec.k, spec.prime, spec.seed, trunc)
+    hit = _cache_hit(load_cache(cfg.cache_path), spec, trunc)
     modp.reset_telemetry()
-    if key in cache and _servable(cache[key], spec, trunc):
-        out = dict(cache[key])
+    if hit is not None:
+        out = hit.to_dict()
         out["cached"] = True
         out["rank_calls"] = modp.ELIMINATION_CALLS
         print(json.dumps(out))
-        return EXIT_OK if out["verdict"] == verifier.VERIFIED else EXIT_NOT_ATTAINED
+        return EXIT_OK if hit.verdict == verifier.VERIFIED else EXIT_NOT_ATTAINED
     record = verify_case(spec, cap=cfg.cap, budget=cfg.budget)
     out = record.to_dict()
     append_cache(cfg.cache_path, out)
@@ -206,10 +219,21 @@ def cmd_sweep(args, cfg):
         seed=cfg.seed, prime=cfg.prime, trials=cfg.trials,
         cap=cfg.cap, budget=cfg.budget,
     )
-    records, witnesses, failures = run_sweep(plan, cap=cfg.cap, budget=cfg.budget)
+    cache = load_cache(cfg.cache_path)
+    served = {}
+    for spec in plan.cases:
+        hit = _cache_hit(cache, spec, verifier.resolve_truncation(spec, cfg.cap))
+        if hit is not None:
+            served[spec.k] = hit
+    records, witnesses, failures = run_sweep(
+        plan, cap=cfg.cap, budget=cfg.budget, served=served
+    )
     for rec in records:
         out = rec.to_dict()
-        append_cache(cfg.cache_path, out)
+        if rec.spec.k in served:
+            out["cached"] = True
+        else:
+            append_cache(cfg.cache_path, out)
         print(json.dumps(out))
     for w in witnesses:
         print(

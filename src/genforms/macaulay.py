@@ -6,6 +6,15 @@ family of forms is spanned by monomial multiples of the generators; its
 dimension is the rank of the Macaulay matrix whose rows are those
 multiples, computed over Z/p.
 
+Not every degree needs an elimination. If the rows of the degree-e
+matrix are independent, so are the rows of every lower degree: x_1
+times a dependency in degree e - 1 is a dependency in degree e, since
+multiplying by x_1 sends distinct rows u*g to distinct rows x_1*u*g.
+Below d_(1) + d_(2), the sum of the two smallest generator degrees, no
+Koszul relation forces a dependency, so one elimination at the highest
+such degree with no more rows than columns usually settles every degree
+below it, with rank = rows exactly for this specialization.
+
 Why a random prime-field point says anything about generic forms: the
 rank of the Macaulay matrix at any specialization is at most the generic
 rank (lower semicontinuity), and rank mod p of an integer specialization
@@ -204,32 +213,64 @@ def ideal_dimension_at_degree(family: FormFamily, e: int) -> int:
 
 @dataclass(frozen=True)
 class DegreeStat:
-    """Matrix size and rank at one degree (rank None when short-circuited)."""
+    """Matrix size and rank at one degree."""
 
     e: int
     rows: int
     cols: int
-    rank: int | None
+    rank: int
+
+
+def _probe_degree(family: FormFamily, max_deg: int) -> int | None:
+    """The largest e <= max_deg below the first Koszul syzygy degree
+    d_(1) + d_(2) whose Macaulay matrix is nonempty and no taller than
+    wide, or None."""
+    degrees = sorted(f.degree for f in family.forms)
+    top = max_deg if len(degrees) < 2 else min(max_deg, degrees[0] + degrees[1] - 1)
+    for e in range(top, -1, -1):
+        rows, cols = macaulay_shape(family, e)
+        if 0 < rows <= cols:
+            return e
+    return None
 
 
 def quotient_series_with_stats(family, max_deg, budget=None):
     """Hilbert series of R/(family) up to max_deg plus per-degree stats.
 
-    Coefficient e = C(n+e-1, e) - dim I_e, each degree independent. Once
-    a coefficient is zero the ideal contains that power of the maximal
-    ideal, so the tail is zero without further elimination. budget caps
-    the entry count of any single Macaulay matrix.
+    Coefficient e = C(n+e-1, e) - dim I_e. The probe degree e* (see
+    `_probe_degree`) is eliminated first: if its rows are independent,
+    so are the rows of every lower degree (x_1 times a dependency in
+    degree e - 1 is one in degree e), and dim I_e = rows there without
+    elimination. Otherwise every degree is eliminated. Degrees above e*
+    are eliminated in turn; once a coefficient is zero the ideal contains
+    that power of the maximal ideal, so the tail is zero without further
+    elimination. budget caps the entry count of any single Macaulay
+    matrix, checked in degree order as each degree is reached.
     """
-    coeffs = []
-    stats = []
-    for e in range(max_deg + 1):
+
+    def shape(e):
         rows, cols = macaulay_shape(family, e)
         if budget is not None and rows * cols > budget:
             raise ResourceLimit(
                 f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} "
                 f"entries, over budget {budget}"
             )
-        dim = ideal_dimension_at_degree(family, e)
+        return rows, cols
+
+    known = {}  # degree -> dim I_e, found before the degree is reached
+    probe = _probe_degree(family, max_deg)
+    if probe is not None:
+        # the lower degrees' budget checks come first, as in degree order
+        heights = [shape(e)[0] for e in range(probe + 1)]
+        known[probe] = ideal_dimension_at_degree(family, probe)
+        if known[probe] == heights[probe]:
+            known.update(enumerate(heights[:probe]))
+
+    coeffs = []
+    stats = []
+    for e in range(max_deg + 1):
+        rows, cols = shape(e)
+        dim = known[e] if e in known else ideal_dimension_at_degree(family, e)
         coeff = cols - dim
         # first-order lower bound holds at every specialization
         if coeff < cols - rows:

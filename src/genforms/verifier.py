@@ -118,6 +118,44 @@ class VerificationRecord:
             "version": self.version,
         }
 
+    @classmethod
+    def from_dict(cls, rec: dict, spec: CaseSpec) -> "VerificationRecord":
+        """The record `to_dict` wrote for spec, read back. A Verified
+        record must carry the ranks its series implies, since interval
+        deduction reads them; ValueError if it does not."""
+
+        def series(coeffs):
+            return TruncatedSeries(tuple(coeffs), terminated=coeffs[-1] == 0)
+
+        record = cls(
+            spec, rec["trunc"], series(rec["conjectured"]), series(rec["computed"]),
+            rec["verdict"], tuple(DegreeStat(*row) for row in rec["ranks"]),
+            tuple(rec["seeds_tried"]), rec["millis"], rec["version"],
+        )
+        if record.verdict == VERIFIED and record.degree_stats != _implied_stats(
+            spec, record.computed.coeffs
+        ):
+            raise ValueError("Verified record with ranks its series does not imply")
+        return record
+
+
+def _rows(n, md, k, e) -> int:
+    """Row count of the degree-e Macaulay matrix of k forms of degree md."""
+    return k * monomial_count(n, e - md) if e >= md else 0
+
+
+def _implied_stats(spec: CaseSpec, coeffs) -> tuple[DegreeStat, ...]:
+    """The stats of a computation that found coeffs: rank = cols -
+    coefficient, up to the first zero coefficient."""
+    stats = []
+    for e, coeff in enumerate(coeffs):
+        cols = monomial_count(spec.n, e)
+        rows = _rows(spec.n, spec.effective_degree, spec.k, e)
+        stats.append(DegreeStat(e, rows, cols, cols - coeff))
+        if coeff == 0:
+            break
+    return tuple(stats)
+
 
 def default_family(spec: CaseSpec, seed: int) -> FormFamily:
     """k random degree-d forms, each raised to the m-th power."""
@@ -215,8 +253,7 @@ def _pin_intermediate(n, md, k, conjectured_k, e_surj, high_stats):
             continue
         stat = high_stats.get(e)
         if stat is not None and stat.rank == stat.rows and stat.rows <= stat.cols:
-            rows_k = k * monomial_count(n, e - md) if e >= md else 0
-            if stat.cols - rows_k == target:
+            if stat.cols - _rows(n, md, k, e) == target:
                 methods.append("independence")
                 continue
         raise DeductionInapplicable(
@@ -311,8 +348,7 @@ def estimated_max_entries(n, md, k, cap=DEFAULT_CAP, trunc=None) -> int:
         last = trunc
     worst = 0
     for e in range(md, last + 1):
-        rows = k * monomial_count(n, e - md)
-        worst = max(worst, rows * monomial_count(n, e))
+        worst = max(worst, _rows(n, md, k, e) * monomial_count(n, e))
     return worst
 
 
@@ -377,10 +413,20 @@ def plan_sweep(
     return SweepPlan(tuple(cases), tuple(intervals), tuple(skipped))
 
 
-def run_sweep(plan: SweepPlan, cap=DEFAULT_CAP, budget=DEFAULT_BUDGET):
+def run_sweep(
+    plan: SweepPlan,
+    cap=DEFAULT_CAP,
+    budget=DEFAULT_BUDGET,
+    served: dict[int, VerificationRecord] | None = None,
+):
     """Execute a plan: direct cases first, then interval deductions
-    reusing the endpoint records."""
-    records = {spec.k: verify_case(spec, cap, budget) for spec in plan.cases}
+    reusing the endpoint records. served maps k to a record already at
+    hand (a cache hit), which is used instead of computing that case."""
+    served = served or {}
+    records = {
+        spec.k: served[spec.k] if spec.k in served else verify_case(spec, cap, budget)
+        for spec in plan.cases
+    }
     witnesses = []
     failures = []
     for lo, hi in plan.intervals:

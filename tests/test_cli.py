@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from genforms import modp
 from genforms.cli import (
     EXIT_ERROR,
     EXIT_NOT_ATTAINED,
@@ -164,6 +165,62 @@ def test_sweep_command(tmp_path, capsys):
     assert "intervals deduced" in err
     verdicts = [json.loads(line).get("verdict") for line in out.splitlines()]
     assert "Verified" in verdicts
+
+
+SWEEP_322 = ("sweep", "--n", "3", "--d", "2", "--m", "2", "--k-range", "4..15")
+
+
+def test_repeated_sweep_is_served_from_cache(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    code, first, _ = run(capsys, "--cache", str(cache), *SWEEP_322)
+    assert code == EXIT_OK
+    lines = cache.read_text().splitlines()
+    modp.reset_telemetry()
+    code, second, _ = run(capsys, "--cache", str(cache), *SWEEP_322)
+    assert code == EXIT_OK
+    assert modp.ELIMINATION_CALLS == 0
+    assert cache.read_text().splitlines() == lines
+    first = [json.loads(line) for line in first.splitlines()]
+    second = [json.loads(line) for line in second.splitlines()]
+    assert [rec.pop("cached", None) for rec in second if "n" in rec] == [True] * len(lines)
+    assert second == first
+    assert any("interval" in line for line in second)
+
+
+def test_sweep_recomputes_a_record_with_wrong_ranks(tmp_path, capsys):
+    # a served endpoint's ranks feed the interval deduction, so a Verified
+    # record whose ranks its series does not imply is a miss
+    cache = tmp_path / "c.jsonl"
+    run(capsys, "--cache", str(cache), *SWEEP_322)
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    ranks = [list(row) for row in records[-1]["ranks"]]
+    records[-1]["ranks"][-1][3] -= 1
+    cache.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    code, out, _ = run(capsys, "--cache", str(cache), *SWEEP_322)
+    assert code == EXIT_OK
+    printed = [json.loads(line) for line in out.splitlines() if '"n"' in line]
+    assert [rec.get("cached") for rec in printed] == [True] * (len(records) - 1) + [None]
+    assert printed[-1]["ranks"] == ranks
+    assert len(cache.read_text().splitlines()) == len(records) + 1
+
+
+@pytest.mark.parametrize(
+    "case, calls",
+    [
+        # a probe at degree 26, below the Koszul degree 28, then degree 27;
+        # 14 when every degree 14..27 was eliminated
+        (("--n", "3", "--d", "7", "--m", "2", "--k", "4"), 2),
+        # the Koszul degree 8 has 420 rows and 495 columns: a probe there
+        # would meet the Koszul dependency and eliminate all 7 degrees
+        (("--n", "5", "--d", "2", "--m", "2", "--k", "6"), 4),
+    ],
+)
+def test_verify_eliminates_only_the_degrees_it_needs(capsys, case, calls):
+    code, out, _ = run(capsys, "--seed", "0", "verify", *case)
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert rec["verdict"] == "Verified"
+    assert rec["rank_calls"] == calls
 
 
 def test_construct_command(capsys):

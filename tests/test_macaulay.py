@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genforms.macaulay import (
+    DegreeStat,
     FormFamily,
     ModPPoly,
     ResourceLimit,
+    _probe_degree,
     first_order_lower_bound,
     hilbert_series_of_quotient,
     ideal_dimension_at_degree,
@@ -21,7 +23,7 @@ from genforms.macaulay import (
 )
 from genforms.modp import DEFAULT_PRIME
 from genforms.monomials import enumerate_monomials, monomial_count, rank as mono_rank
-from genforms.series import binomial
+from genforms.series import TruncatedSeries, binomial
 
 P = DEFAULT_PRIME
 PRIMES = (2, 3, 101, 65537, 2**31 - 1)
@@ -225,3 +227,61 @@ def test_resource_limit():
 def test_forms_reject_prime_above_2_31():
     with pytest.raises(ValueError, match="2\\^31"):
         ModPPoly(2, 1, (1, 1), prime=4294967311)
+
+
+def reference_quotient_series(family, max_deg, budget=None):
+    """Every degree eliminated from scratch, in degree order: the slow
+    reference for `quotient_series_with_stats`."""
+    coeffs = []
+    stats = []
+    for e in range(max_deg + 1):
+        rows, cols = macaulay_shape(family, e)
+        if budget is not None and rows * cols > budget:
+            raise ResourceLimit(
+                f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} "
+                f"entries, over budget {budget}"
+            )
+        dim = ideal_dimension_at_degree(family, e)
+        coeffs.append(cols - dim)
+        stats.append(DegreeStat(e, rows, cols, dim))
+        if coeffs[-1] == 0:
+            coeffs.extend([0] * (max_deg - e))
+            break
+    return TruncatedSeries(tuple(coeffs), terminated=coeffs[-1] == 0), stats
+
+
+@st.composite
+def families(draw):
+    """Random forms of mixed degrees 1..4, or a family repeating forms
+    (a degenerate specialization); p = 2 often draws zero forms."""
+    n = draw(st.integers(1, 4))
+    prime = draw(st.sampled_from((2, 3, 101, 2**31 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    degrees = draw(st.lists(st.integers(1, 4), max_size=6))
+    forms = [random_form(n, d, rng, prime) for d in degrees]
+    if forms and draw(st.booleans()):
+        forms = [forms[i] for i in draw(
+            st.lists(st.integers(0, len(forms) - 1), min_size=2, max_size=6))]
+    return FormFamily(n, tuple(forms), prime)
+
+
+def _outcome(fn, family, max_deg, budget):
+    try:
+        return fn(family, max_deg, budget)
+    except ResourceLimit as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), family=families(), max_deg=st.integers(0, 10))
+def test_quotient_series_matches_per_degree_reference(data, family, max_deg):
+    budget = None
+    if data.draw(st.booleans()):
+        # cut just below or at the matrix of a degree near the probe
+        probe = _probe_degree(family, max_deg)
+        near = max_deg // 2 if probe is None else probe + data.draw(st.integers(-2, 2))
+        rows, cols = macaulay_shape(family, min(max(near, 0), max_deg))
+        budget = rows * cols - data.draw(st.sampled_from((0, 1)))
+    assert _outcome(quotient_series_with_stats, family, max_deg, budget) == _outcome(
+        reference_quotient_series, family, max_deg, budget
+    )

@@ -16,6 +16,7 @@ from genforms.verifier import (
     VERIFIED,
     CaseSpec,
     DeductionInapplicable,
+    VerificationRecord,
     compare_pure_power_mix,
     degenerate_family,
     plan_sweep,
@@ -51,6 +52,20 @@ def test_degenerate_family_never_verifies():
     record = verify_case(CaseSpec(3, 2, 1, 6, trials=3), family_builder=degenerate_family)
     assert record.verdict == NOT_ATTAINED
     assert record.seeds_tried == (0, 1, 2)
+
+
+def test_record_reads_back_and_refuses_ranks_its_series_does_not_imply():
+    spec = CaseSpec(3, 2, 2, 5)
+    record = verify_case(spec)
+    rec = record.to_dict()
+    assert VerificationRecord.from_dict(rec, spec) == record
+    rec["ranks"][-1][3] -= 1
+    with pytest.raises(ValueError, match="ranks"):
+        VerificationRecord.from_dict(rec, spec)
+    bad = verify_case(CaseSpec(3, 2, 1, 6, trials=1), family_builder=degenerate_family)
+    rec = bad.to_dict()
+    rec["ranks"][-1][3] -= 1  # a NotAttained record is never deduced from
+    assert VerificationRecord.from_dict(rec, bad.spec).verdict == NOT_ATTAINED
 
 
 def test_replay_determinism():
