@@ -3,19 +3,27 @@
 The basis is kept in reduced row echelon form. Its pivot columns form an
 identity block, so only the free (non-pivot) columns are stored: an
 r x (cols - r) matrix F. Rows are fed in chunks of CHUNK rows, and each
-chunk takes three steps:
+chunk is merged into the basis in three steps:
 
 1. reduce it against the basis with one product, free -= chunk[:, piv] @ F;
-2. Gauss-Jordan on the reduced chunk (the only Python pivot loop);
+2. put the reduced chunk into RREF;
 3. back-reduce F by the chunk's new pivots with a second product.
 
-Both products go through `matmul_mod`, which splits its operands into
-16-bit limbs and multiplies them as float64 BLAS matrices. Every partial
-product is below 2^32, so the result is exact for p < 2^31 and inner
-dimension below 2^20; the kernel rejects larger moduli. This is the
-delayed-reduction scheme of FFLAS-FFPACK (Dumas, Giorgi & Pernet,
-arXiv:cs/0601133). Rank does not depend on the elimination order, so
-batch, blockwise and streamed ranks agree.
+Step 2 is the same merge, recursively: a block taller than BASE rows is
+split in two, its top part put into RREF, and its bottom part merged into
+the top part by the same two products. Only blocks of at most BASE rows
+reach the Python pivot loop, so the work inside a chunk is BLAS products,
+not pivot steps that grow with the chunk's height, and the basis-wide
+products of steps 1 and 3 run once per CHUNK rows. This is the recursive
+echelon of FFLAS-FFPACK (Dumas, Giorgi & Pernet, arXiv:cs/0601133; rank
+profiles as in Jeannerod, Pernet & Storjohann, arXiv:1112.5717).
+
+Every product goes through `matmul_mod`, which splits its operands into
+16-bit limbs and multiplies them as float64 BLAS matrices, reducing mod p
+only once per limb product (delayed reduction). Every partial product is
+below 2^53, so the result is exact for p < 2^31 and inner dimension below
+2^20; the kernel rejects larger moduli. Rank does not depend on the
+elimination order, so batch, blockwise and streamed ranks agree.
 """
 
 from __future__ import annotations
@@ -25,9 +33,11 @@ import numpy as np
 DEFAULT_PRIME = 2**31 - 1
 PRIME_BOUND = 2**31
 
-# Rows per elimination chunk. Each chunk costs one pass over F in two
-# products, and a Gauss-Jordan whose work grows with the chunk's height.
-CHUNK = 32
+# Rows per chunk merged into the basis. Each chunk costs one pass over F
+# in two products; inside a chunk the recursion's products are small.
+CHUNK = 128
+# Blocks of at most this many rows go through the Python pivot loop.
+BASE = 8
 # Inner dimensions below this keep every limb product sum below 2^53.
 _MAX_INNER = 2**20
 # Entries per column stripe of a product: float64 temporaries of 512 KB.
@@ -87,13 +97,22 @@ def _limbs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (m >> 16).astype(np.float64), (m & 0xFFFF).astype(np.float64)
 
 
+def _splits_both(inner: int, p: int) -> bool:
+    """Whether matmul_mod must split a as well as b into limbs. Unsplit,
+    the sums of a @ (limb of b) reach inner (p - 1)(2^16 - 1), which is
+    exact in float64 only below 2^53 (at p = 2^31 - 1: inner <= 64)."""
+    return inner * (p - 1) * 0xFFFF >= 2**53
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact a @ b mod p for int64 matrices with entries in [0, p).
 
-    With a = ah 2^16 + al and b = bh 2^16 + bl, each limb product is a
-    float64 BLAS matmul whose entries stay below 2^53, and the result is
-    recombined mod p by Horner's rule in 2^16. Computed in column stripes
-    of b so the temporaries stay small.
+    With b = bh 2^16 + bl, and a = ah 2^16 + al when the inner dimension
+    is too large for a whole (see `_splits_both`; else ah = 0, al = a),
+    each limb product is a float64 BLAS matmul whose entries stay below
+    2^53: two products for a small inner dimension, four otherwise. The
+    result is recombined mod p by Horner's rule in 2^16. Computed in
+    column stripes of b so the temporaries stay small.
     """
     check_modulus(p)
     inner = a.shape[1]
@@ -104,13 +123,17 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
             f"inner dimension {inner} leaves the exact range (< {_MAX_INNER})"
         )
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-    ah, al = _limbs(a)
+    split = _splits_both(inner, p)
+    ah, al = _limbs(a) if split else (None, a.astype(np.float64))
     width = max(1, _STRIPE_ENTRIES // max(inner, a.shape[0], 1))
     for j in range(0, b.shape[1], width):
         bh, bl = _limbs(b[:, j : j + width])
-        acc = (ah @ bh).astype(np.int64) % p
-        acc <<= 16
-        acc += (ah @ bl + al @ bh).astype(np.int64)
+        if split:
+            acc = (ah @ bh).astype(np.int64) % p
+            acc <<= 16
+            acc += (ah @ bl + al @ bh).astype(np.int64)
+        else:
+            acc = (al @ bh).astype(np.int64)
         acc %= p
         acc <<= 16
         acc += (al @ bl).astype(np.int64)
@@ -124,6 +147,7 @@ def _gauss_jordan(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     Returns (pivot rows, pivot column of each pivot row). Each pivot row
     has a 1 in its own pivot column and 0 in the other pivot columns.
+    The base case of `_echelon`, for blocks of at most BASE rows.
     """
     pivots = []
     rows = []
@@ -144,11 +168,63 @@ def _gauss_jordan(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m[rows], pivots
 
 
+# A row space in compact RREF over some columns: the pivot columns, the
+# free columns (both as index arrays) and the r x len(free) free block.
+Echelon = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _echelon(m: np.ndarray, p: int) -> Echelon:
+    """Compact RREF of m (entries in [0, p); its rows are overwritten).
+
+    A block of at most BASE rows goes through `_gauss_jordan`. A taller
+    one is split after a multiple of BASE rows near its middle: the top
+    part is put into RREF, and the bottom part is merged into it.
+    """
+    if m.shape[0] <= BASE:
+        rows, pivots = _gauss_jordan(m, p)
+        is_free = np.ones(m.shape[1], dtype=bool)
+        is_free[pivots] = False
+        free = np.flatnonzero(is_free)
+        return np.array(pivots, dtype=np.intp), free, rows[:, free]
+    top = BASE * -(-m.shape[0] // (2 * BASE))
+    return _merge(_echelon(m[:top], p), m[top:], p)
+
+
+def _merge(echelon: Echelon, block: np.ndarray, p: int) -> Echelon:
+    """The compact RREF of the span of echelon and a block of rows over
+    the same columns (entries in [0, p)), in three steps:
+
+    1. reduce the block by the basis, block[:, free] -= block[:, pivots] @ F;
+    2. put the reduced block into RREF (`_echelon`);
+    3. back-reduce F by the block's new pivots with a second product.
+    """
+    pivots, free, basis = echelon
+    if free.size == 0 or block.shape[0] == 0:
+        return echelon
+    reduced = block[:, free]
+    if pivots.size:
+        _sub_mod(reduced, matmul_mod(block[:, pivots], basis, p), p)
+    new_pivots, new_free, new_rows = _echelon(reduced, p)
+    if new_pivots.size == 0:
+        return echelon
+    # the new pivot columns leave the free block: after back-reduction
+    # they are identity columns, so they are dropped, not updated
+    kept = basis[:, new_free]
+    if pivots.size:
+        _sub_mod(kept, matmul_mod(basis[:, new_pivots], new_rows, p), p)
+    return (
+        np.concatenate([pivots, free[new_pivots]]),
+        free[new_free],
+        np.vstack([kept, new_rows]),
+    )
+
+
 class RowReducer:
     """A row space over Z/p grown by blocks of rows, with its rank.
 
     The basis is in reduced row echelon form, stored as its pivot columns
-    and the r x (cols - r) block of its free columns.
+    and the r x (cols - r) block of its free columns. Rows are merged
+    into it CHUNK at a time (`_merge`).
     """
 
     def __init__(self, cols: int, p: int = DEFAULT_PRIME):
@@ -156,13 +232,15 @@ class RowReducer:
         _count_call()
         self.cols = cols
         self.p = p
-        self._pivots: list[int] = []
-        self._free = np.arange(cols)
-        self._basis = np.zeros((0, cols), dtype=np.int64)
+        self._echelon: Echelon = (
+            np.zeros(0, dtype=np.intp),
+            np.arange(cols),
+            np.zeros((0, cols), dtype=np.int64),
+        )
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return self._echelon[0].size
 
     @property
     def full_column_rank(self) -> bool:
@@ -177,28 +255,9 @@ class RowReducer:
         for start in range(0, b.shape[0], CHUNK):
             if self.full_column_rank:
                 break
-            self._add_chunk(b[start : start + CHUNK] % self.p)
+            chunk = b[start : start + CHUNK] % self.p
+            self._echelon = _merge(self._echelon, chunk, self.p)
         return self.rank - before
-
-    def _add_chunk(self, chunk: np.ndarray) -> None:
-        p = self.p
-        reduced = chunk[:, self._free]
-        if self._pivots:
-            _sub_mod(reduced, matmul_mod(chunk[:, self._pivots], self._basis, p), p)
-        new_rows, new_pivots = _gauss_jordan(reduced, p)
-        if not new_pivots:
-            return
-        # the new pivot columns leave the free block: after back-reduction
-        # they are identity columns, so they are dropped, not updated
-        keep = np.ones(len(self._free), dtype=bool)
-        keep[new_pivots] = False
-        new_rows = new_rows[:, keep]
-        basis = self._basis[:, keep]
-        if self._pivots:
-            _sub_mod(basis, matmul_mod(self._basis[:, new_pivots], new_rows, p), p)
-        self._basis = np.vstack([basis, new_rows])
-        self._pivots.extend(self._free[new_pivots].tolist())
-        self._free = self._free[keep]
 
 
 def _sub_mod(x: np.ndarray, y: np.ndarray, p: int) -> None:

@@ -174,8 +174,23 @@ def degenerate_family(spec: CaseSpec, seed: int) -> FormFamily:
     return FormFamily(spec.n, (f,) * spec.k, spec.prime, seed)
 
 
+def case_truncation(n: int, md: int, k: int, cap: int = DEFAULT_CAP) -> int:
+    """Truncation degree of k forms of degree md in n variables.
+
+    Above n it is one past the first zero of the conjectured series
+    (`default_truncation`). A complete intersection (k <= n) never
+    terminates by a zero coefficient, so its check range stops at its
+    numerator degree k(md - 1), plus one, instead of burning the full cap.
+    """
+    if k <= n:
+        return min(cap, k * (md - 1) + 1)
+    return default_truncation(DegreeList(n, (md,) * k), cap)
+
+
 def resolve_truncation(spec: CaseSpec, cap: int = DEFAULT_CAP) -> int:
-    return spec.trunc if spec.trunc is not None else default_truncation(spec.degree_list, cap)
+    if spec.trunc is not None:
+        return spec.trunc
+    return case_truncation(spec.n, spec.effective_degree, spec.k, cap)
 
 
 def verify_case(
@@ -312,7 +327,7 @@ def verify_interval(
 
     deduced = []
     for k in range(k_low + 1, k_high):
-        trunc_k = default_truncation(DegreeList(n, (md,) * k), cap)
+        trunc_k = case_truncation(n, md, k, cap)
         conjectured_k = conjectured_series(DegreeList(n, (md,) * k), trunc_k)
         _pin_intermediate(n, md, k, conjectured_k, e_surj, high_stats)
         deduced.append(k)
@@ -338,10 +353,9 @@ class SweepPlan:
 def estimated_max_entries(n, md, k, cap=DEFAULT_CAP, trunc=None) -> int:
     """Largest Macaulay matrix (in entries) a case is expected to build,
     assuming the computation terminates where the conjectured series does."""
-    spec = DegreeList(n, (md,) * k)
     if trunc is None:
-        trunc = default_truncation(spec, cap)
-    conjectured = conjectured_series(spec, trunc)
+        trunc = case_truncation(n, md, k, cap)
+    conjectured = conjectured_series(DegreeList(n, (md,) * k), trunc)
     try:
         last = conjectured.coeffs.index(0)
     except ValueError:
@@ -376,10 +390,7 @@ def plan_sweep(
         raise ValueError(f"k range must lie within [1, {top}]")
 
     def make(k):
-        # Complete intersections never terminate by a nonpositive
-        # coefficient, so cap their check range at the numerator degree
-        # instead of burning the full truncation cap.
-        trunc = min(cap, k * (md - 1) + 1) if k <= n else None
+        trunc = case_truncation(n, md, k, cap)
         return CaseSpec(n, d, m, k, trunc=trunc, seed=seed, prime=prime, trials=trials)
 
     cases, intervals, skipped = [], [], []
@@ -399,7 +410,7 @@ def plan_sweep(
 
     runs = []  # (termination degree, lo, hi)
     for k in range(max(k_lo, n + 1), k_hi + 1):
-        term = default_truncation(DegreeList(n, (md,) * k), cap) - 1
+        term = case_truncation(n, md, k, cap) - 1
         if runs and runs[-1][0] == term:
             runs[-1] = (term, runs[-1][1], k)
         else:

@@ -187,6 +187,30 @@ def test_repeated_sweep_is_served_from_cache(tmp_path, capsys):
     assert any("interval" in line for line in second)
 
 
+VERIFY_CI = ("verify", "--n", "4", "--d", "2", "--m", "2", "--k", "3")
+
+
+def test_verify_complete_intersection_uses_the_sweep_truncation(capsys):
+    # k <= n: checked up to the numerator degree k(md - 1) + 1 = 10, as a
+    # sweep does, not up to the full cap
+    code, out, _ = run(capsys, *VERIFY_CI)
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert rec["trunc"] == 10 and rec["verdict"] == "Verified"
+
+
+def test_verify_serves_a_complete_intersection_a_sweep_cached(tmp_path, capsys):
+    cache = str(tmp_path / "c.jsonl")
+    code, _, _ = run(capsys, "--cache", cache,
+                     "sweep", "--n", "4", "--d", "2", "--m", "2", "--k-range", "3..3")
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, "--cache", cache, *VERIFY_CI)
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert rec["cached"] is True and rec["rank_calls"] == 0
+    assert rec["trunc"] == 10
+
+
 def test_sweep_recomputes_a_record_with_wrong_ranks(tmp_path, capsys):
     # a served endpoint's ranks feed the interval deduction, so a Verified
     # record whose ranks its series does not imply is a miss

@@ -1,5 +1,8 @@
 """Tests for prime-field arithmetic and rank computation."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -133,6 +136,19 @@ def test_matmul_mod_worst_case_entries_long_inner():
     assert (matmul_mod(a, b, p) == expected).all()
 
 
+@pytest.mark.parametrize("inner,both", [(64, False), (65, True)])
+def test_matmul_mod_at_the_two_product_edge(inner, both):
+    """All entries p - 1 at p = 2^31 - 1: inner 64 is the largest inner
+    dimension that multiplies a unsplit (two products), inner 65 splits
+    both operands (four products); both are exact."""
+    p = DEFAULT_PRIME
+    assert modp._splits_both(inner, p) == both
+    a = np.full((3, inner), p - 1, dtype=np.int64)
+    b = np.full((inner, 5), p - 1, dtype=np.int64)
+    expected = sum((p - 1) * (p - 1) for _ in range(inner)) % p
+    assert (matmul_mod(a, b, p) == expected).all()
+
+
 def test_matmul_mod_random_against_python_ints():
     p = DEFAULT_PRIME
     rng = np.random.default_rng(29)
@@ -154,3 +170,15 @@ def test_matmul_mod_rejects_inner_dimension_outside_exact_range():
         matmul_mod(a, b, DEFAULT_PRIME)
     with pytest.raises(ValueError, match="inner dimensions differ"):
         matmul_mod(np.ones((2, 3), dtype=np.int64), np.ones((4, 2), dtype=np.int64), 7)
+
+
+def test_bench_kernel_script_smoke():
+    """scripts/bench_kernel.py on its 756 x 715 input (rank 681), once."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_kernel.py"
+    spec = importlib.util.spec_from_file_location("bench_kernel", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    case = next(c for c in bench.CASES if c[5:7] == (756, 715))
+    result = bench.time_case(case, repeats=1)
+    assert result["shape"] == [756, 715] and result["rank"] == 681
+    assert result["median_s"] > 0

@@ -20,6 +20,7 @@ from genforms.verifier import (
     compare_pure_power_mix,
     degenerate_family,
     plan_sweep,
+    resolve_truncation,
     run_sweep,
     suite_k_values,
     verify_case,
@@ -160,6 +161,13 @@ def test_plan_sweep_complete_intersections_no_intervals():
     assert [c.k for c in plan.cases] == [1, 2, 3]
     assert plan.intervals == ()
     assert all(c.trunc is not None for c in plan.cases)
+
+
+def test_verify_and_sweep_share_the_complete_intersection_truncation():
+    # k <= n stops at the numerator degree k(md - 1) + 1, in both paths
+    assert resolve_truncation(CaseSpec(4, 2, 2, 3)) == 10
+    assert [c.trunc for c in plan_sweep(4, 2, 2, 3, 3).cases] == [10]
+    assert resolve_truncation(CaseSpec(4, 2, 2, 3, trunc=7)) == 7
 
 
 def test_plan_sweep_range_validation():
