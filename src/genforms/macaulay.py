@@ -15,6 +15,16 @@ Koszul relation forces a dependency, so one elimination at the highest
 such degree with no more rows than columns usually settles every degree
 below it, with rank = rows exactly for this specialization.
 
+Consecutive eliminated degrees share work. For e >= 1, I_e = x_1 I_{e-1}
++ span{u*g : x_1 does not divide u}, since a row u*g with x_1 | u lies in
+x_1 I_{e-1}. In the lex order x_1 comes first, so x_1 times the j-th
+degree-(e-1) monomial is the j-th degree-e monomial, and the monomials
+free of x_1 are the last ones. The reduced echelon basis of I_{e-1},
+padded with zero columns, is therefore already a reduced echelon basis of
+x_1 I_{e-1}, found with no arithmetic. It seeds degree e's elimination,
+and only the x_1-free rows are fed on top of it: for (4,2,4) k=5 at
+degree 18, 330 of the 1430 rows.
+
 Why a random prime-field point says anything about generic forms: the
 rank of the Macaulay matrix at any specialization is at most the generic
 rank (lower semicontinuity), and rank mod p of an integer specialization
@@ -145,12 +155,14 @@ def power(f: ModPPoly, m: int) -> ModPPoly:
 
 
 @lru_cache(maxsize=None)
-def _scatter_table(n: int, dg: int, e: int) -> np.ndarray:
+def _scatter_table(n: int, dg: int, e: int, x1_free: bool) -> np.ndarray:
     """Index matrix T with T[i, j] = rank(multiplier_i * monomial_j) in
-    degree e, for multipliers of degree e - dg and source monomials of
-    degree dg."""
+    degree e, for multipliers of degree e - dg (with x1_free, only those
+    not divisible by x_1) and source monomials of degree dg."""
     table = _rank_table(n, e)
     mult = enumerate_monomials(n, e - dg)
+    if x1_free:
+        mult = mult[len(mult) - _x1_free_count(n, e - dg) :]
     src = enumerate_monomials(n, dg)
     t = np.empty((len(mult), len(src)), dtype=np.intp)
     for i, u in enumerate(mult):
@@ -159,17 +171,24 @@ def _scatter_table(n: int, dg: int, e: int) -> np.ndarray:
     return t
 
 
-def macaulay_rows(form: ModPPoly, e: int) -> np.ndarray:
+def macaulay_rows(form: ModPPoly, e: int, x1_free: bool = False) -> np.ndarray:
     """Rows of the degree-e Macaulay matrix contributed by one form:
-    all monomial multiples of degree e - deg(form)."""
+    all monomial multiples of degree e - deg(form), or with x1_free only
+    the multiples u*form with x_1 not dividing u, which come last."""
     n = form.n
     if e < form.degree:
         return np.zeros((0, monomial_count(n, e)), dtype=np.int64)
-    t = _scatter_table(n, form.degree, e)
+    t = _scatter_table(n, form.degree, e, x1_free)
     block = np.zeros((t.shape[0], monomial_count(n, e)), dtype=np.int64)
     coeffs = np.array(form.coeffs, dtype=np.int64)
     block[np.arange(t.shape[0])[:, None], t] = coeffs[None, :]
     return block
+
+
+def _x1_free_count(n: int, e: int) -> int:
+    """Degree-e monomials not divisible by x_1: the last ones in lex
+    order, after x_1 times each degree-(e - 1) monomial."""
+    return monomial_count(n, e) - (monomial_count(n, e - 1) if e else 0)
 
 
 def macaulay_shape(family: FormFamily, e: int) -> tuple[int, int]:
@@ -182,32 +201,52 @@ def macaulay_shape(family: FormFamily, e: int) -> tuple[int, int]:
     return rows, monomial_count(family.n, e)
 
 
-def ideal_dimension_at_degree(family: FormFamily, e: int) -> int:
+def ideal_dimension_at_degree(
+    family: FormFamily, e: int, chain: dict[int, modp.Echelon] | None = None
+) -> int:
     """dim of the degree-e graded piece of the ideal generated by the family.
 
     Feeds each generator's block of Macaulay rows to one `modp.RowReducer`
     (which eliminates it in fixed-size chunks against a reduced echelon
     basis), and stops at the first block that brings the ideal to full
     column rank, so later generators' rows are never built.
+
+    chain, if given, is a dict that one family's calls share across
+    degrees: it maps the last degree eliminated with it to that degree's
+    basis. If that degree is e - 1, x_1 times its basis seeds the reducer
+    and only the rows u*g with x_1 not dividing u are fed (see the module
+    docstring). On return it maps e to degree e's basis, and nothing else.
     """
+    bases = {} if chain is None else chain
+    seed = bases.pop(e - 1, None)
+    bases.clear()
     if e < 0:
         return 0
     cols = monomial_count(family.n, e)
     rows_total, _ = macaulay_shape(family, e)
     if rows_total == 0:
         return 0
-    reducer = modp.RowReducer(cols, family.prime)
+    if seed is not None:
+        width = seed[0].size + seed[1].size
+        below = monomial_count(family.n, e - 1) if e else 0
+        if width != below:
+            raise SoundnessError(
+                f"degree-{e - 1} seed has {width} columns, not {below}"
+            )
+    reducer = modp.RowReducer(cols, family.prime, seed)
+    x1_free = seed is not None
+    del seed  # the reducer holds x_1 times it; keep one basis alive
     for form in family.forms:
-        if form.degree > e:
-            continue
-        reducer.add_rows(macaulay_rows(form, e))
         if reducer.full_column_rank:
             break
+        if form.degree <= e:
+            reducer.add_rows(macaulay_rows(form, e, x1_free))
     dim = reducer.rank
     if dim > rows_total or dim > cols:
         raise SoundnessError(
             f"degree-{e} rank {dim} exceeds the {rows_total}x{cols} matrix"
         )
+    bases[e] = reducer.echelon
     return dim
 
 
@@ -244,8 +283,12 @@ def quotient_series_with_stats(family, max_deg, budget=None):
     elimination. Otherwise every degree is eliminated. Degrees above e*
     are eliminated in turn; once a coefficient is zero the ideal contains
     that power of the maximal ideal, so the tail is zero without further
-    elimination. budget caps the entry count of any single Macaulay
-    matrix, checked in degree order as each degree is reached.
+    elimination. The basis of the last eliminated degree is carried to
+    the next: when that is degree e - 1, x_1 times it seeds degree e and
+    only the x_1-free rows are fed (see the module docstring). budget
+    caps the entry count of any single Macaulay matrix, the full one
+    whatever the rows fed, checked in degree order as each degree is
+    reached.
     """
 
     def shape(e):
@@ -258,11 +301,12 @@ def quotient_series_with_stats(family, max_deg, budget=None):
         return rows, cols
 
     known = {}  # degree -> dim I_e, found before the degree is reached
+    chain = {}  # the last eliminated degree -> its basis
     probe = _probe_degree(family, max_deg)
     if probe is not None:
         # the lower degrees' budget checks come first, as in degree order
         heights = [shape(e)[0] for e in range(probe + 1)]
-        known[probe] = ideal_dimension_at_degree(family, probe)
+        known[probe] = ideal_dimension_at_degree(family, probe, chain)
         if known[probe] == heights[probe]:
             known.update(enumerate(heights[:probe]))
 
@@ -270,7 +314,7 @@ def quotient_series_with_stats(family, max_deg, budget=None):
     stats = []
     for e in range(max_deg + 1):
         rows, cols = shape(e)
-        dim = known[e] if e in known else ideal_dimension_at_degree(family, e)
+        dim = known[e] if e in known else ideal_dimension_at_degree(family, e, chain)
         coeff = cols - dim
         # first-order lower bound holds at every specialization
         if coeff < cols - rows:

@@ -24,6 +24,9 @@ only once per limb product (delayed reduction). Every partial product is
 below 2^53, so the result is exact for p < 2^31 and inner dimension below
 2^20; the kernel rejects larger moduli. Rank does not depend on the
 elimination order, so batch, blockwise and streamed ranks agree.
+
+A reducer may start from a seed: the basis of another reducer over a
+prefix of its columns, taken over as it stands (see `RowReducer`).
 """
 
 from __future__ import annotations
@@ -225,18 +228,35 @@ class RowReducer:
     The basis is in reduced row echelon form, stored as its pivot columns
     and the r x (cols - r) block of its free columns. Rows are merged
     into it CHUNK at a time (`_merge`).
+
+    seed, if given, is the compact RREF of a row space over the first
+    w <= cols columns. Padded with zeros in columns w.. it is still in
+    RREF, so it is the starting basis as it stands, with no arithmetic.
+    Without a seed the basis starts empty: a seed over no columns.
     """
 
-    def __init__(self, cols: int, p: int = DEFAULT_PRIME):
+    def __init__(self, cols: int, p: int = DEFAULT_PRIME, seed: Echelon | None = None):
         check_modulus(p)
         _count_call()
         self.cols = cols
         self.p = p
+        if seed is None:  # the empty space over no columns
+            empty = np.zeros(0, dtype=np.intp)
+            seed = (empty, empty, np.zeros((0, 0), dtype=np.int64))
+        pivots, free, basis = seed
+        width = pivots.size + free.size
+        if width > cols:
+            raise ValueError(f"seed has {width} columns, more than {cols}")
         self._echelon: Echelon = (
-            np.zeros(0, dtype=np.intp),
-            np.arange(cols),
-            np.zeros((0, cols), dtype=np.int64),
+            pivots,
+            np.concatenate([free, np.arange(width, cols)]),
+            np.hstack([basis, np.zeros((pivots.size, cols - width), dtype=np.int64)]),
         )
+
+    @property
+    def echelon(self) -> Echelon:
+        """The basis in compact RREF: pivot columns, free columns, free block."""
+        return self._echelon
 
     @property
     def rank(self) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import __version__, modp
 from .macaulay import (
@@ -174,6 +175,7 @@ def degenerate_family(spec: CaseSpec, seed: int) -> FormFamily:
     return FormFamily(spec.n, (f,) * spec.k, spec.prime, seed)
 
 
+@lru_cache(maxsize=None)
 def case_truncation(n: int, md: int, k: int, cap: int = DEFAULT_CAP) -> int:
     """Truncation degree of k forms of degree md in n variables.
 

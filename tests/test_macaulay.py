@@ -12,9 +12,11 @@ from genforms.macaulay import (
     ModPPoly,
     ResourceLimit,
     _probe_degree,
+    _x1_free_count,
     first_order_lower_bound,
     hilbert_series_of_quotient,
     ideal_dimension_at_degree,
+    macaulay_rows,
     macaulay_shape,
     multiply,
     power,
@@ -285,3 +287,90 @@ def test_quotient_series_matches_per_degree_reference(data, family, max_deg):
     assert _outcome(quotient_series_with_stats, family, max_deg, budget) == _outcome(
         reference_quotient_series, family, max_deg, budget
     )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_x1_times_a_monomial_keeps_its_index(n):
+    """The index lemma behind the seeded chain: in degree e, x_1 times the
+    j-th degree-(e - 1) monomial is the j-th monomial, and the monomials
+    free of x_1 come after them."""
+    for e in range(13):
+        below = enumerate_monomials(n, e - 1) if e else ()
+        mons = enumerate_monomials(n, e)
+        assert [(m[0] + 1,) + m[1:] for m in below] == list(mons[: len(below)])
+        assert all(m[0] == 0 for m in mons[len(below) :])
+        assert len(mons) - len(below) == _x1_free_count(n, e)
+
+
+def test_x1_free_rows_are_the_last_macaulay_rows():
+    fam = FormFamily.random(3, 2, 1, seed=4)
+    f = fam.forms[0]
+    for e in range(2, 7):
+        full = macaulay_rows(f, e)
+        free = macaulay_rows(f, e, x1_free=True)
+        assert free.shape[0] == _x1_free_count(3, e - 2)
+        assert np.array_equal(free, full[full.shape[0] - free.shape[0] :])
+
+
+def assert_chain_matches_scratch(family, max_deg):
+    """Degree max_deg, then degrees 0..max_deg, eliminated with one chain
+    (the quotient series also eliminates its probe degree first) against
+    each degree from scratch; returns the chained ranks of 0..max_deg."""
+    chain = {}
+    ideal_dimension_at_degree(family, max_deg, chain)
+    ranks = []
+    for e in range(max_deg + 1):
+        ranks.append(ideal_dimension_at_degree(family, e, chain))
+        assert ranks[-1] == ideal_dimension_at_degree(family, e)
+        assert set(chain) <= {e}  # one basis kept, the last one
+    return ranks
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=families(), max_deg=st.integers(0, 9))
+def test_seeded_chain_matches_scratch(family, max_deg):
+    assert_chain_matches_scratch(family, max_deg)
+
+
+@pytest.mark.parametrize("prime", (2, 3, 101, 2**31 - 1))
+def test_seeded_chain_named_cases(prime):
+    rng = np.random.default_rng(prime)
+    quad = random_form(3, 2, rng, prime)
+    # n = 1: one column per degree; a seeded degree feeds only the
+    # generators of that degree (u = 1 is its one x_1-free multiplier)
+    assert_chain_matches_scratch(FormFamily(1, (random_form(1, 2, rng, prime),), prime), 5)
+    # mixed generator degrees
+    mixed = FormFamily(3, tuple(random_form(3, d, rng, prime) for d in (1, 3, 2)), prime)
+    assert_chain_matches_scratch(mixed, 7)
+    # repeated forms: the probe is dependent, so every degree is eliminated
+    repeated = FormFamily(3, (quad, quad, random_form(3, 3, rng, prime)), prime)
+    probe = _probe_degree(repeated, 8)
+    assert ideal_dimension_at_degree(repeated, probe) < macaulay_shape(repeated, probe)[0]
+    assert_chain_matches_scratch(repeated, 8)
+    # full column rank in the middle of the chain, and seeds from it after
+    full = FormFamily(3, tuple(random_form(3, 2, rng, prime) for _ in range(4)), prime)
+    ranks = assert_chain_matches_scratch(full, 6)
+    if prime > 3:
+        assert ranks[3] == monomial_count(3, 3) and ranks[6] == monomial_count(3, 6)
+
+
+def test_seeded_degree_feeds_only_x1_free_rows(monkeypatch):
+    """(4,2,4) k=5 at degree 18, seeded by degree 17: 5 forms of degree 8
+    times the 66 x_1-free monomials of degree 10, 330 of the 1430 rows."""
+    from genforms import macaulay
+    from genforms.verifier import CaseSpec, default_family
+
+    family = default_family(CaseSpec(4, 2, 4, 5), 0)
+    chain = {}
+    ideal_dimension_at_degree(family, 17, chain)
+    fed = []
+    real = macaulay.macaulay_rows
+
+    def counting(form, e, *args):
+        block = real(form, e, *args)
+        fed.append(block.shape[0])
+        return block
+
+    monkeypatch.setattr(macaulay, "macaulay_rows", counting)
+    assert ideal_dimension_at_degree(family, 18, chain) == 1330
+    assert sum(fed) == 330 and macaulay_shape(family, 18) == (1430, 1330)

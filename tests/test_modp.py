@@ -173,7 +173,8 @@ def test_matmul_mod_rejects_inner_dimension_outside_exact_range():
 
 
 def test_bench_kernel_script_smoke():
-    """scripts/bench_kernel.py on its 756 x 715 input (rank 681), once."""
+    """scripts/bench_kernel.py on its 756 x 715 input (rank 681) and on its
+    seeded chain, once each; a wrong chain rank is reported."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "bench_kernel.py"
     spec = importlib.util.spec_from_file_location("bench_kernel", path)
     bench = importlib.util.module_from_spec(spec)
@@ -182,3 +183,7 @@ def test_bench_kernel_script_smoke():
     result = bench.time_case(case, repeats=1)
     assert result["shape"] == [756, 715] and result["rank"] == 681
     assert result["median_s"] > 0
+    chain = bench.time_chain(repeats=1)
+    assert chain["degrees"] == [15, 18] and chain["ranks"] == [600, 815, 1060, 1330]
+    with pytest.raises(bench.WrongResult):
+        bench.time_chain(bench.CHAIN[:5] + ((600, 815, 1060, 1329),), repeats=1)

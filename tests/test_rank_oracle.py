@@ -6,12 +6,13 @@ dimension, duplicated rows, linear combinations of rows, zero rows, rows
 of entries p - 1 (the largest limbs), heights on both sides of the
 recursion's base and of the feed chunk, and blocks planted along the
 recursion's splits (zero or rank-deficient top parts, bottom parts in
-their span).
+their span), and rows fed on top of a seed basis.
 """
 
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from genforms.modp import BASE, CHUNK, RowReducer, incremental_rank, rank
@@ -198,3 +199,29 @@ def test_rank_above_the_two_product_inner_dimension():
     expected = reference_rank(rows, p)
     assert expected == 66
     assert rank(as_array(rows, 70), p) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_matrices(), st.data())
+def test_seeded_reducer_matches_reference(case, data):
+    """A reducer seeded with the basis of rows over the first w columns
+    spans those rows padded with zeros: rows fed on top of the seed give
+    the rank of both together."""
+    rows, cols, p = case
+    width = data.draw(st.integers(0, cols))
+    cut = data.draw(st.integers(0, len(rows)))
+    below = [row[:width] for row in rows[:cut]]
+    seed = RowReducer(width, p)
+    seed.add_rows(as_array(below, width))
+    reducer = RowReducer(cols, p, seed.echelon)
+    assert reducer.rank == seed.rank
+    reducer.add_rows(as_array(rows[cut:], cols))
+    padded = [row + [0] * (cols - width) for row in below]
+    assert reducer.rank == reference_rank(padded + rows[cut:], p)
+
+
+def test_seed_wider_than_the_reducer_is_rejected():
+    seed = RowReducer(4, 101)
+    seed.add_rows(np.eye(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="columns"):
+        RowReducer(3, 101, seed.echelon)

@@ -208,9 +208,9 @@ def test_case_spec_rejects_prime_above_2_31():
         CaseSpec(3, 2, 1, 4, prime=4294967311)
 
 
-# Plants an over-reported rank, an ideal dimension above the row count and
-# a Verified verdict with computed != conjectured; each must raise even
-# with assertions stripped.
+# Plants an over-reported rank, an ideal dimension above the row count, a
+# seed basis narrower than the degree below, and a Verified verdict with
+# computed != conjectured; each must raise even with assertions stripped.
 _PLANTED = """
 import sys
 from genforms import macaulay, modp, verifier
@@ -234,13 +234,23 @@ except SoundnessError:
 modp.RowReducer = reducer
 
 real = macaulay.ideal_dimension_at_degree
-macaulay.ideal_dimension_at_degree = lambda fam, e: real(fam, e) + 100
+macaulay.ideal_dimension_at_degree = lambda fam, e, *_: real(fam, e) + 100
 try:
     macaulay.quotient_series_with_stats(family, 4)
     failures.append("first-order bound")
 except SoundnessError:
     pass
 macaulay.ideal_dimension_at_degree = real
+
+chain = {}
+macaulay.ideal_dimension_at_degree(family, 3, chain)
+pivots, free, basis = chain[3]
+chain[3] = (pivots, free[:-1], basis[:, :-1])
+try:
+    macaulay.ideal_dimension_at_degree(family, 4, chain)
+    failures.append("seed of the wrong width")
+except SoundnessError:
+    pass
 
 verifier.lex_compare = lambda a, b: verifier.Ordering.EQUAL
 try:
