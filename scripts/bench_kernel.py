@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
 """Micro-benchmark of the elimination kernel on three fixed Macaulay matrices
-and on one seeded chain of degrees.
+and on one seeded chain of degrees, and of Macaulay assembly.
 
 Each matrix is one degree of a table case at seed 0 (m-th powers of k
 random degree-d forms in n variables, default prime). The script times
 `ideal_dimension_at_degree` on it from scratch (median of 5 runs) and
 checks the matrix shape and the rank. The chain eliminates consecutive
 degrees of one case as the quotient series does, each seeded with x_1
-times the basis of the degree below, and checks every rank. The script
-prints one JSON line with the timings and the numpy version, the BLAS
-library and the core count. It exits 1 if a shape or a rank is off.
+times the basis of the degree below, and checks every rank. Assembly
+times two things: a cold build of every scatter table that the five
+`ci-deep` cases of perfbench use (caches cleared before each run, every
+table's shape checked), and the batched powering of one family, checked
+against a pinned checksum of its coefficients. The script prints one
+JSON line with the timings and the numpy version, the BLAS library and
+the core count. It exits 1 if a shape, a rank or the checksum is off.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_kernel.py
 """
 
+import hashlib
 import json
 import os
 import statistics
@@ -23,7 +28,15 @@ import time
 
 import numpy as np
 
-from genforms.macaulay import ideal_dimension_at_degree, macaulay_shape
+from genforms import macaulay
+from genforms.macaulay import (
+    FormFamily,
+    _x1_free_count,
+    ideal_dimension_at_degree,
+    macaulay_shape,
+    power,
+)
+from genforms.monomials import monomial_count
 from genforms.verifier import CaseSpec, default_family
 
 SEED = 0
@@ -36,6 +49,20 @@ CASES = (
 )
 # (n, d, m, k, first degree, rank of each degree from the first on)
 CHAIN = (4, 2, 4, 5, 15, (600, 815, 1060, 1330))
+
+# (n, source degree, degree, x1_free) of every scatter table that
+# verify_case builds for (4,2,2,5) (4,2,3,5) (4,3,2,5) (5,2,2,6) (4,2,4,5)
+TABLES = (
+    (4, 2, 4, False), (4, 3, 6, False), (4, 4, 6, False), (4, 4, 7, False),
+    (4, 4, 8, False), (4, 4, 8, True), (4, 6, 11, False), (4, 6, 12, True),
+    (4, 6, 13, True), (4, 8, 15, False), (4, 8, 16, True), (4, 8, 17, True),
+    (4, 8, 18, True), (5, 2, 4, False), (5, 4, 7, False), (5, 4, 8, True),
+    (5, 4, 9, True), (5, 4, 10, True),
+)
+# (n, d, m, k) of the powered family, and the first 16 hex digits of the
+# SHA-256 of its coefficients as little-endian int64, forms in order
+POWERED = (3, 2, 7, 120)
+POWERED_SHA256 = "6f55c8d1667e1977"
 
 
 class WrongResult(RuntimeError):
@@ -80,6 +107,49 @@ def time_chain(chain=CHAIN, repeats=REPEATS) -> dict:
     }
 
 
+def time_tables(tables=TABLES, repeats=REPEATS) -> float:
+    """Median seconds of `repeats` cold builds of every table, the
+    caches cleared before each build as in a fresh process."""
+    times = []
+    for _ in range(repeats):
+        for cached in (macaulay._scatter_table, macaulay._exponents,
+                       macaulay.enumerate_monomials):
+            cached.cache_clear()
+        start = time.perf_counter()
+        built = [macaulay._scatter_table(*key) for key in tables]
+        times.append(time.perf_counter() - start)
+        for (n, dg, e, x1_free), table in zip(tables, built):
+            rows = _x1_free_count(n, e - dg) if x1_free else monomial_count(n, e - dg)
+            if table.shape != (rows, monomial_count(n, dg)):
+                raise WrongResult(f"table {(n, dg, e, x1_free)}: shape {table.shape}")
+    return statistics.median(times)
+
+
+def time_power(case=POWERED, repeats=REPEATS) -> float:
+    """Median seconds of `repeats` batched powerings of one family (its
+    tables already built), checked against the pinned checksum."""
+    n, d, m, k = case
+    base = FormFamily.random(n, d, k, SEED)
+    power(base, m)
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        family = power(base, m)
+        times.append(time.perf_counter() - start)
+        coeffs = np.array([f.coeffs for f in family.forms], dtype="<i8")
+        digest = hashlib.sha256(coeffs.tobytes()).hexdigest()[:16]
+        if digest != POWERED_SHA256:
+            raise WrongResult(f"{case}: powered checksum {digest}, expected {POWERED_SHA256}")
+    return statistics.median(times)
+
+
+def time_assembly() -> dict:
+    return {
+        "tables": len(TABLES), "tables_cold_median_s": time_tables(),
+        "power_case": list(POWERED), "power_median_s": time_power(),
+    }
+
+
 def environment() -> dict:
     blas = {}
     try:
@@ -97,11 +167,12 @@ def main() -> int:
     try:
         results = [time_case(case) for case in CASES]
         chain = time_chain()
+        assembly = time_assembly()
     except WrongResult as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps({"seed": SEED, "repeats": REPEATS, **environment(),
-                      "cases": results, "chain": chain}))
+                      "cases": results, "chain": chain, "assembly": assembly}))
     return 0
 
 

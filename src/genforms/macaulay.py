@@ -43,8 +43,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import modp
-from .monomials import enumerate_monomials, monomial_count, _rank_table
+from .monomials import enumerate_monomials, exponent_array, lex_rank, monomial_count
 from .series import TruncatedSeries, binomial
+
+
+# Terms per slice of a batched product: its int64 and float64
+# temporaries stay near 512 KB each, whatever the number of forms.
+_PRODUCT_ENTRIES = 2**16
 
 
 class ResourceLimit(RuntimeError):
@@ -79,11 +84,13 @@ class ModPPoly:
 
     @classmethod
     def from_monomial_dict(cls, n, degree, terms, prime=modp.DEFAULT_PRIME):
-        """Build from {exponent tuple: coefficient}."""
-        table = _rank_table(n, degree)
+        """Build from {exponent tuple: coefficient}. Raises ValueError
+        for a monomial of another length or degree, or with a negative
+        exponent."""
         coeffs = [0] * monomial_count(n, degree)
-        for mono, c in terms.items():
-            coeffs[table[tuple(mono)]] = c % prime
+        index = lex_rank(exponent_array(terms, n, degree))
+        for i, c in zip(index.tolist(), terms.values()):
+            coeffs[i] = c % prime
         return cls(n, degree, tuple(coeffs), prime)
 
 
@@ -128,47 +135,123 @@ def random_form(n, d, rng, prime=modp.DEFAULT_PRIME) -> ModPPoly:
 
 
 def multiply(f: ModPPoly, g: ModPPoly) -> ModPPoly:
-    """Exact product: f's coefficient row times the Macaulay block of g in
-    degree deg f + deg g, whose rows are g times each degree-(deg f)
-    monomial in f's coefficient order."""
+    """Exact product f*g: the one-form case of the batched `_products`,
+    which scatters each term through the degree-(deg f + deg g) table
+    and is exact while min(S_f, S_g)(p - 1) < 2^53 (S_f, S_g the
+    coefficient counts; checked, raising OverflowError)."""
     if f.n != g.n or f.prime != g.prime:
         raise ValueError("operands must share n and prime")
-    degree = f.degree + g.degree
-    row = np.array([f.coeffs], dtype=np.int64)
-    product = modp.matmul_mod(row, macaulay_rows(g, degree), f.prime)[0]
-    return ModPPoly(f.n, degree, tuple(product.tolist()), f.prime)
+    rows = _products(_coeff_rows([f]), _coeff_rows([g]), f.n, f.degree, g.degree, f.prime)
+    return ModPPoly(f.n, f.degree + g.degree, tuple(rows[0].tolist()), f.prime)
 
 
-def power(f: ModPPoly, m: int) -> ModPPoly:
-    """f^m by repeated squaring."""
+def power(f: ModPPoly | FormFamily, m: int):
+    """f^m by repeated squaring, for a form or a family of forms of one
+    degree.
+
+    A FormFamily gives the family of its forms' m-th powers, and is
+    powered as a whole: every squaring and every product is one batched
+    `_products` call over all its forms, not one call per form. Each call
+    is exact while min(S_a, S_b)(p - 1) < 2^53 for operands of S_a and
+    S_b coefficients, which holds for every p < 2^31 and operand below
+    2^22 monomials, and is checked (OverflowError).
+    """
     if m < 1:
         raise ValueError("exponent must be >= 1")
-    result = None
-    base = f
+    if isinstance(f, ModPPoly):
+        return power(FormFamily(f.n, (f,), f.prime), m).forms[0]
+    degrees = {g.degree for g in f.forms}
+    if len(degrees) != 1:
+        raise ValueError(f"power needs forms of one degree, got {sorted(degrees)}")
+    (d,) = degrees
+    rows = _power_rows(_coeff_rows(f.forms), f.n, d, m, f.prime)
+    forms = tuple(ModPPoly(f.n, d * m, tuple(row), f.prime) for row in rows.tolist())
+    return FormFamily(f.n, forms, f.prime, f.seed)
+
+
+def _coeff_rows(forms) -> np.ndarray:
+    return np.array([g.coeffs for g in forms], dtype=np.int64)
+
+
+def _power_rows(rows: np.ndarray, n: int, d: int, m: int, p: int) -> np.ndarray:
+    """Row i of the result is the m-th power of the degree-d form rows[i]."""
+    result, result_degree = None, 0
+    base, base_degree = rows, d
     while m:
         if m & 1:
-            result = base if result is None else multiply(result, base)
+            if result is None:
+                result, result_degree = base, base_degree
+            else:
+                result = _products(result, base, n, result_degree, base_degree, p)
+                result_degree += base_degree
         m >>= 1
         if m:
-            base = multiply(base, base)
+            base = _products(base, base, n, base_degree, base_degree, p)
+            base_degree *= 2
     return result
+
+
+def _products(a: np.ndarray, b: np.ndarray, n: int, da: int, db: int, p: int) -> np.ndarray:
+    """Row i of the result is the product of the forms a[i] (degree da)
+    and b[i] (degree db), coefficients in [0, p).
+
+    With T the scatter table of degree db into degree da + db,
+    out[i, T[x, y]] += a[i, x] * b[i, y]. Each term is reduced mod p and
+    the terms are summed by one float64 `np.bincount` per slice of
+    _PRODUCT_ENTRIES terms. An output coefficient gets one term per way of
+    splitting its monomial into a degree-da and a degree-db part, at most
+    min(S_a, S_b) of them for S monomials per operand, each below p: the
+    sum is exact while min(S_a, S_b)(p - 1) < 2^53, and each term while
+    (p - 1)^2 < 2^63. Both are checked by a raise of OverflowError.
+    """
+    k, sa = a.shape
+    sb = b.shape[1]
+    if (p - 1) ** 2 >= 2**63 or min(sa, sb) * (p - 1) >= 2**53:
+        raise OverflowError(
+            f"products of {sa} and {sb} coefficients below {p} leave the "
+            "exact range (terms below 2^63, sums below 2^53)"
+        )
+    table = _scatter_table(n, db, da + db, False)
+    cols = monomial_count(n, da + db)
+    out = np.empty((k, cols), dtype=np.int64)
+    step = max(1, _PRODUCT_ENTRIES // (sa * sb))
+    for lo in range(0, k, step):
+        hi = min(k, lo + step)
+        terms = a[lo:hi, :, None] * b[lo:hi, None, :]
+        terms %= p
+        index = table + (np.arange(hi - lo) * cols)[:, None, None]
+        sums = np.bincount(index.ravel(), terms.ravel(), (hi - lo) * cols)
+        out[lo:hi] = sums.reshape(hi - lo, cols).astype(np.int64) % p
+    return out
+
+
+@lru_cache(maxsize=None)
+def _exponents(n: int, d: int) -> np.ndarray:
+    """Exponent vectors of the degree-d monomials, in lex order."""
+    exps = np.array(enumerate_monomials(n, d), dtype=np.int64).reshape(-1, n)
+    exps.flags.writeable = False
+    return exps
 
 
 @lru_cache(maxsize=None)
 def _scatter_table(n: int, dg: int, e: int, x1_free: bool) -> np.ndarray:
     """Index matrix T with T[i, j] = rank(multiplier_i * monomial_j) in
     degree e, for multipliers of degree e - dg (with x1_free, only those
-    not divisible by x_1) and source monomials of degree dg."""
-    table = _rank_table(n, e)
-    mult = enumerate_monomials(n, e - dg)
+    not divisible by x_1) and source monomials of degree dg.
+
+    Built by one broadcast `lex_rank(U[:, None, :] + V[None, :, :])` over
+    the exponent arrays U of the multipliers and V of the sources. The
+    rank is the closed form of the combinatorial number system,
+    rank(m) = sum_{i=0}^{n-2} monomial_count(n - i, r_i - m_i - 1) with
+    r_i the degree left after the first i exponents (a negative degree
+    counts 0), so no monomial is looked up.
+    """
+    mult = _exponents(n, e - dg)
     if x1_free:
         mult = mult[len(mult) - _x1_free_count(n, e - dg) :]
-    src = enumerate_monomials(n, dg)
-    t = np.empty((len(mult), len(src)), dtype=np.intp)
-    for i, u in enumerate(mult):
-        for j, v in enumerate(src):
-            t[i, j] = table[tuple(x + y for x, y in zip(u, v))]
-    return t
+    table = lex_rank(mult[:, None, :] + _exponents(n, dg)[None, :, :])
+    table.flags.writeable = False
+    return table
 
 
 def macaulay_rows(form: ModPPoly, e: int, x1_free: bool = False) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 A monomial is an exponent tuple of length n. Within a fixed degree we
 order monomials lexicographically on the exponent vector, largest first,
-so x1^d has rank 0. Quotient Hilbert functions of monomial ideals are
-computed by a divisibility sieve.
+so x1^d has rank 0. The rank has a closed form (`lex_rank`), so arrays
+of monomials are ranked in numpy without a lookup table. Quotient Hilbert
+functions of monomial ideals are computed by a divisibility sieve.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .series import TruncatedSeries
 
@@ -38,14 +41,63 @@ def enumerate_monomials(n: int, d: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _rank_table(n: int, d: int) -> dict:
-    return {m: i for i, m in enumerate(enumerate_monomials(n, d))}
+def lex_rank(exps) -> np.ndarray:
+    """Positions of monomials in the fixed-degree enumeration, in closed form.
+
+    exps is an integer array of shape (..., n), one exponent vector per
+    last-axis row, each ranked among the monomials of its own degree. The
+    monomials of degree d that precede m are those whose first exponent
+    that differs from m's is larger. Counting them by the first position i
+    that differs (the combinatorial number system, Knuth, TAOCP 7.2.1.3):
+
+        rank(m) = sum_{i=0}^{n-2} monomial_count(n - i, r_i - m_i - 1),
+
+    where r_i = d - m_0 - ... - m_{i-1} and a negative degree counts 0.
+    With t = n - 1 - i and s_t = r_i - m_i, the sum of the last t
+    exponents, the term is C(s_t + t - 1, t). Entries are not checked:
+    a negative exponent gives a wrong rank, not an error (see `rank`).
+    """
+    exps = np.asarray(exps, dtype=np.int64)
+    n = exps.shape[-1]
+    if n < 2 or exps.size == 0:
+        return np.zeros(exps.shape[:-1], dtype=np.intp)
+    tails = np.cumsum(exps[..., :0:-1], axis=-1)  # s_1, ..., s_{n-1}
+    # binom[t - 1, a] = C(a, t); the term for s_t sits at a = s_t + t - 1
+    width = int(tails.max()) + n - 1
+    binom = np.array(
+        [[math.comb(a, t) for a in range(width)] for t in range(1, n)],
+        dtype=np.int64,
+    )
+    offsets = np.arange(n - 1)
+    return binom[offsets, tails + offsets].sum(axis=-1, dtype=np.intp)
+
+
+def exponent_array(monos, n: int, d: int) -> np.ndarray:
+    """The monomials as an int64 array of shape (len(monos), n).
+
+    Raises ValueError unless each is a length-n vector of nonnegative
+    integers of degree d, the domain on which `lex_rank` is exact.
+    """
+    rows = [tuple(m) for m in monos]
+    for m in rows:
+        if len(m) != n:
+            raise ValueError(f"monomial {m} has length {len(m)}, not {n}")
+        if not all(isinstance(x, (int, np.integer)) and x >= 0 for x in m):
+            raise ValueError(f"monomial {m} needs nonnegative integer exponents")
+        if sum(m) != d:
+            raise ValueError(f"monomial {m} has degree {sum(m)}, not {d}")
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
 
 def rank(m: Monomial) -> int:
-    """Position of a monomial in the fixed-degree enumeration."""
-    return _rank_table(len(m), sum(m))[m]
+    """Position of a monomial in the fixed-degree enumeration.
+
+    Raises ValueError for an empty tuple or a negative exponent.
+    """
+    m = tuple(m)
+    if not m:
+        raise ValueError("a monomial needs at least one variable")
+    return int(lex_rank(exponent_array([m], len(m), sum(m)))[0])
 
 
 def divides(a: Monomial, b: Monomial) -> bool:

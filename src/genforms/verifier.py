@@ -159,12 +159,10 @@ def _implied_stats(spec: CaseSpec, coeffs) -> tuple[DegreeStat, ...]:
 
 
 def default_family(spec: CaseSpec, seed: int) -> FormFamily:
-    """k random degree-d forms, each raised to the m-th power."""
+    """k random degree-d forms, each raised to the m-th power, all k in
+    one batched `power` call."""
     base = FormFamily.random(spec.n, spec.d, spec.k, seed, spec.prime)
-    if spec.m == 1:
-        return base
-    forms = tuple(power(f, spec.m) for f in base.forms)
-    return FormFamily(spec.n, forms, spec.prime, seed)
+    return base if spec.m == 1 else power(base, spec.m)
 
 
 def degenerate_family(spec: CaseSpec, seed: int) -> FormFamily:

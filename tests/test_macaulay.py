@@ -1,17 +1,24 @@
 """Tests for prime-field forms, Macaulay matrices, and quotient series."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import genforms
+from genforms import macaulay
 from genforms.macaulay import (
     DegreeStat,
     FormFamily,
     ModPPoly,
     ResourceLimit,
     _probe_degree,
+    _products,
+    _scatter_table,
     _x1_free_count,
     first_order_lower_bound,
     hilbert_series_of_quotient,
@@ -102,13 +109,15 @@ def test_power_multiply_consistency(m):
 
 def reference_multiply(f, g):
     """The product by convolution over exponent-vector addition, on
-    Python ints: the slow reference for `multiply`."""
+    Python ints, with each target looked up in the enumeration itself
+    rather than ranked in closed form: the slow reference for `multiply`."""
     n, p = f.n, f.prime
     degree = f.degree + g.degree
+    position = {m: i for i, m in enumerate(enumerate_monomials(n, degree))}
     coeffs = [0] * monomial_count(n, degree)
     for a, u in zip(f.coeffs, enumerate_monomials(n, f.degree)):
         for b, v in zip(g.coeffs, enumerate_monomials(n, g.degree)):
-            target = mono_rank(tuple(x + y for x, y in zip(u, v)))
+            target = position[tuple(x + y for x, y in zip(u, v))]
             coeffs[target] = (coeffs[target] + a * b) % p
     return ModPPoly(n, degree, tuple(coeffs), p)
 
@@ -121,9 +130,9 @@ def reference_power(f, m):
 
 
 @st.composite
-def forms(draw, n, prime, max_degree=5):
+def forms_of(draw, n, prime, degrees=st.integers(0, 5)):
     """A form with uniform coefficients, or with every coefficient p - 1."""
-    degree = draw(st.integers(0, max_degree))
+    degree = draw(degrees)
     count = monomial_count(n, degree)
     if draw(st.booleans()):
         coeffs = [prime - 1] * count
@@ -135,8 +144,8 @@ def forms(draw, n, prime, max_degree=5):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(1, 4), prime=st.sampled_from(PRIMES))
 def test_multiply_matches_reference(data, n, prime):
-    f = data.draw(forms(n, prime))
-    g = data.draw(forms(n, prime))
+    f = data.draw(forms_of(n, prime))
+    g = data.draw(forms_of(n, prime))
     assert multiply(f, g) == reference_multiply(f, g)
 
 
@@ -144,7 +153,7 @@ def test_multiply_matches_reference(data, n, prime):
 @given(data=st.data(), n=st.integers(1, 4), prime=st.sampled_from(PRIMES),
        m=st.integers(1, 5))
 def test_power_matches_reference(data, n, prime, m):
-    f = data.draw(forms(n, prime))
+    f = data.draw(forms_of(n, prime))
     assert power(f, m) == reference_power(f, m)
 
 
@@ -152,6 +161,117 @@ def test_power_matches_reference(data, n, prime, m):
 def test_power_of_all_p_minus_1_form(prime):
     f = ModPPoly(4, 5, (prime - 1,) * monomial_count(4, 5), prime)
     assert power(f, 5) == reference_power(f, 5)
+
+
+@pytest.mark.parametrize(
+    "n, degree, terms",
+    [(3, 2, {(1, 1): 1}), (3, 2, {(3, -1, 0): 1}), (3, 2, {(1, 1, 1): 1})],
+    ids=["wrong-length", "negative", "wrong-degree"],
+)
+def test_from_monomial_dict_rejects_bad_monomials(n, degree, terms):
+    with pytest.raises(ValueError):
+        ModPPoly.from_monomial_dict(n, degree, terms)
+
+
+def reference_scatter_table(n, dg, e):
+    """The dict-based double loop: one lookup per (multiplier, monomial)
+    pair, each product looked up in the degree-e enumeration."""
+    position = {m: i for i, m in enumerate(enumerate_monomials(n, e))}
+    mult = enumerate_monomials(n, e - dg)
+    src = enumerate_monomials(n, dg)
+    t = np.empty((len(mult), len(src)), dtype=np.intp)
+    for i, u in enumerate(mult):
+        for j, v in enumerate(src):
+            t[i, j] = position[tuple(x + y for x, y in zip(u, v))]
+    return t
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_scatter_table_matches_dict_reference(n):
+    """Every table of degrees 0..12, full and x_1-free (the reference's
+    x_1-free table is its last rows: the old loop over the last
+    multipliers)."""
+    for e in range(13):
+        for dg in range(e + 1):
+            want = reference_scatter_table(n, dg, e)
+            full = _scatter_table(n, dg, e, False)
+            free = _scatter_table(n, dg, e, True)
+            assert full.dtype == np.intp and np.array_equal(full, want)
+            assert free.shape[0] == _x1_free_count(n, e - dg)
+            assert np.array_equal(free, want[want.shape[0] - free.shape[0] :])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), prime=st.sampled_from((2, 3, 101, 2**31 - 1)),
+       m=st.integers(1, 5), k=st.integers(1, 6),
+       entries=st.sampled_from((1, macaulay._PRODUCT_ENTRIES)))
+def test_batched_power_matches_reference_row_by_row(data, n, prime, m, k, entries):
+    """A family powered in one call, with forms whose coefficients are all
+    p - 1, against the reference power of each form; with entries=1 every
+    form is its own slice of the batched product."""
+    degree = st.just(data.draw(st.integers(0, 3)))
+    forms = tuple(data.draw(forms_of(n, prime, degree)) for _ in range(k))
+    family = FormFamily(n, forms, prime, seed=5)
+    saved = macaulay._PRODUCT_ENTRIES
+    macaulay._PRODUCT_ENTRIES = entries
+    try:
+        powered = power(family, m)
+    finally:
+        macaulay._PRODUCT_ENTRIES = saved
+    assert (powered.n, powered.prime, powered.seed) == (n, prime, 5)
+    assert powered.forms == tuple(reference_power(f, m) for f in forms)
+
+
+@pytest.mark.parametrize("prime", (2, 3, 101, 2**31 - 1))
+def test_batched_power_across_slices(prime):
+    """(3,2,7) k=120: the last product spans three slices of the batch."""
+    rng = np.random.default_rng(prime)
+    forms = [random_form(3, 2, rng, prime) for _ in range(119)]
+    forms.append(ModPPoly(3, 2, (prime - 1,) * 6, prime))
+    powered = power(FormFamily(3, tuple(forms), prime), 7)
+    assert powered.forms == tuple(reference_power(f, 7) for f in forms)
+
+
+def test_power_rejects_a_family_of_mixed_degrees():
+    rng = np.random.default_rng(0)
+    family = FormFamily(2, (random_form(2, 1, rng), random_form(2, 2, rng)))
+    with pytest.raises(ValueError):
+        power(family, 2)
+    with pytest.raises(ValueError):
+        power(FormFamily(2, ()), 2)
+
+
+_PLANTED_PRODUCT = """
+import numpy as np
+from genforms.macaulay import _products
+failures = []
+# 2^22 + 1 coefficients below 2^31 - 1: sums reach past 2^53
+wide = np.broadcast_to(np.int64(1), (1, 2**22 + 1))
+try:
+    _products(wide, wide, 3, 2896, 2896, 2**31 - 1)
+    failures.append("sum bound")
+except OverflowError:
+    pass
+# a modulus whose squares leave int64
+small = np.ones((1, 3), dtype=np.int64)
+try:
+    _products(small, small, 3, 1, 1, 2**40 + 15)
+    failures.append("term bound")
+except OverflowError:
+    pass
+if failures:
+    raise SystemExit("not raised: " + ", ".join(failures))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_product_outside_exact_range_raises(flags):
+    src = str(Path(genforms.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _PLANTED_PRODUCT],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_ideal_dimension_squares():

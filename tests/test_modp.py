@@ -187,3 +187,18 @@ def test_bench_kernel_script_smoke():
     assert chain["degrees"] == [15, 18] and chain["ranks"] == [600, 815, 1060, 1330]
     with pytest.raises(bench.WrongResult):
         bench.time_chain(bench.CHAIN[:5] + ((600, 815, 1060, 1329),), repeats=1)
+
+
+def test_bench_kernel_assembly_smoke(monkeypatch):
+    """The assembly timings once each: every table of the ci-deep cases
+    built cold with its shape checked, and the powered family matching
+    its pinned checksum; a wrong checksum is reported."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_kernel.py"
+    spec = importlib.util.spec_from_file_location("bench_kernel", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.time_tables(repeats=1) > 0
+    assert bench.time_power(repeats=1) > 0
+    monkeypatch.setattr(bench, "POWERED_SHA256", "0" * 16)
+    with pytest.raises(bench.WrongResult):
+        bench.time_power(repeats=1)

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from genforms.monomials import (
     contains_power_of_maximal_ideal,
     divides,
     enumerate_monomials,
+    lex_rank,
     maximal_ideal_power,
     monomial_count,
     monomial_to_str,
@@ -112,3 +114,28 @@ def test_minimalization():
 def test_render_and_parse():
     assert monomial_to_str((2, 0, 1)) == "x1^2*x3"
     assert monomial_to_str((0, 0)) == "1"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lex_rank_is_the_enumeration_order(n):
+    for d in range(13):
+        mons = enumerate_monomials(n, d)
+        ranks = lex_rank(np.array(mons).reshape(len(mons), n))
+        assert ranks.tolist() == list(range(len(mons)))
+        step = max(1, len(mons) // 7)
+        assert [rank(m) for m in mons[::step]] == list(range(0, len(mons), step))
+
+
+def test_lex_rank_ranks_each_row_in_its_own_degree():
+    exps = np.array([[[2, 0, 1], [0, 0, 0]], [[0, 0, 4], [0, 1, 0]]])
+    assert lex_rank(exps).tolist() == [[2, 0], [14, 1]]
+
+
+@pytest.mark.parametrize(
+    "bad", [(), (2, -1, 1), (1, 2.5)], ids=["empty", "negative", "fractional"],
+)
+def test_rank_rejects_bad_monomials(bad):
+    """The closed form would return a wrong rank for these; they must
+    raise, not be ranked."""
+    with pytest.raises(ValueError):
+        rank(bad)

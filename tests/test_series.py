@@ -1,7 +1,7 @@
 """Tests for the truncated-series layer."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from genforms.series import (
     CapExceeded,
@@ -48,6 +48,7 @@ def test_expand_rational_exact_division():
     assert expand_rational(DegreeList(2, (2, 2)), 3).coeffs == (1, 2, 1, 0)
 
 
+@settings(deadline=None)
 @given(
     n=st.integers(1, 3),
     degrees=st.lists(st.integers(1, 3), max_size=4),
