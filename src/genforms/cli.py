@@ -251,13 +251,12 @@ def cmd_sweep(args, cfg):
         print(json.dumps({"k": spec.k, "verdict": "Skipped", "reason": reason}))
 
     verdicts = [r.verdict for r in records]
-    covered = plan.covered()
+    covered = verifier.certified_ks(records, witnesses)
     print(
         f"sweep n={args.n} d={args.d} m={args.m} k={lo}..{hi}: "
         f"{sum(v == verifier.VERIFIED for v in verdicts)}/{len(verdicts)} direct cases verified, "
         f"{len(witnesses)} intervals deduced, {len(failures)} rejected, "
-        f"{len(plan.skipped)} skipped; covered {len(covered & set(range(lo, hi + 1)))}"
-        f"/{hi - lo + 1} values of k",
+        f"{len(plan.skipped)} skipped; covered {len(covered)}/{hi - lo + 1} values of k",
         file=sys.stderr,
     )
     if any(v == verifier.NOT_ATTAINED for v in verdicts):

@@ -6,24 +6,16 @@ family of forms is spanned by monomial multiples of the generators; its
 dimension is the rank of the Macaulay matrix whose rows are those
 multiples, computed over Z/p.
 
-Not every degree needs an elimination. If the rows of the degree-e
-matrix are independent, so are the rows of every lower degree: x_1
-times a dependency in degree e - 1 is a dependency in degree e, since
-multiplying by x_1 sends distinct rows u*g to distinct rows x_1*u*g.
-Below d_(1) + d_(2), the sum of the two smallest generator degrees, no
-Koszul relation forces a dependency, so one elimination at the highest
-such degree with no more rows than columns usually settles every degree
-below it, with rank = rows exactly for this specialization.
-
-Consecutive eliminated degrees share work. For e >= 1, I_e = x_1 I_{e-1}
-+ span{u*g : x_1 does not divide u}, since a row u*g with x_1 | u lies in
-x_1 I_{e-1}. In the lex order x_1 comes first, so x_1 times the j-th
-degree-(e-1) monomial is the j-th degree-e monomial, and the monomials
-free of x_1 are the last ones. The reduced echelon basis of I_{e-1},
-padded with zero columns, is therefore already a reduced echelon basis of
-x_1 I_{e-1}, found with no arithmetic. It seeds degree e's elimination,
-and only the x_1-free rows are fed on top of it: for (4,2,4) k=5 at
-degree 18, 330 of the 1430 rows.
+Every degree is eliminated, once, and consecutive degrees share work.
+For e >= 1, I_e = x_1 I_{e-1} + span{u*g : x_1 does not divide u}, since
+a row u*g with x_1 | u lies in x_1 I_{e-1}. In the lex order x_1 comes
+first, so x_1 times the j-th degree-(e-1) monomial is the j-th degree-e
+monomial, and the monomials free of x_1 are the last ones. The reduced
+echelon basis of I_{e-1}, padded with zero columns, is therefore already
+a reduced echelon basis of x_1 I_{e-1}, found with no arithmetic. It
+seeds degree e's elimination, and only the x_1-free rows are fed on top
+of it: for (4,2,4) k=5 at degree 18, 330 of the 1430 rows. So a seeded
+degree costs little, and every rank reported is computed.
 
 Why a random prime-field point says anything about generic forms: the
 rank of the Macaulay matrix at any specialization is at most the generic
@@ -289,10 +281,11 @@ def ideal_dimension_at_degree(
 ) -> int:
     """dim of the degree-e graded piece of the ideal generated by the family.
 
-    Feeds each generator's block of Macaulay rows to one `modp.RowReducer`
-    (which eliminates it in fixed-size chunks against a reduced echelon
-    basis), and stops at the first block that brings the ideal to full
-    column rank, so later generators' rows are never built.
+    Streams the generators' blocks of Macaulay rows, built lazily one
+    generator at a time, into one `modp.RowReducer` (`add_blocks`, which
+    merges them in groups of at most `modp.CHUNK` rows into a reduced
+    echelon basis). Once the ideal has full column rank no further block
+    is built.
 
     chain, if given, is a dict that one family's calls share across
     degrees: it maps the last degree eliminated with it to that degree's
@@ -319,11 +312,9 @@ def ideal_dimension_at_degree(
     reducer = modp.RowReducer(cols, family.prime, seed)
     x1_free = seed is not None
     del seed  # the reducer holds x_1 times it; keep one basis alive
-    for form in family.forms:
-        if reducer.full_column_rank:
-            break
-        if form.degree <= e:
-            reducer.add_rows(macaulay_rows(form, e, x1_free))
+    reducer.add_blocks(
+        macaulay_rows(form, e, x1_free) for form in family.forms if form.degree <= e
+    )
     dim = reducer.rank
     if dim > rows_total or dim > cols:
         raise SoundnessError(
@@ -343,61 +334,28 @@ class DegreeStat:
     rank: int
 
 
-def _probe_degree(family: FormFamily, max_deg: int) -> int | None:
-    """The largest e <= max_deg below the first Koszul syzygy degree
-    d_(1) + d_(2) whose Macaulay matrix is nonempty and no taller than
-    wide, or None."""
-    degrees = sorted(f.degree for f in family.forms)
-    top = max_deg if len(degrees) < 2 else min(max_deg, degrees[0] + degrees[1] - 1)
-    for e in range(top, -1, -1):
-        rows, cols = macaulay_shape(family, e)
-        if 0 < rows <= cols:
-            return e
-    return None
-
-
 def quotient_series_with_stats(family, max_deg, budget=None):
     """Hilbert series of R/(family) up to max_deg plus per-degree stats.
 
-    Coefficient e = C(n+e-1, e) - dim I_e. The probe degree e* (see
-    `_probe_degree`) is eliminated first: if its rows are independent,
-    so are the rows of every lower degree (x_1 times a dependency in
-    degree e - 1 is one in degree e), and dim I_e = rows there without
-    elimination. Otherwise every degree is eliminated. Degrees above e*
-    are eliminated in turn; once a coefficient is zero the ideal contains
-    that power of the maximal ideal, so the tail is zero without further
-    elimination. The basis of the last eliminated degree is carried to
-    the next: when that is degree e - 1, x_1 times it seeds degree e and
-    only the x_1-free rows are fed (see the module docstring). budget
-    caps the entry count of any single Macaulay matrix, the full one
-    whatever the rows fed, checked in degree order as each degree is
-    reached.
+    Coefficient e = C(n+e-1, e) - dim I_e, each dim I_e eliminated in
+    degree order. Once a coefficient is zero the ideal contains that power
+    of the maximal ideal, so the tail is zero without further elimination.
+    Each degree's basis is carried to the next: x_1 times it seeds degree
+    e + 1, and only the x_1-free rows are fed (see the module docstring).
+    budget caps the entry count of any single Macaulay matrix, the full
+    one whatever the rows fed, checked as each degree is reached.
     """
-
-    def shape(e):
+    coeffs = []
+    stats = []
+    chain = {}  # the last eliminated degree -> its basis
+    for e in range(max_deg + 1):
         rows, cols = macaulay_shape(family, e)
         if budget is not None and rows * cols > budget:
             raise ResourceLimit(
                 f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} "
                 f"entries, over budget {budget}"
             )
-        return rows, cols
-
-    known = {}  # degree -> dim I_e, found before the degree is reached
-    chain = {}  # the last eliminated degree -> its basis
-    probe = _probe_degree(family, max_deg)
-    if probe is not None:
-        # the lower degrees' budget checks come first, as in degree order
-        heights = [shape(e)[0] for e in range(probe + 1)]
-        known[probe] = ideal_dimension_at_degree(family, probe, chain)
-        if known[probe] == heights[probe]:
-            known.update(enumerate(heights[:probe]))
-
-    coeffs = []
-    stats = []
-    for e in range(max_deg + 1):
-        rows, cols = shape(e)
-        dim = known[e] if e in known else ideal_dimension_at_degree(family, e, chain)
+        dim = ideal_dimension_at_degree(family, e, chain)
         coeff = cols - dim
         # first-order lower bound holds at every specialization
         if coeff < cols - rows:

@@ -2,7 +2,8 @@
 
 The basis is kept in reduced row echelon form. Its pivot columns form an
 identity block, so only the free (non-pivot) columns are stored: an
-r x (cols - r) matrix F. Rows are fed in chunks of CHUNK rows, and each
+r x (cols - r) matrix F. Rows are fed in chunks of CHUNK rows (a stream
+of shorter blocks is grouped into chunks of at most CHUNK rows), and each
 chunk is merged into the basis in three steps:
 
 1. reduce it against the basis with one product, free -= chunk[:, piv] @ F;
@@ -279,6 +280,39 @@ class RowReducer:
             self._echelon = _merge(self._echelon, chunk, self.p)
         return self.rank - before
 
+    def add_blocks(self, blocks) -> int:
+        """Reduce a stream of row blocks; returns the number of new basis
+        rows.
+
+        Consecutive blocks are grouped into merges of at most CHUNK rows;
+        a taller block is merged on its own, and `add_rows` splits it. A
+        group is merged as soon as it could bring the basis to full
+        column rank, and no block is pulled once the basis has it, so a
+        lazy stream's later blocks are never built.
+        """
+        before = self.rank
+        blocks = iter(blocks)
+        group, height = [], 0
+        while not self.full_column_rank:
+            block = next(blocks, None)
+            if block is None:
+                break
+            block = np.atleast_2d(np.asarray(block, dtype=np.int64))
+            if height + block.shape[0] > CHUNK:
+                self._add_group(group)
+                group, height = [], 0
+            group.append(block)
+            height += block.shape[0]
+            if height >= CHUNK or self.rank + height >= self.cols:
+                self._add_group(group)
+                group, height = [], 0
+        self._add_group(group)
+        return self.rank - before
+
+    def _add_group(self, group) -> None:
+        if group:
+            self.add_rows(group[0] if len(group) == 1 else np.vstack(group))
+
 
 def _sub_mod(x: np.ndarray, y: np.ndarray, p: int) -> None:
     """x = (x - y) mod p in place, for x and y with entries in [0, p)."""
@@ -291,21 +325,4 @@ def rank(matrix, p: int = DEFAULT_PRIME) -> int:
     m = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
     reducer = RowReducer(m.shape[1], p)
     reducer.add_rows(m)
-    return reducer.rank
-
-
-def incremental_rank(row_stream, cols: int, p: int = DEFAULT_PRIME) -> int:
-    """Rank of a streamed matrix, fed in chunks; stops consuming rows at
-    full column rank."""
-    reducer = RowReducer(cols, p)
-    buffer = []
-    for row in row_stream:
-        buffer.append(row)
-        if len(buffer) == CHUNK:
-            reducer.add_rows(buffer)
-            buffer.clear()
-            if reducer.full_column_rank:
-                return reducer.rank
-    if buffer:
-        reducer.add_rows(buffer)
     return reducer.rank

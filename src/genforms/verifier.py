@@ -293,9 +293,19 @@ def verify_interval(
     record_low: VerificationRecord | None = None,
     record_high: VerificationRecord | None = None,
 ) -> IntervalWitness:
-    """Certify all k in [k_low, k_high] from the two endpoint computations."""
+    """Certify all k in [k_low, k_high] from the two endpoint computations.
+
+    A given endpoint record must be the one of (n, d, m, k_low) or
+    (n, d, m, k_high); ValueError if it is not.
+    """
     if k_low > k_high:
         raise ValueError("k_low must be <= k_high")
+    for rec, k in ((record_low, k_low), (record_high, k_high)):
+        given = None if rec is None else (rec.spec.n, rec.spec.d, rec.spec.m, rec.spec.k)
+        if given not in (None, (n, d, m, k)):
+            raise ValueError(
+                f"endpoint record of (n, d, m, k) = {given} given for {(n, d, m, k)}"
+            )
     md = m * d
     if record_low is None:
         record_low = verify_case(
@@ -348,6 +358,15 @@ class SweepPlan:
         for lo, hi in self.intervals:
             ks.update(range(lo, hi + 1))
         return ks
+
+
+def certified_ks(records, witnesses) -> set[int]:
+    """The k a sweep certified: each k whose direct record is Verified,
+    and each k of a deduced interval witness."""
+    ks = {r.spec.k for r in records if r.verdict == VERIFIED}
+    for w in witnesses:
+        ks.update(range(w.k_low, w.k_high + 1))
+    return ks
 
 
 def estimated_max_entries(n, md, k, cap=DEFAULT_CAP, trunc=None) -> int:

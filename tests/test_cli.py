@@ -231,20 +231,33 @@ def test_sweep_recomputes_a_record_with_wrong_ranks(tmp_path, capsys):
 @pytest.mark.parametrize(
     "case, calls",
     [
-        # a probe at degree 26, below the Koszul degree 28, then degree 27;
-        # 14 when every degree 14..27 was eliminated
-        (("--n", "3", "--d", "7", "--m", "2", "--k", "4"), 2),
-        # the Koszul degree 8 has 420 rows and 495 columns: a probe there
-        # would meet the Koszul dependency and eliminate all 7 degrees
-        (("--n", "5", "--d", "2", "--m", "2", "--k", "6"), 4),
+        # forms of degree 14: degrees 14..27, the series' first zero at 27
+        (("--n", "3", "--d", "7", "--m", "2", "--k", "4"), 14),
+        # forms of degree 4: degrees 4..10, the series' first zero at 10
+        (("--n", "5", "--d", "2", "--m", "2", "--k", "6"), 7),
     ],
 )
-def test_verify_eliminates_only_the_degrees_it_needs(capsys, case, calls):
+def test_verify_eliminates_each_nonempty_degree_once_up_to_the_first_zero(
+    capsys, case, calls
+):
     code, out, _ = run(capsys, "--seed", "0", "verify", *case)
     assert code == EXIT_OK
     rec = json.loads(out)
     assert rec["verdict"] == "Verified"
     assert rec["rank_calls"] == calls
+    nonempty = [e for e, rows, _, _ in rec["ranks"] if rows]
+    assert nonempty == list(range(nonempty[0], nonempty[0] + calls))
+    assert rec["computed"][nonempty[-1]] == 0 and 0 not in rec["computed"][: nonempty[-1]]
+
+
+def test_sweep_counts_only_certified_k_as_covered(capsys):
+    # at p = 2 with one trial most cases miss: k = 1, 2 are Verified, the
+    # rest NotAttained and both intervals rejected
+    code, _, err = run(capsys, "--prime", "2", "--trials", "1",
+                       "sweep", "--n", "3", "--d", "2", "--m", "2", "--k-range", "1..15")
+    assert code == EXIT_NOT_ATTAINED
+    assert "2/9 direct cases verified, 0 intervals deduced, 2 rejected" in err
+    assert "covered 2/15 values of k" in err
 
 
 def test_construct_command(capsys):

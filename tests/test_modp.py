@@ -9,8 +9,8 @@ import pytest
 from genforms import modp
 from genforms.modp import (
     DEFAULT_PRIME,
+    CHUNK,
     RowReducer,
-    incremental_rank,
     is_prime,
     matmul_mod,
     rank,
@@ -18,6 +18,13 @@ from genforms.modp import (
 
 # smallest prime above 2^32: accepted by is_prime, outside the kernel's range
 BIG_PRIME = 4294967311
+
+
+def streamed_rank(blocks, cols, p=DEFAULT_PRIME):
+    """Rank of a stream of row blocks fed to one `RowReducer.add_blocks`."""
+    reducer = RowReducer(cols, p)
+    assert reducer.add_blocks(blocks) == reducer.rank
+    return reducer.rank
 
 
 def test_is_prime():
@@ -70,7 +77,11 @@ def test_incremental_agrees_with_batch(rows, cols):
     # mix in duplicate rows so the rank is not trivially min(rows, cols)
     m = rng.integers(0, DEFAULT_PRIME, size=(rows, cols))
     m[rows // 2 :] = m[: rows - rows // 2]
-    assert incremental_rank(iter(m), cols) == rank(m.copy())
+    # one-row blocks, then blocks cut on both sides of CHUNK
+    assert streamed_rank(iter(m), cols) == rank(m.copy())
+    cuts = [0, 3, 4, CHUNK + 9, max(rows, CHUNK + 9)]
+    blocks = (m[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+    assert streamed_rank(blocks, cols) == rank(m.copy())
 
 
 def test_incremental_rank_blockwise():
@@ -94,11 +105,73 @@ def test_incremental_early_exit_full_column_rank():
 
 def test_incremental_rank_proportional_rows():
     r = np.array([1, 2, 3, 4], dtype=np.int64)
-    assert incremental_rank([r, 2 * r, 3 * r], 4, p=101) == 1
+    assert streamed_rank([r, 2 * r, 3 * r], 4, p=101) == 1
 
 
 def test_incremental_rank_empty_stream():
-    assert incremental_rank([], 5) == 0
+    assert streamed_rank([], 5) == 0
+    assert streamed_rank(iter([np.zeros((0, 5), dtype=np.int64)]), 5) == 0
+
+
+def test_stream_stops_pulling_at_full_column_rank():
+    """A lazy stream is not pulled again once the rows it gave bring the
+    basis to full column rank, also when those rows are grouped, so a
+    later block is never built."""
+
+    def blocks(rows):
+        yield from rows
+        raise AssertionError("block pulled after full column rank")
+
+    reducer = RowReducer(3, p=101)
+    assert reducer.add_blocks(blocks(np.eye(3, dtype=np.int64))) == 3  # one-row blocks
+    assert reducer.full_column_rank
+    assert reducer.add_blocks(blocks([])) == 0  # already full: nothing pulled
+    rng = np.random.default_rng(2)
+    m = rng.integers(0, DEFAULT_PRIME, size=(5, 5))
+    assert streamed_rank(blocks([m[:2], m[2:]]), 5) == 5
+
+
+def test_stream_groups_short_blocks_into_one_merge(monkeypatch):
+    """Twenty one-row blocks reach add_rows as one call of 20 rows."""
+    heights = []
+    real = RowReducer.add_rows
+
+    def counting(self, block):
+        heights.append(np.atleast_2d(block).shape[0])
+        return real(self, block)
+
+    monkeypatch.setattr(RowReducer, "add_rows", counting)
+    rng = np.random.default_rng(3)
+    m = rng.integers(0, DEFAULT_PRIME, size=(20, 40))
+    assert streamed_rank(iter(m), 40) == 20
+    assert heights == [20]
+
+
+def test_stream_splits_a_block_taller_than_chunk(monkeypatch):
+    """Groups never exceed CHUNK rows, and a taller block is still merged
+    CHUNK rows at a time: the outer merges of [3 rows, 2 CHUNK + 5 rows,
+    2 rows] have heights 3, CHUNK, CHUNK, 5 and 2."""
+    heights = []
+    depth = 0
+    real = modp._merge
+
+    def recording(echelon, block, p):
+        nonlocal depth
+        if depth == 0:
+            heights.append(block.shape[0])
+        depth += 1
+        try:
+            return real(echelon, block, p)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(modp, "_merge", recording)
+    rng = np.random.default_rng(5)
+    m = rng.integers(0, DEFAULT_PRIME, size=(2 * CHUNK + 10, 2 * CHUNK + 20))
+    cuts = [0, 3, 2 * CHUNK + 8, 2 * CHUNK + 10]
+    blocks = (m[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+    assert streamed_rank(blocks, m.shape[1]) == m.shape[0]
+    assert heights == [3, CHUNK, CHUNK, 5, 2]
 
 
 def test_telemetry_counts_eliminations():
@@ -117,7 +190,7 @@ def test_primes_at_or_above_2_31_are_rejected():
     with pytest.raises(ValueError, match="2\\^31"):
         rank(m, BIG_PRIME)
     with pytest.raises(ValueError):
-        incremental_rank(iter(m), 2, BIG_PRIME)
+        streamed_rank(iter(m), 2, BIG_PRIME)
     with pytest.raises(ValueError):
         RowReducer(2, 2**31)
     with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genforms.modp import BASE, CHUNK, RowReducer, incremental_rank, rank
+from genforms.modp import BASE, CHUNK, RowReducer, rank
 
 PRIMES = (2, 3, 101, 65537, 2**31 - 1)
 SHORT = (0, 1, BASE - 1, BASE, BASE + 1, 2 * BASE + 1)
@@ -98,21 +98,27 @@ def test_rank_matches_reference(case):
 @given(planted_matrices())
 def test_incremental_rank_matches_reference(case):
     rows, cols, p = case
-    stream = (np.array(row, dtype=np.int64) for row in rows)
-    assert incremental_rank(stream, cols, p) == reference_rank(rows, p)
+    reducer = RowReducer(cols, p)
+    reducer.add_blocks(np.array(row, dtype=np.int64) for row in rows)
+    assert reducer.rank == reference_rank(rows, p)
 
 
 @settings(max_examples=40, deadline=None)
 @given(planted_matrices(), st.lists(st.integers(0, CHUNK + 2), max_size=5))
 def test_row_reducer_random_blocks_match_reference(case, cuts):
+    """Blocks cut at random heights, fed by one add_rows call each and
+    streamed to add_blocks, which groups them up to CHUNK rows."""
     rows, cols, p = case
     m = as_array(rows, cols)
     bounds = [0] + sorted(c for c in cuts if c < len(rows)) + [len(rows)]
+    blocks = [m[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     reducer = RowReducer(cols, p)
-    added = sum(reducer.add_rows(m[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    added = sum(reducer.add_rows(block) for block in blocks)
     expected = reference_rank(rows, p)
     assert reducer.rank == added == expected
     assert reducer.full_column_rank == (expected == cols)
+    streamed = RowReducer(cols, p)
+    assert streamed.add_blocks(iter(blocks)) == streamed.rank == expected
 
 
 def top_rows(height):

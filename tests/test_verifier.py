@@ -17,6 +17,7 @@ from genforms.verifier import (
     CaseSpec,
     DeductionInapplicable,
     VerificationRecord,
+    certified_ks,
     compare_pure_power_mix,
     degenerate_family,
     plan_sweep,
@@ -180,10 +181,7 @@ def test_run_sweep_end_to_end():
     records, witnesses, failures = run_sweep(plan)
     assert failures == []
     assert all(r.verdict == VERIFIED for r in records)
-    covered = {r.spec.k for r in records}
-    for w in witnesses:
-        covered.update(range(w.k_low, w.k_high + 1))
-    assert covered == set(range(1, 7))
+    assert certified_ks(records, witnesses) == set(range(1, 7))
 
 
 def test_suite_k_values_shape():
@@ -270,6 +268,36 @@ def test_soundness_checks_survive_python_O():
     src = str(Path(genforms.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _PLANTED],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# Endpoint records of another case: each must be refused with a ValueError,
+# also with assertions stripped, while the matching records still deduce.
+_MISMATCHED_ENDPOINTS = """
+import sys
+import pytest
+from genforms.verifier import CaseSpec, verify_case, verify_interval
+
+r6 = verify_case(CaseSpec(4, 2, 2, 6))
+with pytest.raises(ValueError, match="endpoint record"):
+    verify_interval(4, 2, 2, 5, 6, record_low=r6, record_high=r6)
+with pytest.raises(ValueError, match="endpoint record"):
+    verify_interval(4, 2, 2, 6, 7, record_low=r6, record_high=r6)
+with pytest.raises(ValueError, match="endpoint record"):
+    verify_interval(4, 1, 4, 6, 6, record_low=r6)
+w = verify_interval(4, 2, 2, 6, 6, record_low=r6, record_high=r6)
+if (w.k_low, w.k_high, w.deduced) != (6, 6, ()):
+    sys.exit(f"matching records gave {w}")
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_interval_refuses_endpoint_records_of_another_case(flags):
+    src = str(Path(genforms.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _MISMATCHED_ENDPOINTS],
         env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
