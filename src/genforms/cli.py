@@ -140,35 +140,13 @@ def append_cache(path, record_dict):
 
 
 def _cache_hit(cache, spec, trunc):
-    """The cached record of spec at this truncation, read back, if it may
-    be served, else None."""
-    rec = cache.get(
-        _cache_key(spec.n, spec.d, spec.m, spec.k, spec.prime, spec.seed, trunc)
-    )
-    if rec is None or not _servable(rec, spec, trunc):
-        return None
+    """The cached record of spec at this truncation, if
+    `VerificationRecord.from_dict` accepts it for serving, else None."""
+    key = _cache_key(spec.n, spec.d, spec.m, spec.k, spec.prime, spec.seed, trunc)
     try:
-        return verifier.VerificationRecord.from_dict(rec, spec)
+        return verifier.VerificationRecord.from_dict(cache[key], spec)
     except (LookupError, TypeError, ValueError):
-        return None  # not a whole record, or ranks off its series: recomputed
-
-
-def _servable(rec, spec, trunc) -> bool:
-    """Whether a cache hit may be printed instead of recomputed: its
-    conjectured series must be this case's, a Verified record must have
-    computed exactly that series, and a NotAttained record must have tried
-    at least as many seeds as are asked for now."""
-    conjectured = list(conjectured_series(spec.degree_list, trunc).coeffs)
-    try:
-        if rec["conjectured"] != conjectured:
-            return False
-        if rec["verdict"] == verifier.VERIFIED:
-            return rec["computed"] == conjectured
-        if rec["verdict"] == verifier.NOT_ATTAINED:
-            return len(rec["seeds_tried"]) >= spec.trials
-    except (KeyError, TypeError):
-        pass
-    return False
+        return None  # a miss, not a whole record, or not servable: recomputed
 
 
 # ------------------------------------------------------------- commands
@@ -222,7 +200,7 @@ def cmd_sweep(args, cfg):
     cache = load_cache(cfg.cache_path)
     served = {}
     for spec in plan.cases:
-        hit = _cache_hit(cache, spec, verifier.resolve_truncation(spec, cfg.cap))
+        hit = _cache_hit(cache, spec, spec.trunc)
         if hit is not None:
             served[spec.k] = hit
     records, witnesses, failures = run_sweep(
@@ -324,7 +302,8 @@ def cmd_table(args, cfg):
 
 def cmd_compare(args, cfg):
     rec = verifier.compare_pure_power_mix(
-        args.n, args.d, args.k, seed=cfg.seed, prime=cfg.prime, cap=cfg.cap
+        args.n, args.d, args.k, seed=cfg.seed, prime=cfg.prime, cap=cfg.cap,
+        budget=cfg.budget,
     )
     print(
         json.dumps({
@@ -428,7 +407,8 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
         return args.func(args, cfg)
     except (
-        ResourceLimit, CapExceeded, HypothesisFailed, SoundnessError, ValueError
+        ResourceLimit, CapExceeded, HypothesisFailed, SoundnessError, ValueError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -7,12 +7,12 @@ generic case (see macaulay module docstring). A mismatch is never a
 disproof: the random point may be non-generic mod p, so failed trials are
 retried with fresh seeds and the final verdict is NotAttained, not false.
 
-The interval engine replays the sandwich deduction: a verified low
-endpoint makes the ideal surjective from some degree on, a verified high
-endpoint with full-row-rank Macaulay matrices makes the row subsets of
-every smaller k independent, and when those two facts pin every
-coefficient for an intermediate k that k is certified without any new
-linear algebra.
+The interval engine replays the sandwich deduction from two records of
+one (n, d, m): a verified low endpoint makes the ideal surjective from
+some degree on, a verified high endpoint with full-row-rank Macaulay
+matrices makes the row subsets of every smaller k independent, and when
+those two facts pin every coefficient for an intermediate k that k is
+certified without any new linear algebra.
 """
 
 from __future__ import annotations
@@ -121,9 +121,12 @@ class VerificationRecord:
 
     @classmethod
     def from_dict(cls, rec: dict, spec: CaseSpec) -> "VerificationRecord":
-        """The record `to_dict` wrote for spec, read back. A Verified
-        record must carry the ranks its series implies, since interval
-        deduction reads them; ValueError if it does not."""
+        """The record `to_dict` wrote for spec, read back: the one check
+        of a stored record. Its conjectured series must be spec's at its
+        truncation. A Verified record must have computed exactly that
+        series, with the ranks it implies, since interval deduction reads
+        them; a NotAttained record must have tried at least spec.trials
+        seeds. ValueError for any other record."""
 
         def series(coeffs):
             return TruncatedSeries(tuple(coeffs), terminated=coeffs[-1] == 0)
@@ -133,10 +136,19 @@ class VerificationRecord:
             rec["verdict"], tuple(DegreeStat(*row) for row in rec["ranks"]),
             tuple(rec["seeds_tried"]), rec["millis"], rec["version"],
         )
-        if record.verdict == VERIFIED and record.degree_stats != _implied_stats(
-            spec, record.computed.coeffs
-        ):
-            raise ValueError("Verified record with ranks its series does not imply")
+        conjectured = conjectured_series(spec.degree_list, record.trunc).coeffs
+        if record.conjectured.coeffs != conjectured:
+            raise ValueError("record of another conjectured series")
+        if record.verdict == VERIFIED:
+            if record.computed.coeffs != conjectured:
+                raise ValueError("Verified record that computed another series")
+            if record.degree_stats != _implied_stats(spec, conjectured):
+                raise ValueError("Verified record with ranks its series does not imply")
+        elif record.verdict != NOT_ATTAINED or len(record.seeds_tried) < spec.trials:
+            raise ValueError(
+                f"{record.verdict} record after {len(record.seeds_tried)} of "
+                f"{spec.trials} seeds"
+            )
         return record
 
 
@@ -280,41 +292,22 @@ def _pin_intermediate(n, md, k, conjectured_k, e_surj, high_stats):
 
 
 def verify_interval(
-    n: int,
-    d: int,
-    m: int,
-    k_low: int,
-    k_high: int,
-    seed: int = 0,
-    prime: int = modp.DEFAULT_PRIME,
-    trials: int = DEFAULT_TRIALS,
+    record_low: VerificationRecord,
+    record_high: VerificationRecord,
     cap: int = DEFAULT_CAP,
-    budget: int = DEFAULT_BUDGET,
-    record_low: VerificationRecord | None = None,
-    record_high: VerificationRecord | None = None,
 ) -> IntervalWitness:
-    """Certify all k in [k_low, k_high] from the two endpoint computations.
+    """Certify every k between the two records' k from those records alone.
 
-    A given endpoint record must be the one of (n, d, m, k_low) or
-    (n, d, m, k_high); ValueError if it is not.
+    The records must be of one (n, d, m), the low k at most the high k;
+    ValueError if they are not.
     """
-    if k_low > k_high:
-        raise ValueError("k_low must be <= k_high")
-    for rec, k in ((record_low, k_low), (record_high, k_high)):
-        given = None if rec is None else (rec.spec.n, rec.spec.d, rec.spec.m, rec.spec.k)
-        if given not in (None, (n, d, m, k)):
-            raise ValueError(
-                f"endpoint record of (n, d, m, k) = {given} given for {(n, d, m, k)}"
-            )
-    md = m * d
-    if record_low is None:
-        record_low = verify_case(
-            CaseSpec(n, d, m, k_low, seed=seed, prime=prime, trials=trials), cap, budget
+    low, high = record_low.spec, record_high.spec
+    if (low.n, low.d, low.m) != (high.n, high.d, high.m) or low.k > high.k:
+        raise ValueError(
+            f"endpoint records of (n, d, m, k) = {(low.n, low.d, low.m, low.k)} "
+            f"and {(high.n, high.d, high.m, high.k)} bound no interval"
         )
-    if record_high is None:
-        record_high = verify_case(
-            CaseSpec(n, d, m, k_high, seed=seed, prime=prime, trials=trials), cap, budget
-        )
+    n, md, k_low, k_high = low.n, low.effective_degree, low.k, high.k
     for rec, which in ((record_low, "low"), (record_high, "high")):
         if rec.verdict != VERIFIED:
             raise DeductionInapplicable(
@@ -353,12 +346,6 @@ class SweepPlan:
     intervals: tuple[tuple[int, int], ...]
     skipped: tuple[tuple[CaseSpec, str], ...] = ()
 
-    def covered(self) -> set:
-        ks = {c.k for c in self.cases}
-        for lo, hi in self.intervals:
-            ks.update(range(lo, hi + 1))
-        return ks
-
 
 def certified_ks(records, witnesses) -> set[int]:
     """The k a sweep certified: each k whose direct record is Verified,
@@ -369,11 +356,9 @@ def certified_ks(records, witnesses) -> set[int]:
     return ks
 
 
-def estimated_max_entries(n, md, k, cap=DEFAULT_CAP, trunc=None) -> int:
+def estimated_max_entries(n, md, k, trunc) -> int:
     """Largest Macaulay matrix (in entries) a case is expected to build,
     assuming the computation terminates where the conjectured series does."""
-    if trunc is None:
-        trunc = case_truncation(n, md, k, cap)
     conjectured = conjectured_series(DegreeList(n, (md,) * k), trunc)
     try:
         last = conjectured.coeffs.index(0)
@@ -401,7 +386,9 @@ def plan_sweep(
 
     k <= n are complete intersections and get individual cases. Above n,
     consecutive k sharing the termination degree of their conjectured
-    series form one interval, verified at its two endpoints.
+    series form one interval, verified at its two endpoints. An interval
+    is planned only when both its endpoints are planned, not skipped over
+    budget.
     """
     md = m * d
     top = monomial_count(n, md)
@@ -414,13 +401,14 @@ def plan_sweep(
 
     cases, intervals, skipped = [], [], []
 
-    def add_case(k):
+    def add_case(k) -> bool:
         spec = make(k)
-        worst = estimated_max_entries(n, md, k, cap, trunc=spec.trunc)
+        worst = estimated_max_entries(n, md, k, spec.trunc)
         if worst > budget:
             skipped.append((spec, f"estimated {worst} matrix entries over budget"))
-        else:
-            cases.append(spec)
+            return False
+        cases.append(spec)
+        return True
 
     k = k_lo
     while k <= min(n, k_hi):
@@ -435,9 +423,8 @@ def plan_sweep(
         else:
             runs.append((term, k, k))
     for _, lo, hi in runs:
-        add_case(lo)
-        if hi > lo:
-            add_case(hi)
+        planned_lo = add_case(lo)
+        if hi > lo and add_case(hi) and planned_lo:
             intervals.append((lo, hi))
 
     return SweepPlan(tuple(cases), tuple(intervals), tuple(skipped))
@@ -460,16 +447,8 @@ def run_sweep(
     witnesses = []
     failures = []
     for lo, hi in plan.intervals:
-        spec_lo = records[lo].spec
         try:
-            witnesses.append(
-                verify_interval(
-                    spec_lo.n, spec_lo.d, spec_lo.m, lo, hi,
-                    seed=spec_lo.seed, prime=spec_lo.prime, trials=spec_lo.trials,
-                    cap=cap, budget=budget,
-                    record_low=records[lo], record_high=records[hi],
-                )
-            )
+            witnesses.append(verify_interval(records[lo], records[hi], cap))
         except DeductionInapplicable as exc:
             failures.append(((lo, hi), str(exc)))
     return list(records.values()), witnesses, failures
@@ -518,6 +497,7 @@ def compare_pure_power_mix(
     prime: int = modp.DEFAULT_PRIME,
     trunc: int | None = None,
     cap: int = DEFAULT_CAP,
+    budget: int = DEFAULT_BUDGET,
 ) -> MixComparisonRecord:
     """Compare (g_1..g_k) with (x_1^d..x_n^d, g_{n+1}..g_k), same draws."""
     if k < n:
@@ -534,8 +514,8 @@ def compare_pure_power_mix(
         pure.append(ModPPoly(n, d, tuple(coeffs), prime))
     mixed = FormFamily(n, tuple(pure) + family.forms[n:], prime, seed)
 
-    series_a, _ = quotient_series_with_stats(family, trunc)
-    series_b, _ = quotient_series_with_stats(mixed, trunc)
+    series_a, _ = quotient_series_with_stats(family, trunc, budget=budget)
+    series_b, _ = quotient_series_with_stats(mixed, trunc, budget=budget)
     return MixComparisonRecord(
         n, d, k, seed, prime, series_a, series_b,
         series_a.coeffs == series_b.coeffs,

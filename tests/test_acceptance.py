@@ -111,7 +111,9 @@ def test_acceptance_4_power_conjecture_table_slice(cell):
 
 def test_acceptance_5_interval_deduction():
     start = time.perf_counter()
-    witness = verify_interval(3, 2, 7, 26, 45)
+    witness = verify_interval(
+        verify_case(CaseSpec(3, 2, 7, 26)), verify_case(CaseSpec(3, 2, 7, 45))
+    )
     assert witness.record_low.verdict == VERIFIED
     assert witness.record_high.verdict == VERIFIED
     covered = {26, 45} | set(witness.deduced)

@@ -260,6 +260,26 @@ def test_sweep_counts_only_certified_k_as_covered(capsys):
     assert "covered 2/15 values of k" in err
 
 
+def test_sweep_plans_no_interval_with_an_endpoint_over_budget(capsys):
+    # k=4 and k=6 are skipped over budget, so (5, 6) is planned as no
+    # interval, and 7..14 is still deduced from its two endpoints
+    code, out, err = run(capsys, "--matrix-budget", "1000", *SWEEP_322)
+    assert code == EXIT_OK
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [rec["k"] for rec in lines if rec.get("verdict") == "Skipped"] == [4, 6]
+    assert [rec["interval"] for rec in lines if "interval" in rec] == [[7, 14]]
+    assert "covered 10/12 values of k" in err
+
+
+@pytest.mark.parametrize("where", ["a directory", "in a missing directory"])
+def test_unusable_cache_path_exits_with_error(tmp_path, capsys, where):
+    cache = tmp_path if where == "a directory" else tmp_path / "missing" / "c.jsonl"
+    code, out, err = run(capsys, "--cache", str(cache), *VERIFY_342)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and str(cache) in err
+
+
 def test_construct_command(capsys):
     code, out, err = run(capsys, "construct", "--n", "4", "--d", "2", "--l", "1")
     assert code == EXIT_OK
@@ -284,6 +304,15 @@ def test_compare_command(capsys):
     code, out, _ = run(capsys, "compare", "--n", "3", "--d", "2", "--k", "4")
     assert code == EXIT_OK
     assert json.loads(out)["equal"] is True
+
+
+def test_compare_honours_the_matrix_budget(capsys):
+    code, out, err = run(
+        capsys, "--matrix-budget", "10", "compare", "--n", "3", "--d", "2", "--k", "4"
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and "over budget 10" in err
 
 
 def test_table_small(capsys):

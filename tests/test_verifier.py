@@ -70,6 +70,41 @@ def test_record_reads_back_and_refuses_ranks_its_series_does_not_imply():
     assert VerificationRecord.from_dict(rec, bad.spec).verdict == NOT_ATTAINED
 
 
+def test_record_read_back_refuses_a_not_attained_record_of_fewer_seeds():
+    bad = verify_case(CaseSpec(3, 2, 1, 6, trials=2), family_builder=degenerate_family)
+    rec = bad.to_dict()
+    assert VerificationRecord.from_dict(rec, bad.spec).seeds_tried == (0, 1)
+    with pytest.raises(ValueError, match="2 of 3 seeds"):
+        VerificationRecord.from_dict(rec, dataclasses.replace(bad.spec, trials=3))
+
+
+def test_record_read_back_refuses_another_conjectured_series():
+    spec = CaseSpec(3, 2, 2, 5)
+    rec = verify_case(spec).to_dict()
+    with pytest.raises(ValueError, match="conjectured series"):
+        VerificationRecord.from_dict(rec, dataclasses.replace(spec, k=6))
+    rec["conjectured"][2] += 1
+    with pytest.raises(ValueError, match="conjectured series"):
+        VerificationRecord.from_dict(rec, spec)
+
+
+def test_record_read_back_refuses_a_verified_record_of_another_computed_series():
+    spec = CaseSpec(3, 2, 2, 5)
+    rec = verify_case(spec).to_dict()
+    rec["computed"][2] -= 1
+    rec["ranks"][2][3] += 1  # the ranks that computed series implies
+    with pytest.raises(ValueError, match="computed another series"):
+        VerificationRecord.from_dict(rec, spec)
+
+
+def test_record_read_back_refuses_an_unknown_verdict():
+    spec = CaseSpec(3, 2, 2, 5)
+    rec = verify_case(spec).to_dict()
+    rec["verdict"] = "Deduced"
+    with pytest.raises(ValueError, match="Deduced record"):
+        VerificationRecord.from_dict(rec, spec)
+
+
 def test_replay_determinism():
     spec = CaseSpec(3, 2, 2, 8, seed=42)
     a = verify_case(spec)
@@ -108,7 +143,8 @@ def test_resource_limit_propagates():
 
 
 def test_trivial_interval():
-    w = verify_interval(3, 2, 1, 4, 4)
+    r4 = verify_case(CaseSpec(3, 2, 1, 4))
+    w = verify_interval(r4, r4)
     assert w.k_low == w.k_high == 4
     assert w.deduced == ()
     assert w.record_low.verdict == VERIFIED
@@ -116,7 +152,8 @@ def test_trivial_interval():
 
 def test_interval_small_case():
     # md = 4, n = 3: k in [7, 14] all share termination degree 5
-    w = verify_interval(3, 2, 2, 7, 14)
+    low, high = verify_case(CaseSpec(3, 2, 2, 7)), verify_case(CaseSpec(3, 2, 2, 14))
+    w = verify_interval(low, high)
     assert w.deduced == tuple(range(8, 14))
     assert w.e_surj == 5
 
@@ -125,7 +162,7 @@ def test_interval_rejects_unverified_endpoint():
     bad = verify_case(CaseSpec(3, 2, 1, 6, trials=1), family_builder=degenerate_family)
     good = verify_case(CaseSpec(3, 2, 1, 4))
     with pytest.raises(DeductionInapplicable, match="endpoint"):
-        verify_interval(3, 2, 1, 4, 6, record_low=good, record_high=bad)
+        verify_interval(good, bad)
 
 
 def test_interval_rejects_unpinned_degree():
@@ -139,13 +176,16 @@ def test_interval_rejects_unpinned_degree():
     )
     tampered = dataclasses.replace(high, degree_stats=stats)
     with pytest.raises(DeductionInapplicable) as err:
-        verify_interval(3, 2, 2, 7, 14, record_low=low, record_high=tampered)
+        verify_interval(low, tampered)
     assert err.value.degree == 4
 
 
 def test_plan_sweep_degree14_cell():
     plan = plan_sweep(3, 2, 7, 1, 120)
-    assert plan.covered() >= set(range(1, 121))
+    planned = {c.k for c in plan.cases}
+    for lo, hi in plan.intervals:
+        planned.update(range(lo, hi + 1))
+    assert planned >= set(range(1, 121))
     assert (26, 45) in plan.intervals
     endpoint_ks = {c.k for c in plan.cases}
     assert {26, 45} <= endpoint_ks
@@ -169,6 +209,16 @@ def test_verify_and_sweep_share_the_complete_intersection_truncation():
     assert resolve_truncation(CaseSpec(4, 2, 2, 3)) == 10
     assert [c.trunc for c in plan_sweep(4, 2, 2, 3, 3).cases] == [10]
     assert resolve_truncation(CaseSpec(4, 2, 2, 3, trunc=7)) == 7
+
+
+def test_plan_sweep_plans_intervals_only_between_planned_cases():
+    # budget 1000 skips k=4 and k=6, budget 300 also k=5, 7 and 14
+    plan = plan_sweep(3, 2, 2, 4, 15, budget=1000)
+    assert [spec.k for spec, _ in plan.skipped] == [4, 6]
+    assert plan.intervals == ((7, 14),)
+    plan = plan_sweep(3, 2, 2, 4, 15, budget=300)
+    assert [c.k for c in plan.cases] == [15]
+    assert plan.intervals == ()
 
 
 def test_plan_sweep_range_validation():
@@ -273,22 +323,26 @@ def test_soundness_checks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
-# Endpoint records of another case: each must be refused with a ValueError,
-# also with assertions stripped, while the matching records still deduce.
+# Endpoint records that bound no interval: of another (n, d, m), even one
+# of the same degree m*d, or with the low k above the high k. Each must be
+# refused with a ValueError, also with assertions stripped, while records
+# that do bound an interval still deduce.
 _MISMATCHED_ENDPOINTS = """
 import sys
 import pytest
 from genforms.verifier import CaseSpec, verify_case, verify_interval
 
+r5 = verify_case(CaseSpec(4, 2, 2, 5))
 r6 = verify_case(CaseSpec(4, 2, 2, 6))
-with pytest.raises(ValueError, match="endpoint record"):
-    verify_interval(4, 2, 2, 5, 6, record_low=r6, record_high=r6)
-with pytest.raises(ValueError, match="endpoint record"):
-    verify_interval(4, 2, 2, 6, 7, record_low=r6, record_high=r6)
-with pytest.raises(ValueError, match="endpoint record"):
-    verify_interval(4, 1, 4, 6, 6, record_low=r6)
-w = verify_interval(4, 2, 2, 6, 6, record_low=r6, record_high=r6)
-if (w.k_low, w.k_high, w.deduced) != (6, 6, ()):
+for low, high in (
+    (verify_case(CaseSpec(4, 1, 4, 5)), r6),
+    (r5, verify_case(CaseSpec(3, 2, 2, 6))),
+    (r6, r5),
+):
+    with pytest.raises(ValueError, match="bound no interval"):
+        verify_interval(low, high)
+w = verify_interval(r5, r6)
+if (w.k_low, w.k_high, w.deduced) != (5, 6, ()):
     sys.exit(f"matching records gave {w}")
 """
 
