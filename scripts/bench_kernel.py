@@ -10,10 +10,11 @@ degrees of one case as the quotient series does, each seeded with x_1
 times the basis of the degree below, and checks every rank. Assembly
 times two things: a cold build of every scatter table that the five
 `ci-deep` cases of perfbench use (caches cleared before each run, every
-table's shape checked), and the batched powering of one family, checked
-against a pinned checksum of its coefficients. The script prints one
-JSON line with the timings and the numpy version, the BLAS library and
-the core count. It exits 1 if a shape, a rank or the checksum is off.
+table's shape checked), and the batched powering of one family at
+p = 2^31 - 1, checked against a pinned checksum of its coefficients. The
+script prints one JSON line with the timings and the numpy version, the
+BLAS library and the core count. It exits 1 if a shape, a rank or the
+checksum is off.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_kernel.py
@@ -59,9 +60,11 @@ TABLES = (
     (4, 8, 18, True), (5, 2, 4, False), (5, 4, 7, False), (5, 4, 8, True),
     (5, 4, 9, True), (5, 4, 10, True),
 )
-# (n, d, m, k) of the powered family, and the first 16 hex digits of the
-# SHA-256 of its coefficients as little-endian int64, forms in order
-POWERED = (3, 2, 7, 120)
+# (n, d, m, k, prime) of the powered family, and the first 16 hex digits
+# of the SHA-256 of its coefficients as little-endian int64, forms in
+# order. The prime is named, not the default, so the checksum stays valid
+# when the default changes.
+POWERED = (3, 2, 7, 120, 2**31 - 1)
 POWERED_SHA256 = "6f55c8d1667e1977"
 
 
@@ -128,8 +131,8 @@ def time_tables(tables=TABLES, repeats=REPEATS) -> float:
 def time_power(case=POWERED, repeats=REPEATS) -> float:
     """Median seconds of `repeats` batched powerings of one family (its
     tables already built), checked against the pinned checksum."""
-    n, d, m, k = case
-    base = FormFamily.random(n, d, k, SEED)
+    n, d, m, k, prime = case
+    base = FormFamily.random(n, d, k, SEED, prime)
     power(base, m)
     times = []
     for _ in range(repeats):

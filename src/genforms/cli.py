@@ -139,6 +139,15 @@ def append_cache(path, record_dict):
             fh.write(line)
 
 
+def check_appendable(path):
+    """Open path for appending, creating it if missing: an unusable cache
+    path (a directory, or in a missing directory) raises OSError, and so
+    exits 3, before any case is computed rather than after."""
+    if path:
+        with open(path, "ab"):
+            pass
+
+
 def _cache_hit(cache, spec, trunc):
     """The cached record of spec at this truncation, if
     `VerificationRecord.from_dict` accepts it for serving, else None."""
@@ -181,6 +190,7 @@ def cmd_verify(args, cfg):
         out["rank_calls"] = modp.ELIMINATION_CALLS
         print(json.dumps(out))
         return EXIT_OK if hit.verdict == verifier.VERIFIED else EXIT_NOT_ATTAINED
+    check_appendable(cfg.cache_path)
     record = verify_case(spec, cap=cfg.cap, budget=cfg.budget)
     out = record.to_dict()
     append_cache(cfg.cache_path, out)
@@ -203,6 +213,8 @@ def cmd_sweep(args, cfg):
         hit = _cache_hit(cache, spec, spec.trunc)
         if hit is not None:
             served[spec.k] = hit
+    if len(served) < len(plan.cases):
+        check_appendable(cfg.cache_path)
     records, witnesses, failures = run_sweep(
         plan, cap=cfg.cap, budget=cfg.budget, served=served
     )

@@ -19,12 +19,24 @@ products of steps 1 and 3 run once per CHUNK rows. This is the recursive
 echelon of FFLAS-FFPACK (Dumas, Giorgi & Pernet, arXiv:cs/0601133; rank
 profiles as in Jeannerod, Pernet & Storjohann, arXiv:1112.5717).
 
-Every product goes through `matmul_mod`, which splits its operands into
-16-bit limbs and multiplies them as float64 BLAS matrices, reducing mod p
-only once per limb product (delayed reduction). Every partial product is
-below 2^53, so the result is exact for p < 2^31 and inner dimension below
-2^20; the kernel rejects larger moduli. Rank does not depend on the
-elimination order, so batch, blockwise and streamed ranks agree.
+Every product goes through `matmul_mod`, which multiplies float64 BLAS
+matrices, reducing mod p only once per product (delayed reduction). A
+float64 sum of integers is exact below 2^53, so it uses the fewest
+products whose partial sums stay below that (`_limb_products`):
+
+- one product of the operands as they are, when inner (p - 1)^2 < 2^53:
+  at the default p = 1048573 (the largest prime below 2^20), every inner
+  dimension up to 8192;
+- two, with b split into 16-bit limbs, when inner (p - 1)(2^16 - 1) < 2^53:
+  at p = 1048573 inner 8193..131074, at p = 2^31 - 1 inner up to 64;
+- four, with both operands split, otherwise: at p = 1048573 inner
+  131075..2^20 - 1, at p = 2^31 - 1 inner 65..2^20 - 1.
+
+So the result is exact for p < 2^31 and inner dimension below 2^20; the
+kernel rejects larger moduli. Any prime certifies the same way (see
+`macaulay`); a smaller one only makes an unlucky draw, and so a retry,
+likelier. Rank does not depend on the elimination order, so batch,
+blockwise and streamed ranks agree.
 
 A reducer may start from a seed: the basis of another reducer over a
 prefix of its columns, taken over as it stands (see `RowReducer`).
@@ -34,7 +46,9 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_PRIME = 2**31 - 1
+# The largest prime below 2^20: every product of inner dimension up to
+# 8192 is one float64 GEMM (see `_limb_products`).
+DEFAULT_PRIME = 1048573
 PRIME_BOUND = 2**31
 
 # Rows per chunk merged into the basis. Each chunk costs one pass over F
@@ -101,22 +115,31 @@ def _limbs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (m >> 16).astype(np.float64), (m & 0xFFFF).astype(np.float64)
 
 
-def _splits_both(inner: int, p: int) -> bool:
-    """Whether matmul_mod must split a as well as b into limbs. Unsplit,
-    the sums of a @ (limb of b) reach inner (p - 1)(2^16 - 1), which is
-    exact in float64 only below 2^53 (at p = 2^31 - 1: inner <= 64)."""
-    return inner * (p - 1) * 0xFFFF >= 2**53
+def _limb_products(inner: int, p: int) -> int:
+    """The fewest float64 products that give a @ b exactly for entries in
+    [0, p) and this inner dimension, each partial sum below 2^53:
+
+    - 1 when inner (p - 1)^2 < 2^53: a @ b as it is;
+    - 2 when inner (p - 1)(2^16 - 1) < 2^53: a @ (each 16-bit limb of b);
+    - 4 otherwise: each limb of a @ each limb of b.
+    """
+    if inner * (p - 1) ** 2 < 2**53:
+        return 1
+    if inner * (p - 1) * 0xFFFF < 2**53:
+        return 2
+    return 4
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact a @ b mod p for int64 matrices with entries in [0, p).
 
-    With b = bh 2^16 + bl, and a = ah 2^16 + al when the inner dimension
-    is too large for a whole (see `_splits_both`; else ah = 0, al = a),
-    each limb product is a float64 BLAS matmul whose entries stay below
-    2^53: two products for a small inner dimension, four otherwise. The
-    result is recombined mod p by Horner's rule in 2^16. Computed in
-    column stripes of b so the temporaries stay small.
+    With as few products as `_limb_products` allows: one float64 BLAS
+    matmul when the inner dimension is small enough for p (at the default
+    p, up to 8192), reduced mod p once. Otherwise b = bh 2^16 + bl, and
+    a = ah 2^16 + al when four products are needed (else ah = 0, al = a);
+    each limb product is a float64 matmul whose entries stay below 2^53,
+    and the result is recombined mod p by Horner's rule in 2^16. Computed
+    in column stripes of b so the temporaries stay small.
     """
     check_modulus(p)
     inner = a.shape[1]
@@ -127,20 +150,24 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
             f"inner dimension {inner} leaves the exact range (< {_MAX_INNER})"
         )
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-    split = _splits_both(inner, p)
-    ah, al = _limbs(a) if split else (None, a.astype(np.float64))
+    products = _limb_products(inner, p)
+    ah, al = _limbs(a) if products == 4 else (None, a.astype(np.float64))
     width = max(1, _STRIPE_ENTRIES // max(inner, a.shape[0], 1))
     for j in range(0, b.shape[1], width):
-        bh, bl = _limbs(b[:, j : j + width])
-        if split:
-            acc = (ah @ bh).astype(np.int64) % p
-            acc <<= 16
-            acc += (ah @ bl + al @ bh).astype(np.int64)
+        stripe = b[:, j : j + width]
+        if products == 1:
+            acc = (al @ stripe.astype(np.float64)).astype(np.int64)
         else:
-            acc = (al @ bh).astype(np.int64)
-        acc %= p
-        acc <<= 16
-        acc += (al @ bl).astype(np.int64)
+            bh, bl = _limbs(stripe)
+            if products == 4:
+                acc = (ah @ bh).astype(np.int64) % p
+                acc <<= 16
+                acc += (ah @ bl + al @ bh).astype(np.int64)
+            else:
+                acc = (al @ bh).astype(np.int64)
+            acc %= p
+            acc <<= 16
+            acc += (al @ bl).astype(np.int64)
         acc %= p
         out[:, j : j + width] = acc
     return out

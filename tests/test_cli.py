@@ -87,6 +87,20 @@ def test_verify_and_cache_round_trip(tmp_path, capsys):
 VERIFY_342 = ("verify", "--n", "3", "--d", "2", "--k", "4")
 
 
+def test_cache_line_of_another_prime_is_served_only_at_that_prime(tmp_path, capsys):
+    """A line written under --prime 2147483647, the earlier default, is a
+    miss for a default run and a hit when that prime is named again."""
+    cache = str(tmp_path / "records.jsonl")
+    old = ("--cache", cache, "--prime", "2147483647", *VERIFY_342)
+    run(capsys, *old)
+    code, out, _ = run(capsys, "--cache", cache, *VERIFY_342)
+    fresh = json.loads(out)
+    assert code == EXIT_OK and fresh["cached"] is False
+    assert fresh["prime"] == modp.DEFAULT_PRIME == 1048573
+    code, out, _ = run(capsys, *old)
+    assert code == EXIT_OK and json.loads(out)["cached"] is True
+
+
 def cached_record(tmp_path, capsys):
     """A cache holding the real record of (3, 2, 1, 4); returns its path
     and the record."""
@@ -272,12 +286,19 @@ def test_sweep_plans_no_interval_with_an_endpoint_over_budget(capsys):
 
 
 @pytest.mark.parametrize("where", ["a directory", "in a missing directory"])
-def test_unusable_cache_path_exits_with_error(tmp_path, capsys, where):
+def test_unusable_cache_path_exits_with_error(tmp_path, capsys, monkeypatch, where):
+    """verify and sweep refuse the path before any elimination."""
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("a RowReducer was constructed")
+
+    monkeypatch.setattr(modp, "RowReducer", no_elimination)
     cache = tmp_path if where == "a directory" else tmp_path / "missing" / "c.jsonl"
-    code, out, err = run(capsys, "--cache", str(cache), *VERIFY_342)
-    assert code == EXIT_ERROR
-    assert out == ""
-    assert err.startswith("error: ") and str(cache) in err
+    for argv in (VERIFY_342, SWEEP_322):
+        code, out, err = run(capsys, "--cache", str(cache), *argv)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and str(cache) in err
 
 
 def test_construct_command(capsys):

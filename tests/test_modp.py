@@ -44,7 +44,7 @@ def test_rank_duplicated_rows():
     assert rank(m) == 10
 
 
-@pytest.mark.parametrize("p", [7, 101, DEFAULT_PRIME])
+@pytest.mark.parametrize("p", [7, 101, DEFAULT_PRIME, 2**31 - 1])
 def test_rank_equals_transpose_rank(p):
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -214,12 +214,43 @@ def test_matmul_mod_at_the_two_product_edge(inner, both):
     """All entries p - 1 at p = 2^31 - 1: inner 64 is the largest inner
     dimension that multiplies a unsplit (two products), inner 65 splits
     both operands (four products); both are exact."""
-    p = DEFAULT_PRIME
-    assert modp._splits_both(inner, p) == both
+    p = 2**31 - 1
+    assert modp._limb_products(inner, p) == (4 if both else 2)
     a = np.full((3, inner), p - 1, dtype=np.int64)
     b = np.full((inner, 5), p - 1, dtype=np.int64)
     expected = sum((p - 1) * (p - 1) for _ in range(inner)) % p
     assert (matmul_mod(a, b, p) == expected).all()
+
+
+def _python_matmul_mod(a, b, p):
+    """a @ b mod p in Python integers, which never overflow."""
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()]
+            for row in a.tolist()]
+
+
+@pytest.mark.parametrize("p,inner,products", [
+    (1048573, 8192, 1), (1048573, 8193, 2), (1048573, 131074, 2),
+    (1048573, 131075, 4), (2**31 - 1, 1, 2), (2**31 - 1, 3000, 4),
+])
+def test_matmul_mod_each_regime_against_python_ints(p, inner, products):
+    """On each side of each regime's edge at the default prime, and inside
+    both regimes of 2^31 - 1 (its edge is tested above): all-(p - 1)
+    operands, where every partial sum is at its largest, and random ones
+    with a column of p - 1 give the Python-integer product mod p."""
+    assert modp._limb_products(inner, p) == products
+    rng = np.random.default_rng(inner)
+    worst = np.full((2, inner), p - 1, dtype=np.int64)
+    mixed = rng.integers(0, p, size=(3, inner))
+    mixed[:, 0] = p - 1
+    for a in (worst, mixed):
+        b = np.full((inner, 3), p - 1, dtype=np.int64)
+        b[:, 1:] = rng.integers(0, p, size=(inner, 2))
+        assert matmul_mod(a, b, p).tolist() == _python_matmul_mod(a, b, p)
+
+
+def test_default_prime_is_the_largest_below_2_20():
+    assert is_prime(DEFAULT_PRIME) and DEFAULT_PRIME < 2**20
+    assert not any(is_prime(q) for q in range(DEFAULT_PRIME + 1, 2**20))
 
 
 def test_matmul_mod_random_against_python_ints():
@@ -228,11 +259,7 @@ def test_matmul_mod_random_against_python_ints():
     a = rng.integers(0, p, size=(7, 4096))
     a[:, ::3] = p - 1
     b = rng.integers(0, p, size=(4096, 5))
-    got = matmul_mod(a, b, p)
-    al, bl = a.tolist(), b.T.tolist()
-    for i in range(7):
-        for j in range(5):
-            assert got[i, j] == sum(x * y for x, y in zip(al[i], bl[j])) % p
+    assert matmul_mod(a, b, p).tolist() == _python_matmul_mod(a, b, p)
 
 
 def test_matmul_mod_rejects_inner_dimension_outside_exact_range():

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from genforms.modp import BASE, CHUNK, RowReducer, rank
 
-PRIMES = (2, 3, 101, 65537, 2**31 - 1)
+PRIMES = (2, 3, 101, 65537, 1048573, 2**31 - 1)
 SHORT = (0, 1, BASE - 1, BASE, BASE + 1, 2 * BASE + 1)
 FEED = (CHUNK - 1, CHUNK, CHUNK + 1)
 # Matrices taller than this get at most TALL_COLS columns, so the

@@ -112,6 +112,33 @@ def test_replay_determinism():
     assert dataclasses.replace(a, millis=0.0) == dataclasses.replace(b, millis=0.0)
 
 
+# Records of verify_case at p = 2^31 - 1, the default prime before
+# 1048573, pinned as that version wrote them (millis left out).
+_OLD_PRIME_RECORDS = (
+    {"n": 4, "d": 2, "m": 2, "k": 5, "prime": 2147483647, "seed": 0, "trunc": 9,
+     "conjectured": [1, 4, 10, 20, 30, 36, 34, 20, 0, 0],
+     "computed": [1, 4, 10, 20, 30, 36, 34, 20, 0, 0], "verdict": "Verified",
+     "ranks": [[0, 0, 1, 0], [1, 0, 4, 0], [2, 0, 10, 0], [3, 0, 20, 0],
+               [4, 5, 35, 5], [5, 20, 56, 20], [6, 50, 84, 50],
+               [7, 100, 120, 100], [8, 175, 165, 165]],
+     "seeds_tried": [0], "version": "0.1.0"},
+    {"n": 3, "d": 1, "m": 3, "k": 5, "prime": 2147483647, "seed": 0, "trunc": 5,
+     "conjectured": [1, 3, 6, 5, 0, 0], "computed": [1, 3, 6, 5, 1, 0],
+     "verdict": "NotAttained",
+     "ranks": [[0, 0, 1, 0], [1, 0, 3, 0], [2, 0, 6, 0], [3, 5, 10, 5],
+               [4, 15, 15, 14], [5, 30, 21, 21]],
+     "seeds_tried": [0, 1, 2], "version": "0.1.0"},
+)
+
+
+@pytest.mark.parametrize("pinned", _OLD_PRIME_RECORDS, ids=lambda r: str(r["k"]))
+def test_old_default_prime_replays_its_records(pinned):
+    spec = CaseSpec(*(pinned[f] for f in ("n", "d", "m", "k")), prime=2**31 - 1)
+    record = verify_case(spec).to_dict()
+    del record["millis"]
+    assert record == pinned
+
+
 def test_monotone_surjectivity():
     low = verify_case(CaseSpec(3, 2, 1, 4, seed=3))
     assert low.verdict == VERIFIED
