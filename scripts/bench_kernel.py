@@ -10,8 +10,9 @@ degrees of one case as the quotient series does, each seeded with x_1
 times the basis of the degree below, and checks every rank. Assembly
 times two things: a cold build of every scatter table that the five
 `ci-deep` cases of perfbench use (caches cleared before each run, every
-table's shape checked), and the batched powering of one family at
-p = 2^31 - 1, checked against a pinned checksum of its coefficients. The
+table's shape checked), and the build of one powered family at
+p = 2^31 - 1 by `default_family` (the draw, the forms and the batched
+powering), checked against a pinned checksum of its coefficients. The
 script prints one JSON line with the timings and the numpy version, the
 BLAS library and the core count. It exits 1 if a shape, a rank or the
 checksum is off.
@@ -30,13 +31,7 @@ import time
 import numpy as np
 
 from genforms import macaulay
-from genforms.macaulay import (
-    FormFamily,
-    _x1_free_count,
-    ideal_dimension_at_degree,
-    macaulay_shape,
-    power,
-)
+from genforms.macaulay import _x1_free_count, ideal_dimension_at_degree, macaulay_shape
 from genforms.monomials import monomial_count
 from genforms.verifier import CaseSpec, default_family
 
@@ -129,15 +124,16 @@ def time_tables(tables=TABLES, repeats=REPEATS) -> float:
 
 
 def time_power(case=POWERED, repeats=REPEATS) -> float:
-    """Median seconds of `repeats` batched powerings of one family (its
-    tables already built), checked against the pinned checksum."""
+    """Median seconds of `repeats` builds of one powered family by
+    `default_family` (its tables already built): the draw, the forms and
+    the batched powering, checked against the pinned checksum."""
     n, d, m, k, prime = case
-    base = FormFamily.random(n, d, k, SEED, prime)
-    power(base, m)
+    spec = CaseSpec(n, d, m, k, prime=prime)
+    default_family(spec, SEED)
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        family = power(base, m)
+        family = default_family(spec, SEED)
         times.append(time.perf_counter() - start)
         coeffs = np.array([f.coeffs for f in family.forms], dtype="<i8")
         digest = hashlib.sha256(coeffs.tobytes()).hexdigest()[:16]

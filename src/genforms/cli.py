@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import __version__, modp
 from .constructions import (
+    BudgetExceeded,
     FrobergFamilyParams,
     HypothesisFailed,
     check_theorem1,
@@ -80,12 +81,14 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_degrees(text: str) -> tuple[int, ...]:
     """Degree list syntax: comma-separated entries, each "d" or "dxCOUNT",
-    e.g. "2x5" or "2,3" or "14x26"."""
+    e.g. "2x5" or "2,3" or "14x26". ValueError for a negative COUNT."""
     degrees = []
     for token in text.split(","):
         token = token.strip()
         if "x" in token:
             d, count = token.split("x")
+            if int(count) < 0:
+                raise ValueError(f"negative generator count in {token!r}")
             degrees.extend([int(d)] * int(count))
         else:
             degrees.append(int(token))
@@ -164,7 +167,7 @@ def cmd_series(args, cfg):
     if args.deg:
         degrees = parse_degrees(args.deg)
     elif args.d is not None and args.k is not None:
-        degrees = (args.d * (args.m or 1),) * args.k
+        degrees = (args.d * args.m,) * args.k
     else:
         print("error: provide --deg or both --d and --k", file=sys.stderr)
         return EXIT_ERROR
@@ -419,8 +422,8 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
         return args.func(args, cfg)
     except (
-        ResourceLimit, CapExceeded, HypothesisFailed, SoundnessError, ValueError,
-        OSError,
+        ResourceLimit, CapExceeded, HypothesisFailed, SoundnessError, BudgetExceeded,
+        ValueError, OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

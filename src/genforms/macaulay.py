@@ -1,8 +1,9 @@
 """Random homogeneous forms over a prime field and their quotient series.
 
-A form of degree d is a coefficient vector indexed by the fixed-degree
-monomial order. The degree-e graded piece of the ideal generated by a
-family of forms is spanned by monomial multiples of the generators; its
+A form of degree d is one read-only int64 vector of coefficients in
+[0, p), indexed by the fixed-degree monomial order, from its random draw
+to its Macaulay rows. The degree-e graded piece of the ideal generated by
+a family of forms is spanned by monomial multiples of the generators; its
 dimension is the rank of the Macaulay matrix whose rows are those
 multiples, computed over Z/p.
 
@@ -53,37 +54,48 @@ class SoundnessError(ArithmeticError):
     specialization; the result must not be reported."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModPPoly:
-    """Homogeneous polynomial over Z/p as a dense coefficient vector."""
+    """Homogeneous polynomial over Z/p as a dense coefficient vector:
+    coeffs, given as any integer sequence of the right length (ints
+    outside int64 raise OverflowError), is held reduced mod p in a
+    read-only int64 array. Forms are equal when all four fields are."""
 
     n: int
     degree: int
-    coeffs: tuple[int, ...]
+    coeffs: np.ndarray
     prime: int = modp.DEFAULT_PRIME
 
     def __post_init__(self):
         modp.check_modulus(self.prime)
+        coeffs = np.asarray(self.coeffs, dtype=np.int64) % self.prime
         expected = monomial_count(self.n, self.degree)
-        if len(self.coeffs) != expected:
+        if coeffs.shape != (expected,):
             raise ValueError(
                 f"degree-{self.degree} form in {self.n} variables needs "
-                f"{expected} coefficients, got {len(self.coeffs)}"
+                f"{expected} coefficients, got shape {coeffs.shape}"
             )
-        object.__setattr__(
-            self, "coeffs", tuple(int(c) % self.prime for c in self.coeffs)
-        )
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, ModPPoly):
+            return NotImplemented
+        same = (self.n, self.degree, self.prime) == (other.n, other.degree, other.prime)
+        return same and np.array_equal(self.coeffs, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.n, self.degree, self.prime, self.coeffs.tobytes()))
 
     @classmethod
     def from_monomial_dict(cls, n, degree, terms, prime=modp.DEFAULT_PRIME):
-        """Build from {exponent tuple: coefficient}. Raises ValueError
-        for a monomial of another length or degree, or with a negative
-        exponent."""
-        coeffs = [0] * monomial_count(n, degree)
+        """Build from {exponent tuple: coefficient}, each coefficient
+        reduced mod p first. Raises ValueError for a monomial of another
+        length or degree, or with a negative exponent."""
+        coeffs = np.zeros(monomial_count(n, degree), dtype=np.int64)
         index = lex_rank(exponent_array(terms, n, degree))
-        for i, c in zip(index.tolist(), terms.values()):
-            coeffs[i] = c % prime
-        return cls(n, degree, tuple(coeffs), prime)
+        coeffs[index] = [c % prime for c in terms.values()]
+        return cls(n, degree, coeffs, prime)
 
 
 @dataclass(frozen=True)
@@ -121,9 +133,8 @@ def random_form(n, d, rng, prime=modp.DEFAULT_PRIME) -> ModPPoly:
     """Every coefficient drawn independently and uniformly from [0, p)."""
     if d < 1:
         raise ValueError("form degree must be >= 1")
-    count = monomial_count(n, d)
-    coeffs = rng.integers(0, prime, size=count, dtype=np.int64)
-    return ModPPoly(n, d, tuple(int(c) for c in coeffs), prime)
+    coeffs = rng.integers(0, prime, size=monomial_count(n, d), dtype=np.int64)
+    return ModPPoly(n, d, coeffs, prime)
 
 
 def multiply(f: ModPPoly, g: ModPPoly) -> ModPPoly:
@@ -133,8 +144,8 @@ def multiply(f: ModPPoly, g: ModPPoly) -> ModPPoly:
     coefficient counts; checked, raising OverflowError)."""
     if f.n != g.n or f.prime != g.prime:
         raise ValueError("operands must share n and prime")
-    rows = _products(_coeff_rows([f]), _coeff_rows([g]), f.n, f.degree, g.degree, f.prime)
-    return ModPPoly(f.n, f.degree + g.degree, tuple(rows[0].tolist()), f.prime)
+    rows = _products(f.coeffs[None], g.coeffs[None], f.n, f.degree, g.degree, f.prime)
+    return ModPPoly(f.n, f.degree + g.degree, rows[0], f.prime)
 
 
 def power(f: ModPPoly | FormFamily, m: int):
@@ -156,13 +167,9 @@ def power(f: ModPPoly | FormFamily, m: int):
     if len(degrees) != 1:
         raise ValueError(f"power needs forms of one degree, got {sorted(degrees)}")
     (d,) = degrees
-    rows = _power_rows(_coeff_rows(f.forms), f.n, d, m, f.prime)
-    forms = tuple(ModPPoly(f.n, d * m, tuple(row), f.prime) for row in rows.tolist())
+    rows = _power_rows(np.stack([g.coeffs for g in f.forms]), f.n, d, m, f.prime)
+    forms = tuple(ModPPoly(f.n, d * m, row, f.prime) for row in rows)
     return FormFamily(f.n, forms, f.prime, f.seed)
-
-
-def _coeff_rows(forms) -> np.ndarray:
-    return np.array([g.coeffs for g in forms], dtype=np.int64)
 
 
 def _power_rows(rows: np.ndarray, n: int, d: int, m: int, p: int) -> np.ndarray:
@@ -255,8 +262,7 @@ def macaulay_rows(form: ModPPoly, e: int, x1_free: bool = False) -> np.ndarray:
         return np.zeros((0, monomial_count(n, e)), dtype=np.int64)
     t = _scatter_table(n, form.degree, e, x1_free)
     block = np.zeros((t.shape[0], monomial_count(n, e)), dtype=np.int64)
-    coeffs = np.array(form.coeffs, dtype=np.int64)
-    block[np.arange(t.shape[0])[:, None], t] = coeffs[None, :]
+    block[np.arange(t.shape[0])[:, None], t] = form.coeffs
     return block
 
 

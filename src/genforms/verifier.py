@@ -30,7 +30,7 @@ from .macaulay import (
     power,
     quotient_series_with_stats,
 )
-from .monomials import monomial_count, rank as monomial_rank
+from .monomials import monomial_count
 from .series import (
     DEFAULT_CAP,
     DegreeList,
@@ -173,15 +173,13 @@ def _implied_stats(spec: CaseSpec, coeffs) -> tuple[DegreeStat, ...]:
 def default_family(spec: CaseSpec, seed: int) -> FormFamily:
     """k random degree-d forms, each raised to the m-th power, all k in
     one batched `power` call."""
-    base = FormFamily.random(spec.n, spec.d, spec.k, seed, spec.prime)
-    return base if spec.m == 1 else power(base, spec.m)
+    return power(FormFamily.random(spec.n, spec.d, spec.k, seed, spec.prime), spec.m)
 
 
 def degenerate_family(spec: CaseSpec, seed: int) -> FormFamily:
     """k copies of one form: a guaranteed non-generic specialization,
     used to regression-test that the verifier never reports false wins."""
-    base = FormFamily.random(spec.n, spec.d, 1, seed, spec.prime)
-    f = power(base.forms[0], spec.m) if spec.m > 1 else base.forms[0]
+    (f,) = power(FormFamily.random(spec.n, spec.d, 1, seed, spec.prime), spec.m).forms
     return FormFamily(spec.n, (f,) * spec.k, spec.prime, seed)
 
 
@@ -356,18 +354,12 @@ def certified_ks(records, witnesses) -> set[int]:
     return ks
 
 
-def estimated_max_entries(n, md, k, trunc) -> int:
-    """Largest Macaulay matrix (in entries) a case is expected to build,
-    assuming the computation terminates where the conjectured series does."""
-    conjectured = conjectured_series(DegreeList(n, (md,) * k), trunc)
-    try:
-        last = conjectured.coeffs.index(0)
-    except ValueError:
-        last = trunc
-    worst = 0
-    for e in range(md, last + 1):
-        worst = max(worst, _rows(n, md, k, e) * monomial_count(n, e))
-    return worst
+def estimated_max_entries(spec: CaseSpec) -> int:
+    """Largest Macaulay matrix (in entries) a case is expected to build:
+    the largest of the shapes `_implied_stats` gives for its conjectured
+    series at spec.trunc, which must be set."""
+    conjectured = conjectured_series(spec.degree_list, spec.trunc).coeffs
+    return max(st.rows * st.cols for st in _implied_stats(spec, conjectured))
 
 
 def plan_sweep(
@@ -403,7 +395,7 @@ def plan_sweep(
 
     def add_case(k) -> bool:
         spec = make(k)
-        worst = estimated_max_entries(n, md, k, spec.trunc)
+        worst = estimated_max_entries(spec)
         if worst > budget:
             skipped.append((spec, f"estimated {worst} matrix entries over budget"))
             return False
@@ -509,9 +501,7 @@ def compare_pure_power_mix(
     pure = []
     for i in range(n):
         mono = tuple(d if j == i else 0 for j in range(n))
-        coeffs = [0] * monomial_count(n, d)
-        coeffs[monomial_rank(mono)] = 1
-        pure.append(ModPPoly(n, d, tuple(coeffs), prime))
+        pure.append(ModPPoly.from_monomial_dict(n, d, {mono: 1}, prime))
     mixed = FormFamily(n, tuple(pure) + family.forms[n:], prime, seed)
 
     series_a, _ = quotient_series_with_stats(family, trunc, budget=budget)

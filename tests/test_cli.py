@@ -58,6 +58,17 @@ def test_series_dmk_form(capsys):
     assert json.loads(out.splitlines()[1]) == [1, 3, 2, 0, 0]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--d", "2", "--m", "0", "--k", "4"),
+    ("--deg", "2x-1"),
+], ids=["m-zero", "negative-count"])
+def test_series_rejects_bad_generators(capsys, argv):
+    code, out, err = run(capsys, "series", "--n", "3", *argv)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_and_cache_round_trip(tmp_path, capsys):
     cache = str(tmp_path / "records.jsonl")
     code, out, _ = run(
@@ -319,6 +330,16 @@ def test_search_found_and_not_found(capsys):
     )
     assert code == EXIT_NOT_ATTAINED
     assert out.startswith("none")
+
+
+@pytest.mark.parametrize("flags", [(), ("--unpruned",)], ids=["pruned", "unpruned"])
+def test_search_over_its_budget_exits_3(capsys, flags):
+    code, out, err = run(
+        capsys, "search", "--n", "4", "--d", "2", "--k", "6", "--search-budget", "10", *flags
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and "exceed budget 10" in err
 
 
 def test_compare_command(capsys):

@@ -67,6 +67,35 @@ def test_two_draws_differ():
     assert random_form(3, 2, rng) != random_form(3, 2, rng)
 
 
+def test_coefficients_are_reduced_into_the_field():
+    f = ModPPoly(2, 1, (-1, P + 3), P)
+    assert f.coeffs.dtype == np.int64
+    assert f.coeffs.tolist() == [P - 1, 3]
+    assert ModPPoly(2, 1, (-2 * P, 5 * P - 2), P) == ModPPoly(2, 1, (0, P - 2), P)
+
+
+def test_coefficients_are_read_only():
+    f = random_form(3, 2, np.random.default_rng(0))
+    assert not f.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        f.coeffs[0] = 1
+
+
+@pytest.mark.parametrize("coeffs", [(1, 2), (1, 2, 3, 4), np.ones((1, 3), dtype=np.int64)],
+                         ids=["short", "long", "2-D"])
+def test_coefficients_of_another_shape_are_refused(coeffs):
+    with pytest.raises(ValueError):
+        ModPPoly(2, 2, coeffs)
+
+
+def test_a_form_from_a_tuple_equals_the_form_from_an_array():
+    a = ModPPoly(3, 1, (4, 5, 6))
+    b = ModPPoly(3, 1, np.array([4, 5, 6]))
+    assert a == b and hash(a) == hash(b)
+    assert a != ModPPoly(3, 1, (4, 5, 7))
+    assert a != ModPPoly(3, 1, (4, 5, 6), 101)
+
+
 def test_multiply_difference_of_squares():
     f = form(2, {(1, 0): 1, (0, 1): 1})
     g = form(2, {(1, 0): 1, (0, 1): P - 1})

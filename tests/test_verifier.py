@@ -1,10 +1,12 @@
 """Tests for case verification, the interval engine, and sweep planning."""
 
 import dataclasses
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import genforms
@@ -19,6 +21,7 @@ from genforms.verifier import (
     VerificationRecord,
     certified_ks,
     compare_pure_power_mix,
+    default_family,
     degenerate_family,
     plan_sweep,
     resolve_truncation,
@@ -129,6 +132,14 @@ _OLD_PRIME_RECORDS = (
                [4, 15, 15, 14], [5, 30, 21, 21]],
      "seeds_tried": [0, 1, 2], "version": "0.1.0"},
 )
+
+
+def test_default_family_replays_its_coefficients():
+    """The first 16 hex digits of the SHA-256 of the (4,2,4) k=5 family at
+    seed 0 and the default prime, as little-endian int64, forms in order."""
+    family = default_family(CaseSpec(4, 2, 4, 5), 0)
+    coeffs = np.stack([f.coeffs for f in family.forms]).astype("<i8")
+    assert hashlib.sha256(coeffs.tobytes()).hexdigest()[:16] == "e441e37d3cd73bf2"
 
 
 @pytest.mark.parametrize("pinned", _OLD_PRIME_RECORDS, ids=lambda r: str(r["k"]))
@@ -246,6 +257,18 @@ def test_plan_sweep_plans_intervals_only_between_planned_cases():
     plan = plan_sweep(3, 2, 2, 4, 15, budget=300)
     assert [c.k for c in plan.cases] == [15]
     assert plan.intervals == ()
+
+
+@pytest.mark.parametrize("n, d, m, k, entries", [
+    (4, 3, 3, 4, 83538000), (4, 2, 4, 4, 40156160), (5, 2, 2, 5, 44089500),
+])
+def test_plan_sweep_skips_at_pinned_estimates(n, d, m, k, entries):
+    """The entry estimates at the default budget, pinned as the degree
+    walk up to the first zero of the conjectured series gave them."""
+    plan = plan_sweep(n, d, m, 1, 6)
+    assert [(spec.k, reason) for spec, reason in plan.skipped] == [
+        (k, f"estimated {entries} matrix entries over budget")
+    ]
 
 
 def test_plan_sweep_range_validation():
