@@ -13,9 +13,11 @@ times two things: a cold build of every scatter table that the five
 table's shape checked), and the build of one powered family at
 p = 2^31 - 1 by `default_family` (the draw, the forms and the batched
 powering), checked against a pinned checksum of its coefficients. The
-script prints one JSON line with the timings and the numpy version, the
-BLAS library and the core count. It exits 1 if a shape, a rank or the
-checksum is off.
+frontier field times one cold `verify_case` (caches cleared first) of
+each of four large cases, with its verdict. The script prints one JSON
+line with the timings and the numpy version, the BLAS library and the
+core count. It exits 1 if a shape, a rank or the checksum is off, or if a
+frontier case is not Verified.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_kernel.py
@@ -31,9 +33,9 @@ import time
 import numpy as np
 
 from genforms import macaulay
-from genforms.macaulay import _x1_free_count, ideal_dimension_at_degree, macaulay_shape
-from genforms.monomials import monomial_count
-from genforms.verifier import CaseSpec, default_family
+from genforms.macaulay import ideal_dimension_at_degree, macaulay_shape
+from genforms.monomials import enumerate_monomials, monomial_count
+from genforms.verifier import VERIFIED, CaseSpec, case_truncation, default_family, verify_case
 
 SEED = 0
 REPEATS = 5
@@ -46,15 +48,22 @@ CASES = (
 # (n, d, m, k, first degree, rank of each degree from the first on)
 CHAIN = (4, 2, 4, 5, 15, (600, 815, 1060, 1330))
 
-# (n, source degree, degree, x1_free) of every scatter table that
-# verify_case builds for (4,2,2,5) (4,2,3,5) (4,3,2,5) (5,2,2,6) (4,2,4,5)
+# (n, source degree, degree, x1_free, bounds) of every scatter table that
+# verify_case builds for (4,2,2,5) (4,2,3,5) (4,3,2,5) (5,2,2,6) (4,2,4,5):
+# the powering products (bounds None), then the one random form's Macaulay
+# rows at the pure-power point, over the monomials standard for
+# x_1^{md}, ..., x_n^{md} (bounds (md,) * n).
+_B4, _B6, _B8 = (4,) * 4, (6,) * 4, (8,) * 4
 TABLES = (
-    (4, 2, 4, False), (4, 3, 6, False), (4, 4, 6, False), (4, 4, 7, False),
-    (4, 4, 8, False), (4, 4, 8, True), (4, 6, 11, False), (4, 6, 12, True),
-    (4, 6, 13, True), (4, 8, 15, False), (4, 8, 16, True), (4, 8, 17, True),
-    (4, 8, 18, True), (5, 2, 4, False), (5, 4, 7, False), (5, 4, 8, True),
-    (5, 4, 9, True), (5, 4, 10, True),
+    (4, 2, 4, False, None), (4, 3, 6, False, None), (4, 4, 6, False, None),
+    (4, 4, 8, False, None), (5, 2, 4, False, None),
+    (4, 4, 4, False, _B4), *((4, 4, e, True, _B4) for e in range(5, 9)),
+    (4, 6, 6, False, _B6), *((4, 6, e, True, _B6) for e in range(7, 14)),
+    (4, 8, 8, False, _B8), *((4, 8, e, True, _B8) for e in range(9, 19)),
+    (5, 4, 4, False, (4,) * 5), *((5, 4, e, True, (4,) * 5) for e in range(5, 11)),
 )
+# (n, d, m, k) of the frontier cases, each verified cold by verify_case
+FRONTIER = ((4, 3, 3, 5), (4, 2, 5, 5), (5, 2, 3, 6), (6, 2, 2, 7))
 # (n, d, m, k, prime) of the powered family, and the first 16 hex digits
 # of the SHA-256 of its coefficients as little-endian int64, forms in
 # order. The prime is named, not the default, so the checksum stays valid
@@ -105,22 +114,53 @@ def time_chain(chain=CHAIN, repeats=REPEATS) -> dict:
     }
 
 
+def _clear_caches():
+    """Empty the lru_caches, as in a fresh process."""
+    for cached in (macaulay._scatter_table, macaulay._standard, macaulay._standard_exponents,
+                   macaulay._exponents, macaulay.enumerate_monomials, case_truncation):
+        cached.cache_clear()
+
+
+def _table_rows(n, dg, e, x1_free, bounds) -> int:
+    """Multipliers of a table: the degree-(e - dg) monomials, only the
+    standard ones under bounds, only the x_1-free ones with x1_free."""
+    return sum(
+        1 for u in enumerate_monomials(n, e - dg)
+        if (bounds is None or all(x < b for x, b in zip(u, bounds)))
+        and not (x1_free and u[0])
+    )
+
+
 def time_tables(tables=TABLES, repeats=REPEATS) -> float:
     """Median seconds of `repeats` cold builds of every table, the
     caches cleared before each build as in a fresh process."""
     times = []
     for _ in range(repeats):
-        for cached in (macaulay._scatter_table, macaulay._exponents,
-                       macaulay.enumerate_monomials):
-            cached.cache_clear()
+        _clear_caches()
         start = time.perf_counter()
         built = [macaulay._scatter_table(*key) for key in tables]
         times.append(time.perf_counter() - start)
-        for (n, dg, e, x1_free), table in zip(tables, built):
-            rows = _x1_free_count(n, e - dg) if x1_free else monomial_count(n, e - dg)
-            if table.shape != (rows, monomial_count(n, dg)):
-                raise WrongResult(f"table {(n, dg, e, x1_free)}: shape {table.shape}")
+        for key, table in zip(tables, built):
+            n, dg = key[:2]
+            if table.shape != (_table_rows(*key), monomial_count(n, dg)):
+                raise WrongResult(f"table {key}: shape {table.shape}")
     return statistics.median(times)
+
+
+def time_frontier(cases=FRONTIER) -> list:
+    """Seconds and verdict of one cold verify_case per frontier case.
+    Raises WrongResult unless every case is Verified."""
+    results = []
+    for case in cases:
+        _clear_caches()
+        start = time.perf_counter()
+        record = verify_case(CaseSpec(*case, seed=SEED))
+        seconds = time.perf_counter() - start
+        results.append({"case": list(case), "cold_s": seconds, "verdict": record.verdict})
+    missed = [r["case"] for r in results if r["verdict"] != VERIFIED]
+    if missed:
+        raise WrongResult(f"frontier cases not Verified: {missed}")
+    return results
 
 
 def time_power(case=POWERED, repeats=REPEATS) -> float:
@@ -167,11 +207,13 @@ def main() -> int:
         results = [time_case(case) for case in CASES]
         chain = time_chain()
         assembly = time_assembly()
+        frontier = time_frontier()
     except WrongResult as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps({"seed": SEED, "repeats": REPEATS, **environment(),
-                      "cases": results, "chain": chain, "assembly": assembly}))
+                      "cases": results, "chain": chain, "assembly": assembly,
+                      "frontier": frontier}))
     return 0
 
 

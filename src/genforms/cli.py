@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: series, verify, sweep, construct, search, table, compare.
+Subcommands: series, verify, sweep, construct, search, table.
 Verification records are emitted as JSON lines; an append-only cache file
 lets repeated invocations skip the linear algebra entirely.
 
@@ -167,6 +167,8 @@ def cmd_series(args, cfg):
     if args.deg:
         degrees = parse_degrees(args.deg)
     elif args.d is not None and args.k is not None:
+        if args.k < 0:
+            raise ValueError(f"negative generator count --k {args.k}")
         degrees = (args.d * args.m,) * args.k
     else:
         print("error: provide --deg or both --d and --k", file=sys.stderr)
@@ -315,22 +317,6 @@ def cmd_table(args, cfg):
     return worst
 
 
-def cmd_compare(args, cfg):
-    rec = verifier.compare_pure_power_mix(
-        args.n, args.d, args.k, seed=cfg.seed, prime=cfg.prime, cap=cfg.cap,
-        budget=cfg.budget,
-    )
-    print(
-        json.dumps({
-            "n": rec.n, "d": rec.d, "k": rec.k, "seed": rec.seed, "prime": rec.prime,
-            "random": list(rec.series_random.coeffs),
-            "mixed": list(rec.series_mixed.coeffs),
-            "equal": rec.equal,
-        })
-    )
-    return EXIT_OK
-
-
 # --------------------------------------------------------------- parser
 
 def build_parser() -> _Parser:
@@ -389,12 +375,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("table", help="reproduce the verified-cases table")
     p.add_argument("--budget", choices=["small", "full"], default="small")
     p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("compare", help="experimental pure-power substitution check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 

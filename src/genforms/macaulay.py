@@ -7,16 +7,35 @@ a family of forms is spanned by monomial multiples of the generators; its
 dimension is the rank of the Macaulay matrix whose rows are those
 multiples, computed over Z/p.
 
+Pure powers are divided out in closed form. Let a_i be the least a such
+that some c*x_i^a (c != 0) is in the family, J the monomial ideal of
+those x_i^{a_i}, and call a monomial standard when every exponent e_i is
+below a_i (no bound for a variable with no pure power). The standard
+monomials of degree e are a basis of (R/J)_e, and the family's other
+forms h meet it in the span of the rows u*h for standard multipliers u,
+cut down to the standard columns (u*h lies in J for any other u). So
+
+    dim I_e = #{degree-e monomials that are not standard} + rank,
+
+the rank that of those rows over the standard columns only. A family
+with no pure powers has every monomial standard, and this is the whole
+Macaulay matrix.
+
 Every degree is eliminated, once, and consecutive degrees share work.
-For e >= 1, I_e = x_1 I_{e-1} + span{u*g : x_1 does not divide u}, since
-a row u*g with x_1 | u lies in x_1 I_{e-1}. In the lex order x_1 comes
-first, so x_1 times the j-th degree-(e-1) monomial is the j-th degree-e
-monomial, and the monomials free of x_1 are the last ones. The reduced
-echelon basis of I_{e-1}, padded with zero columns, is therefore already
-a reduced echelon basis of x_1 I_{e-1}, found with no arithmetic. It
-seeds degree e's elimination, and only the x_1-free rows are fed on top
-of it: for (4,2,4) k=5 at degree 18, 330 of the 1430 rows. So a seeded
-degree costs little, and every rank reported is computed.
+With B_e the image of I_e in (R/J)_e, for e >= 1
+B_e = x_1 B_{e-1} + span{u*h : u standard, x_1 does not divide u}, since
+u*h = x_1 (u/x_1 * h) when x_1 | u. In the lex order x_1 comes first:
+the standard monomials of degree e - 1 that x_1 kills (x_1-exponent
+a_1 - 1) are a prefix of degree e - 1's standard columns, x_1 maps the
+others in order onto the first standard columns of degree e, and the
+standard monomials free of x_1 are the last ones. The reduced echelon
+basis of B_{e-1} with that prefix dropped, padded with zero columns, is
+therefore a reduced echelon basis of part of x_1 B_{e-1}, found with no
+arithmetic. It seeds degree e's elimination. The basis rows whose pivot
+fell in the prefix (already zero at every other pivot) are fed again,
+then the x_1-free standard rows: for (4,2,4) k=5 at degree 18 with no
+pure powers, no row is fed again and 330 of the 1430 rows are. So a
+seeded degree costs little, and every rank reported is computed.
 
 Why a random prime-field point says anything about generic forms: the
 rank of the Macaulay matrix at any specialization is at most the generic
@@ -32,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain as chained
 
 import numpy as np
 
@@ -233,10 +253,44 @@ def _exponents(n: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _scatter_table(n: int, dg: int, e: int, x1_free: bool) -> np.ndarray:
+def _standard_exponents(n: int, e: int, bounds: tuple[int, ...]) -> np.ndarray:
+    """Exponent vectors of the degree-e standard monomials, those with
+    every exponent e_i < bounds[i], in lex order: built bound by bound,
+    so the monomials that are not standard are never listed."""
+    if n == 0:
+        return np.zeros((int(e == 0), 0), dtype=np.int64)
+    parts = []
+    for a in range(min(e, bounds[0] - 1), -1, -1):
+        rest = _standard_exponents(n - 1, e - a, _bounds_at(bounds[1:], e - a))
+        parts.append(np.hstack([np.full((len(rest), 1), a, dtype=np.int64), rest]))
+    exps = np.vstack(parts) if parts else np.zeros((0, n), dtype=np.int64)
+    exps.flags.writeable = False
+    return exps
+
+
+@lru_cache(maxsize=None)
+def _standard(n: int, e: int, bounds: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """(column, count) of the degree-e standard monomials: column[j] is
+    the index of the j-th degree-e monomial among the standard ones, in
+    lex order, or count for a monomial that is not standard."""
+    standard = _standard_exponents(n, e, bounds)
+    count = len(standard)
+    column = np.full(monomial_count(n, e), count, dtype=np.intp)
+    column[lex_rank(standard)] = np.arange(count)
+    column.flags.writeable = False
+    return column, count
+
+
+@lru_cache(maxsize=None)
+def _scatter_table(n: int, dg: int, e: int, x1_free: bool, bounds=None) -> np.ndarray:
     """Index matrix T with T[i, j] = rank(multiplier_i * monomial_j) in
     degree e, for multipliers of degree e - dg (with x1_free, only those
     not divisible by x_1) and source monomials of degree dg.
+
+    With bounds, a tuple of n exponent bounds, only the standard
+    multipliers are kept (every exponent e_i < bounds[i]), and T[i, j] is
+    the product's column among the standard monomials of degree e, or
+    their count when it is not standard (see `_standard`).
 
     Built by one broadcast `lex_rank(U[:, None, :] + V[None, :, :])` over
     the exponent arrays U of the multipliers and V of the sources. The
@@ -245,31 +299,84 @@ def _scatter_table(n: int, dg: int, e: int, x1_free: bool) -> np.ndarray:
     r_i the degree left after the first i exponents (a negative degree
     counts 0), so no monomial is looked up.
     """
-    mult = _exponents(n, e - dg)
+    if bounds is None:
+        mult = _exponents(n, e - dg)
+    else:
+        mult = _standard_exponents(n, e - dg, _bounds_at(bounds, e - dg))
     if x1_free:
-        mult = mult[len(mult) - _x1_free_count(n, e - dg) :]
+        mult = mult[mult[:, 0] == 0]
     table = lex_rank(mult[:, None, :] + _exponents(n, dg)[None, :, :])
+    if bounds is not None:
+        table = _standard(n, e, bounds)[0][table]
     table.flags.writeable = False
     return table
 
 
-def macaulay_rows(form: ModPPoly, e: int, x1_free: bool = False) -> np.ndarray:
+def macaulay_rows(form: ModPPoly, e: int, x1_free: bool = False, bounds=None) -> np.ndarray:
     """Rows of the degree-e Macaulay matrix contributed by one form:
     all monomial multiples of degree e - deg(form), or with x1_free only
-    the multiples u*form with x_1 not dividing u, which come last."""
+    the multiples u*form with x_1 not dividing u, which come last. With
+    bounds, only the standard multiples and columns (see `_scatter_table`)."""
     n = form.n
+    cols = monomial_count(n, e) if bounds is None else _standard(n, e, bounds)[1]
     if e < form.degree:
-        return np.zeros((0, monomial_count(n, e)), dtype=np.int64)
-    t = _scatter_table(n, form.degree, e, x1_free)
-    block = np.zeros((t.shape[0], monomial_count(n, e)), dtype=np.int64)
+        return np.zeros((0, cols), dtype=np.int64)
+    t = _scatter_table(n, form.degree, e, x1_free, bounds)
+    # products outside the standard columns land in one extra column
+    block = np.zeros((t.shape[0], cols + 1), dtype=np.int64)
     block[np.arange(t.shape[0])[:, None], t] = form.coeffs
-    return block
+    return block[:, :cols]
 
 
-def _x1_free_count(n: int, e: int) -> int:
-    """Degree-e monomials not divisible by x_1: the last ones in lex
-    order, after x_1 times each degree-(e - 1) monomial."""
-    return monomial_count(n, e) - (monomial_count(n, e - 1) if e else 0)
+def pure_powers(family: FormFamily) -> tuple[tuple[int | None, ...], tuple[ModPPoly, ...]]:
+    """(least, others): least[i] is the least a >= 1 such that some
+    c*x_i^a with c != 0 is in the family, or None; others are the forms
+    that are not such a pure power, in family order."""
+    least = [None] * family.n
+    others = []
+    for f in family.forms:
+        support = np.flatnonzero(f.coeffs)
+        if f.degree >= 1 and support.size == 1:
+            exps = _exponents(f.n, f.degree)[support[0]]
+            i = int(exps.argmax())
+            if exps[i] == f.degree:
+                least[i] = f.degree if least[i] is None else min(least[i], f.degree)
+                continue
+        others.append(f)
+    return tuple(least), tuple(others)
+
+
+def _bounds_at(least, e: int) -> tuple[int, ...]:
+    """The exponent bounds of degree e: each of least capped at e + 1,
+    which bounds nothing in degree e, as does None. Capping makes equal
+    bounds of one degree one cache key."""
+    return tuple(e + 1 if a is None else min(a, e + 1) for a in least)
+
+
+def _x1_seed(basis: modp.Echelon, n: int, e: int, least):
+    """x_1 times degree e - 1's basis, as degree e's seed and a list of
+    the blocks of rows to feed again (see the module docstring).
+
+    The seed is the basis with its first `prefix` columns dropped, the
+    standard monomials of degree e - 1 that x_1 kills: rows whose pivot
+    lies there are left out of it and returned, over degree e's standard
+    columns, to be fed again.
+    """
+    pivots, free, block = basis
+    below = _bounds_at(least, e - 1)
+    width, standard = pivots.size + free.size, _standard(n, e - 1, below)[1]
+    if width != standard:
+        raise SoundnessError(f"degree-{e - 1} seed has {width} columns, not {standard}")
+    bounds = _bounds_at(least, e)
+    prefix = int((_standard_exponents(n, e - 1, below)[:, 0] == bounds[0] - 1).sum())
+    if not prefix:
+        return basis, []
+    lost = pivots < prefix
+    kept = free >= prefix
+    tails = block[:, kept]
+    again = np.zeros((int(lost.sum()), _standard(n, e, bounds)[1]), dtype=np.int64)
+    again[:, free[kept] - prefix] = tails[lost]
+    return (pivots[~lost] - prefix, free[kept] - prefix, tails[~lost]), [again]
 
 
 def macaulay_shape(family: FormFamily, e: int) -> tuple[int, int]:
@@ -287,44 +394,45 @@ def ideal_dimension_at_degree(
 ) -> int:
     """dim of the degree-e graded piece of the ideal generated by the family.
 
-    Streams the generators' blocks of Macaulay rows, built lazily one
-    generator at a time, into one `modp.RowReducer` (`add_blocks`, which
-    merges them in groups of at most `modp.CHUNK` rows into a reduced
-    echelon basis). Once the ideal has full column rank no further block
-    is built.
+    The family's pure powers are divided out in closed form: the result
+    is the count of degree-e monomials that are not standard plus the
+    rank of the other forms' rows over the standard columns (see the
+    module docstring). Those rows stream, built lazily one generator at a
+    time, into one `modp.RowReducer` (`add_blocks`, which merges them in
+    groups of at most `modp.CHUNK` rows into a reduced echelon basis).
+    Once the rows have full column rank no further block is built.
 
     chain, if given, is a dict that one family's calls share across
     degrees: it maps the last degree eliminated with it to that degree's
     basis. If that degree is e - 1, x_1 times its basis seeds the reducer
-    and only the rows u*g with x_1 not dividing u are fed (see the module
-    docstring). On return it maps e to degree e's basis, and nothing else.
+    and only its rows that x_1 moved off the seed and the rows u*h with
+    x_1 not dividing u are fed (see the module docstring). On return it
+    maps e to degree e's basis, and nothing else.
     """
     bases = {} if chain is None else chain
     seed = bases.pop(e - 1, None)
     bases.clear()
     if e < 0:
         return 0
-    cols = monomial_count(family.n, e)
-    rows_total, _ = macaulay_shape(family, e)
+    rows_total, total = macaulay_shape(family, e)
     if rows_total == 0:
         return 0
+    least, others = pure_powers(family)
+    bounds = _bounds_at(least, e)
+    cols = _standard(family.n, e, bounds)[1]
+    again = []
     if seed is not None:
-        width = seed[0].size + seed[1].size
-        below = monomial_count(family.n, e - 1) if e else 0
-        if width != below:
-            raise SoundnessError(
-                f"degree-{e - 1} seed has {width} columns, not {below}"
-            )
+        seed, again = _x1_seed(seed, family.n, e, least)
     reducer = modp.RowReducer(cols, family.prime, seed)
     x1_free = seed is not None
     del seed  # the reducer holds x_1 times it; keep one basis alive
-    reducer.add_blocks(
-        macaulay_rows(form, e, x1_free) for form in family.forms if form.degree <= e
-    )
-    dim = reducer.rank
-    if dim > rows_total or dim > cols:
+    reducer.add_blocks(chained(again, (
+        macaulay_rows(form, e, x1_free, bounds) for form in others if form.degree <= e
+    )))
+    dim = total - cols + reducer.rank
+    if dim > rows_total or dim > total:
         raise SoundnessError(
-            f"degree-{e} rank {dim} exceeds the {rows_total}x{cols} matrix"
+            f"degree-{e} rank {dim} exceeds the {rows_total}x{total} matrix"
         )
     bases[e] = reducer.echelon
     return dim

@@ -1,11 +1,14 @@
 """Case-by-case conjecture verification.
 
-A case (n, d, m, k) is Verified when the quotient by k random degree-d
-forms raised to the m-th power matches the conjectured ceiling series for
+A case (n, d, m, k) is Verified when the quotient by the m-th powers of
+k degree-d forms at one point matches the conjectured ceiling series for
 k generic forms of degree m*d. By semicontinuity this match certifies the
-generic case (see macaulay module docstring). A mismatch is never a
-disproof: the random point may be non-generic mod p, so failed trials are
-retried with fresh seeds and the final verdict is NotAttained, not false.
+generic case (see macaulay module docstring). The first point tried is
+the pure-power one, x_i^d for i <= min(k, n) and random forms after
+them, whose powers x_i^{md} the quotient divides out in closed form;
+then random points. A mismatch is never a disproof: the point may be
+non-generic mod p, so failed trials are retried with fresh seeds and the
+final verdict is NotAttained, not false.
 
 The interval engine replays the sandwich deduction from two records of
 one (n, d, m): a verified low endpoint makes the ideal surjective from
@@ -26,6 +29,7 @@ from .macaulay import (
     DegreeStat,
     FormFamily,
     ModPPoly,
+    ResourceLimit,
     SoundnessError,
     power,
     quotient_series_with_stats,
@@ -176,6 +180,23 @@ def default_family(spec: CaseSpec, seed: int) -> FormFamily:
     return power(FormFamily.random(spec.n, spec.d, spec.k, seed, spec.prime), spec.m)
 
 
+def pure_power_family(spec: CaseSpec, seed: int) -> FormFamily:
+    """The pure-power point: x_i^d for i <= min(k, n), then draws
+    min(k, n)+1..k of `FormFamily.random(n, d, k, seed)`, so the same
+    draws as `default_family`'s; all k raised to the m-th power in one
+    batched `power` call."""
+    n, d = spec.n, spec.d
+    pure = min(spec.k, n)
+    drawn = FormFamily.random(n, d, spec.k, seed, spec.prime)
+    forms = tuple(
+        ModPPoly.from_monomial_dict(
+            n, d, {tuple(d * (j == i) for j in range(n)): 1}, spec.prime
+        )
+        for i in range(pure)
+    )
+    return power(FormFamily(n, forms + drawn.forms[pure:], spec.prime, seed), spec.m)
+
+
 def degenerate_family(spec: CaseSpec, seed: int) -> FormFamily:
     """k copies of one form: a guaranteed non-generic specialization,
     used to regression-test that the verifier never reports false wins."""
@@ -203,13 +224,39 @@ def resolve_truncation(spec: CaseSpec, cap: int = DEFAULT_CAP) -> int:
     return case_truncation(spec.n, spec.effective_degree, spec.k, cap)
 
 
+def _at_pure_powers(spec, trunc, conjectured, budget):
+    """(computed, stats) at `pure_power_family(spec, spec.seed)` if its
+    series is the conjectured one, else None: also when it meets the
+    budget, which the random trials then meet or not as they would have."""
+    family = pure_power_family(spec, spec.seed)
+    try:
+        computed, stats = quotient_series_with_stats(family, trunc, budget=budget)
+    except ResourceLimit:
+        return None
+    if lex_compare(computed, conjectured) is not Ordering.EQUAL:
+        return None
+    return computed, tuple(stats)
+
+
 def verify_case(
     spec: CaseSpec,
     cap: int = DEFAULT_CAP,
     budget: int = DEFAULT_BUDGET,
     family_builder=None,
 ) -> VerificationRecord:
-    """Run one case, retrying with fresh seeds on mismatch.
+    """Run one case: first at the pure-power point, then at random
+    points, retrying with fresh seeds on mismatch.
+
+    With the default builder the first attempt is `pure_power_family` at
+    spec.seed: m-th powers of x_1^d, ..., x_min(k,n)^d and of the other
+    draws. It lies in the family of m-th powers of degree-d forms, so the
+    sandwich certifies it like any other point, and its pure powers are
+    divided out in closed form (`macaulay`); for k <= n nothing is left to
+    eliminate. If it attains, the record is Verified with seeds_tried
+    (spec.seed,). Otherwise, or if it meets the budget, it is discarded
+    and the random trials run as if it had not been tried, so a
+    NotAttained record never depends on it. A given family_builder (for
+    example `degenerate_family`) skips it.
 
     A random specialization can be unlucky; only after `trials` failures
     is the verdict NotAttained, with every seed recorded.
@@ -223,15 +270,20 @@ def verify_case(
     computed = None
     stats = ()
     verdict = NOT_ATTAINED
-    for trial in range(spec.trials):
-        seed_t = spec.seed + trial
-        seeds.append(seed_t)
-        family = build(spec, seed_t)
-        computed, stat_list = quotient_series_with_stats(family, trunc, budget=budget)
-        stats = tuple(stat_list)
-        if lex_compare(computed, conjectured) is Ordering.EQUAL:
-            verdict = VERIFIED
-            break
+    attained = None if family_builder else _at_pure_powers(spec, trunc, conjectured, budget)
+    if attained is not None:
+        computed, stats = attained
+        seeds, verdict = [spec.seed], VERIFIED
+    else:
+        for trial in range(spec.trials):
+            seed_t = spec.seed + trial
+            seeds.append(seed_t)
+            family = build(spec, seed_t)
+            computed, stat_list = quotient_series_with_stats(family, trunc, budget=budget)
+            stats = tuple(stat_list)
+            if lex_compare(computed, conjectured) is Ordering.EQUAL:
+                verdict = VERIFIED
+                break
     millis = (time.perf_counter() - start) * 1000.0
     if verdict == VERIFIED and computed.coeffs != conjectured.coeffs:
         raise SoundnessError(
@@ -462,51 +514,3 @@ def suite_k_values(n, d, m, cap=DEFAULT_CAP):
     endpoints = sorted({c.k for c in plan.cases})
     mid = min(endpoints, key=lambda k: abs(k - mid_target))
     return sorted({n + 1, mid, top})
-
-
-@dataclass(frozen=True)
-class MixComparisonRecord:
-    """Outcome of the experimental pure-power substitution comparison.
-
-    Purely observational: this mode never feeds verification verdicts.
-    """
-
-    n: int
-    d: int
-    k: int
-    seed: int
-    prime: int
-    series_random: TruncatedSeries
-    series_mixed: TruncatedSeries
-    equal: bool
-
-
-def compare_pure_power_mix(
-    n: int,
-    d: int,
-    k: int,
-    seed: int = 0,
-    prime: int = modp.DEFAULT_PRIME,
-    trunc: int | None = None,
-    cap: int = DEFAULT_CAP,
-    budget: int = DEFAULT_BUDGET,
-) -> MixComparisonRecord:
-    """Compare (g_1..g_k) with (x_1^d..x_n^d, g_{n+1}..g_k), same draws."""
-    if k < n:
-        raise ValueError("comparison needs k >= n")
-    if trunc is None:
-        trunc = default_truncation(DegreeList(n, (d,) * k), cap)
-    family = FormFamily.random(n, d, k, seed, prime)
-
-    pure = []
-    for i in range(n):
-        mono = tuple(d if j == i else 0 for j in range(n))
-        pure.append(ModPPoly.from_monomial_dict(n, d, {mono: 1}, prime))
-    mixed = FormFamily(n, tuple(pure) + family.forms[n:], prime, seed)
-
-    series_a, _ = quotient_series_with_stats(family, trunc, budget=budget)
-    series_b, _ = quotient_series_with_stats(mixed, trunc, budget=budget)
-    return MixComparisonRecord(
-        n, d, k, seed, prime, series_a, series_b,
-        series_a.coeffs == series_b.coeffs,
-    )

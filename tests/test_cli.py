@@ -61,7 +61,8 @@ def test_series_dmk_form(capsys):
 @pytest.mark.parametrize("argv", [
     ("--d", "2", "--m", "0", "--k", "4"),
     ("--deg", "2x-1"),
-], ids=["m-zero", "negative-count"])
+    ("--d", "2", "--k", "-2", "--trunc", "3"),
+], ids=["m-zero", "negative-count", "negative-k"])
 def test_series_rejects_bad_generators(capsys, argv):
     code, out, err = run(capsys, "series", "--n", "3", *argv)
     assert code == EXIT_ERROR
@@ -276,13 +277,14 @@ def test_verify_eliminates_each_nonempty_degree_once_up_to_the_first_zero(
 
 
 def test_sweep_counts_only_certified_k_as_covered(capsys):
-    # at p = 2 with one trial most cases miss: k = 1, 2 are Verified, the
-    # rest NotAttained and both intervals rejected
+    # at p = 2 with one trial most cases miss: k = 1, 2, 3 are Verified
+    # (k <= n in closed form, at the pure-power point), the rest
+    # NotAttained and both intervals rejected
     code, _, err = run(capsys, "--prime", "2", "--trials", "1",
                        "sweep", "--n", "3", "--d", "2", "--m", "2", "--k-range", "1..15")
     assert code == EXIT_NOT_ATTAINED
-    assert "2/9 direct cases verified, 0 intervals deduced, 2 rejected" in err
-    assert "covered 2/15 values of k" in err
+    assert "3/9 direct cases verified, 0 intervals deduced, 2 rejected" in err
+    assert "covered 3/15 values of k" in err
 
 
 def test_sweep_plans_no_interval_with_an_endpoint_over_budget(capsys):
@@ -340,21 +342,6 @@ def test_search_over_its_budget_exits_3(capsys, flags):
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("error: ") and "exceed budget 10" in err
-
-
-def test_compare_command(capsys):
-    code, out, _ = run(capsys, "compare", "--n", "3", "--d", "2", "--k", "4")
-    assert code == EXIT_OK
-    assert json.loads(out)["equal"] is True
-
-
-def test_compare_honours_the_matrix_budget(capsys):
-    code, out, err = run(
-        capsys, "--matrix-budget", "10", "compare", "--n", "3", "--d", "2", "--k", "4"
-    )
-    assert code == EXIT_ERROR
-    assert out == ""
-    assert err.startswith("error: ") and "over budget 10" in err
 
 
 def test_table_small(capsys):

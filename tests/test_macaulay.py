@@ -18,7 +18,6 @@ from genforms.macaulay import (
     ResourceLimit,
     _products,
     _scatter_table,
-    _x1_free_count,
     first_order_lower_bound,
     hilbert_series_of_quotient,
     ideal_dimension_at_degree,
@@ -26,15 +25,29 @@ from genforms.macaulay import (
     macaulay_shape,
     multiply,
     power,
+    pure_powers,
     quotient_series_with_stats,
     random_form,
 )
+from genforms import modp
 from genforms.modp import DEFAULT_PRIME
-from genforms.monomials import enumerate_monomials, monomial_count, rank as mono_rank
+from genforms.monomials import (
+    MonomialIdeal,
+    enumerate_monomials,
+    monomial_count,
+    quotient_hilbert_function,
+    rank as mono_rank,
+)
 from genforms.series import TruncatedSeries, binomial
 
 P = DEFAULT_PRIME
 PRIMES = (2, 3, 101, 65537, 2**31 - 1)
+
+
+def _x1_free_count(n: int, e: int) -> int:
+    """Degree-e monomials not divisible by x_1: all of them but x_1 times
+    each degree-(e - 1) monomial."""
+    return monomial_count(n, e) - (monomial_count(n, e - 1) if e else 0)
 
 
 def form(n, terms, prime=P):
@@ -42,12 +55,13 @@ def form(n, terms, prime=P):
     return ModPPoly.from_monomial_dict(n, degree, terms, prime)
 
 
+def pure_power(n, i, a, c=1, prime=P):
+    """c * x_i^a, i counted from 0."""
+    return form(n, {tuple(a * (j == i) for j in range(n)): c}, prime)
+
+
 def pure_power_family(n, d, prime=P):
-    forms = []
-    for i in range(n):
-        mono = tuple(d if j == i else 0 for j in range(n))
-        forms.append(form(n, {mono: 1}, prime))
-    return FormFamily(n, tuple(forms), prime)
+    return FormFamily(n, tuple(pure_power(n, i, d, prime=prime) for i in range(n)), prime)
 
 
 def test_random_form_deterministic():
@@ -229,6 +243,28 @@ def test_scatter_table_matches_dict_reference(n):
             assert np.array_equal(free, want[want.shape[0] - free.shape[0] :])
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_bounded_scatter_table_matches_dict_reference(n):
+    """With exponent bounds: the reference table's rows of standard
+    multipliers (every exponent below its bound; with x1_free, only those
+    free of x_1), each product given its index among the standard
+    monomials of degree e in lex order, or their count if not standard."""
+    for bounds in {(1,) * n, (2,) * n, (3, 9, 2, 4)[:n], (9, 1, 3, 2)[:n]}:
+        for e in range(10):
+            capped = tuple(min(b, e + 1) for b in bounds)
+            standard = [m for m in enumerate_monomials(n, e)
+                        if all(x < b for x, b in zip(m, capped))]
+            column = {m: i for i, m in enumerate(standard)}
+            for dg in range(e + 1):
+                for x1_free in (False, True):
+                    want = [[column.get(tuple(x + y for x, y in zip(u, v)), len(standard))
+                             for v in enumerate_monomials(n, dg)]
+                            for u in enumerate_monomials(n, e - dg)
+                            if all(x < b for x, b in zip(u, capped)) and not (x1_free and u[0])]
+                    table = _scatter_table(n, dg, e, x1_free, capped)
+                    assert table.tolist() == want
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), n=st.integers(1, 4), prime=st.sampled_from((2, 3, 101, 2**31 - 1)),
        m=st.integers(1, 5), k=st.integers(1, 6),
@@ -379,9 +415,16 @@ def test_forms_reject_prime_above_2_31():
         ModPPoly(2, 1, (1, 1), prime=4294967311)
 
 
+def reference_dimension(family, e):
+    """Rank of the whole degree-e Macaulay matrix, every row of every
+    form over every column, pure powers included."""
+    blocks = [macaulay_rows(f, e) for f in family.forms if f.degree <= e]
+    return modp.rank(np.vstack(blocks), family.prime) if blocks else 0
+
+
 def reference_quotient_series(family, max_deg, budget=None):
-    """Every degree eliminated from scratch, in degree order: the slow
-    reference for `quotient_series_with_stats`."""
+    """Every degree's whole Macaulay matrix eliminated from scratch, in
+    degree order: the slow reference for `quotient_series_with_stats`."""
     coeffs = []
     stats = []
     for e in range(max_deg + 1):
@@ -391,7 +434,7 @@ def reference_quotient_series(family, max_deg, budget=None):
                 f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} "
                 f"entries, over budget {budget}"
             )
-        dim = ideal_dimension_at_degree(family, e)
+        dim = reference_dimension(family, e)
         coeffs.append(cols - dim)
         stats.append(DegreeStat(e, rows, cols, dim))
         if coeffs[-1] == 0:
@@ -402,13 +445,21 @@ def reference_quotient_series(family, max_deg, budget=None):
 
 @st.composite
 def families(draw):
-    """Random forms of mixed degrees 1..4, or a family repeating forms
-    (a degenerate specialization); p = 2 often draws zero forms."""
+    """Random forms of mixed degrees 1..4 and pure powers c*x_i^a (a in
+    1..4, any variable and nonzero c, repeats allowed) in any order, or a
+    family repeating its forms (a degenerate specialization); p = 2 often
+    draws zero forms."""
     n = draw(st.integers(1, 4))
     prime = draw(st.sampled_from((2, 3, 101, 2**31 - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    degrees = draw(st.lists(st.integers(1, 4), max_size=6))
-    forms = [random_form(n, d, rng, prime) for d in degrees]
+    forms = []
+    for _ in range(draw(st.integers(0, 6))):
+        a = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, n - 1))
+            forms.append(pure_power(n, i, a, draw(st.integers(1, prime - 1)), prime))
+        else:
+            forms.append(random_form(n, a, rng, prime))
     if forms and draw(st.booleans()):
         forms = [forms[i] for i in draw(
             st.lists(st.integers(0, len(forms) - 1), min_size=2, max_size=6))]
@@ -461,13 +512,15 @@ def test_x1_free_rows_are_the_last_macaulay_rows():
 def assert_chain_matches_scratch(family, max_deg):
     """Degree max_deg, then degrees 0..max_deg, eliminated with one chain
     (a basis of any degree but e - 1 must not seed degree e) against
-    each degree from scratch; returns the chained ranks of 0..max_deg."""
+    each degree from scratch and against the whole Macaulay matrix;
+    returns the chained ranks of 0..max_deg."""
     chain = {}
     ideal_dimension_at_degree(family, max_deg, chain)
     ranks = []
     for e in range(max_deg + 1):
         ranks.append(ideal_dimension_at_degree(family, e, chain))
         assert ranks[-1] == ideal_dimension_at_degree(family, e)
+        assert ranks[-1] == reference_dimension(family, e)
         assert set(chain) <= {e}  # one basis kept, the last one
     return ranks
 
@@ -521,3 +574,76 @@ def test_seeded_degree_feeds_only_x1_free_rows(monkeypatch):
     monkeypatch.setattr(macaulay, "macaulay_rows", counting)
     assert ideal_dimension_at_degree(family, 18, chain) == 1330
     assert sum(fed) == 330 and macaulay_shape(family, 18) == (1430, 1330)
+
+
+def test_pure_powers_are_recognised_by_their_one_term():
+    n = 3
+    quad = random_form(n, 2, np.random.default_rng(1))
+    family = FormFamily(n, (
+        pure_power(n, 2, 3, c=5), quad, pure_power(n, 0, 4), pure_power(n, 2, 2, c=P - 1),
+        form(n, {(1, 1, 0): 1}),  # one term, not a pure power
+        ModPPoly(n, 2, (0,) * 6),  # the zero form
+        pure_power(n, 0, 1, c=0, prime=P),  # also the zero form
+    ))
+    least, others = pure_powers(family)
+    assert least == (4, None, 2)
+    assert others == (quad,) + family.forms[4:]
+    assert pure_powers(FormFamily(n, ())) == ((None,) * n, ())
+
+
+@pytest.mark.parametrize("prime", (2, 3, 101, 2**31 - 1))
+def test_seeded_chain_with_pure_powers_named_cases(prime):
+    """Pure powers of x_1 and of the last variable around random forms:
+    from degree a_1 on, x_1 kills a prefix of the standard columns, and
+    basis rows whose pivot lies there must be fed again."""
+    rng = np.random.default_rng(prime)
+    for n, a1 in ((2, 1), (3, 2), (3, 3), (4, 2)):
+        forms = (random_form(n, 2, rng, prime), pure_power(n, 0, a1, prime=prime),
+                 random_form(n, 3, rng, prime), pure_power(n, n - 1, 3, c=2, prime=prime))
+        assert_chain_matches_scratch(FormFamily(n, forms, prime), 9)
+    # pure powers only: no row is eliminated
+    only = FormFamily(3, tuple(pure_power(3, i, 2 + i, prime=prime) for i in range(3)), prime)
+    assert assert_chain_matches_scratch(only, 7) == [
+        monomial_count(3, e) - c
+        for e, c in enumerate(quotient_hilbert_function(
+            MonomialIdeal.from_generators(3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)]), 7).coeffs)
+    ]
+
+
+def test_a_seeded_degree_feeds_the_rows_x1_moved_off_the_seed(monkeypatch):
+    """(3,2,2) k=4 at the pure-power point, degree 7 seeded by degree 6:
+    x_1^4 kills the 4 standard monomials of degree 6 with x_1-exponent 3,
+    so 4 of the 6 basis rows lose their pivot and are fed again. With the
+    2 rows kept in the seed they span all 6 standard columns of degree 7,
+    so the random form's rows are never built."""
+    from genforms.verifier import CaseSpec, pure_power_family
+
+    family = pure_power_family(CaseSpec(3, 2, 2, 4), 0)
+    want = reference_dimension(family, 7)
+    chain = {}
+    ideal_dimension_at_degree(family, 6, chain)
+    pivots = chain[6][0]
+    assert (pivots.size, int((pivots < 4).sum())) == (6, 4)
+    fed = []
+    real = modp.RowReducer.add_rows
+
+    def counting(self, block):
+        fed.append(np.atleast_2d(block).shape[0])
+        return real(self, block)
+
+    monkeypatch.setattr(modp.RowReducer, "add_rows", counting)
+    assert ideal_dimension_at_degree(family, 7, chain) == want
+    assert fed == [4]
+
+
+@pytest.mark.parametrize("n, a, k", [(1, 3, 1), (2, 2, 2), (3, 4, 2), (3, 2, 3), (4, 3, 4)])
+def test_pure_power_complete_intersection_matches_the_sieve(n, a, k):
+    """k <= n pure powers (i + 7) x_i^a: the quotient series is the
+    monomial ideal's, by the divisibility sieve."""
+    family = FormFamily(n, tuple(pure_power(n, i, a, c=i + 7) for i in range(k)))
+    max_deg = k * (a - 1) + 1
+    series, stats = quotient_series_with_stats(family, max_deg)
+    ideal = MonomialIdeal.from_generators(n, [tuple(a * (j == i) for j in range(n))
+                                              for i in range(k)])
+    assert series == quotient_hilbert_function(ideal, max_deg)
+    assert (series, stats) == reference_quotient_series(family, max_deg)

@@ -11,7 +11,9 @@ import pytest
 
 import genforms
 
-from genforms.macaulay import DegreeStat, ResourceLimit
+from genforms import verifier
+from genforms.macaulay import DegreeStat, ResourceLimit, pure_powers, quotient_series_with_stats
+from genforms.monomials import MonomialIdeal, quotient_hilbert_function
 from genforms.series import DegreeList, conjectured_series
 from genforms.verifier import (
     NOT_ATTAINED,
@@ -20,10 +22,10 @@ from genforms.verifier import (
     DeductionInapplicable,
     VerificationRecord,
     certified_ks,
-    compare_pure_power_mix,
     default_family,
     degenerate_family,
     plan_sweep,
+    pure_power_family,
     resolve_truncation,
     run_sweep,
     suite_k_values,
@@ -290,15 +292,77 @@ def test_suite_k_values_shape():
     assert len(ks) == 3
 
 
-def test_compare_pure_power_mix():
-    rec = compare_pure_power_mix(3, 2, 4, seed=11)
-    assert rec.equal
-    rec = compare_pure_power_mix(2, 2, 2, seed=11)
-    assert rec.equal and rec.series_random.coeffs[:3] == (1, 2, 1)
-    rec = compare_pure_power_mix(3, 2, 3, seed=11, trunc=5)
-    assert rec.equal  # pure powers only vs three random quadrics
-    with pytest.raises(ValueError):
-        compare_pure_power_mix(3, 2, 2)
+def test_pure_power_family_keeps_the_later_draws():
+    spec = CaseSpec(3, 2, 3, 5, seed=4)
+    family = pure_power_family(spec, 4)
+    assert family.forms[3:] == default_family(spec, 4).forms[3:]
+    assert pure_powers(family) == ((6, 6, 6), family.forms[3:])
+    assert family.seed == 4 and family.prime == spec.prime
+
+
+def test_verify_case_certifies_at_the_pure_power_point():
+    spec = CaseSpec(3, 2, 2, 4, seed=5)
+    record = verify_case(spec)
+    assert record.verdict == VERIFIED and record.seeds_tried == (5,)
+    series, stats = quotient_series_with_stats(pure_power_family(spec, 5), record.trunc)
+    assert record.computed == series and record.degree_stats == tuple(stats)
+    assert VerificationRecord.from_dict(record.to_dict(), spec) == record
+
+
+@pytest.mark.parametrize("n, d, m, k", [(2, 3, 2, 2), (3, 2, 2, 3), (4, 1, 3, 2), (3, 2, 3, 1)])
+def test_complete_intersections_certify_as_the_monomial_sieve(n, d, m, k):
+    spec = CaseSpec(n, d, m, k)
+    record = verify_case(spec)
+    ideal = MonomialIdeal.from_generators(
+        n, [tuple(m * d * (j == i) for j in range(n)) for i in range(k)])
+    assert record.verdict == VERIFIED and record.seeds_tried == (0,)
+    assert record.computed == quotient_hilbert_function(ideal, record.trunc)
+
+
+def test_a_family_builder_skips_the_pure_power_point(monkeypatch):
+    def refuse(spec, seed):
+        raise AssertionError("the pure-power point was tried")
+
+    monkeypatch.setattr(verifier, "pure_power_family", refuse)
+    record = verify_case(CaseSpec(3, 2, 2, 4, seed=5), family_builder=default_family)
+    assert record.verdict == VERIFIED and record.seeds_tried == (5,)
+
+
+def test_a_first_attempt_over_budget_falls_through_to_the_random_trials(monkeypatch):
+    """(3,2,1,4) at the degenerate point does not terminate at degree 3,
+    and its degree-4 matrix (24x15) is over a budget of 200 entries; the
+    random trials stop at degree 3 (12x10) and certify."""
+    monkeypatch.setattr(verifier, "pure_power_family", degenerate_family)
+    record = verify_case(CaseSpec(3, 2, 1, 4), budget=200)
+    assert record.verdict == VERIFIED and record.seeds_tried == (0,)
+    with pytest.raises(ResourceLimit):
+        verify_case(CaseSpec(3, 2, 1, 4), budget=200, family_builder=degenerate_family)
+
+
+# The pure-power point certifies (4,2,2,5) at the first seed; it fails on
+# the four Alexander-Hirschowitz sporadic cases, which must end
+# NotAttained after every random trial, also with assertions stripped.
+_PURE_POWER_POINT = """
+import sys
+from genforms.verifier import CaseSpec, verify_case
+assert False, "assertions must be off"
+record = verify_case(CaseSpec(4, 2, 2, 5))
+if (record.verdict, record.seeds_tried) != ("Verified", (0,)):
+    sys.exit(f"(4,2,2,5): {record.verdict} after {record.seeds_tried}")
+for case in ((3, 1, 3, 5), (4, 1, 3, 9), (5, 1, 3, 14), (5, 1, 2, 7)):
+    record = verify_case(CaseSpec(*case))
+    if (record.verdict, record.seeds_tried) != ("NotAttained", (0, 1, 2)):
+        sys.exit(f"{case}: {record.verdict} after {record.seeds_tried}")
+"""
+
+
+def test_pure_power_point_under_python_O():
+    src = str(Path(genforms.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _PURE_POWER_POINT],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_case_spec_rejects_prime_above_2_31():
