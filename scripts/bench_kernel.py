@@ -14,10 +14,11 @@ table's shape checked), and the build of one powered family at
 p = 2^31 - 1 by `default_family` (the draw, the forms and the batched
 powering), checked against a pinned checksum of its coefficients. The
 frontier field times one cold `verify_case` (caches cleared first) of
-each of four large cases, with its verdict. The script prints one JSON
+each of five large cases, with its verdict. The script prints one JSON
 line with the timings and the numpy version, the BLAS library and the
-core count. It exits 1 if a shape, a rank or the checksum is off, or if a
-frontier case is not Verified.
+core count. It exits 1 with an `error:` line if a shape, a rank or the
+checksum is off, or if a frontier case is not Verified (also when its
+matrix is over the default budget).
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_kernel.py
@@ -33,7 +34,7 @@ import time
 import numpy as np
 
 from genforms import macaulay
-from genforms.macaulay import ideal_dimension_at_degree, macaulay_shape
+from genforms.macaulay import ResourceLimit, ideal_dimension_at_degree, macaulay_shape
 from genforms.monomials import enumerate_monomials, monomial_count
 from genforms.verifier import VERIFIED, CaseSpec, case_truncation, default_family, verify_case
 
@@ -63,7 +64,7 @@ TABLES = (
     (5, 4, 4, False, (4,) * 5), *((5, 4, e, True, (4,) * 5) for e in range(5, 11)),
 )
 # (n, d, m, k) of the frontier cases, each verified cold by verify_case
-FRONTIER = ((4, 3, 3, 5), (4, 2, 5, 5), (5, 2, 3, 6), (6, 2, 2, 7))
+FRONTIER = ((4, 3, 3, 5), (4, 2, 5, 5), (5, 2, 3, 6), (6, 2, 2, 7), (7, 2, 2, 8))
 # (n, d, m, k, prime) of the powered family, and the first 16 hex digits
 # of the SHA-256 of its coefficients as little-endian int64, forms in
 # order. The prime is named, not the default, so the checksum stays valid
@@ -149,14 +150,18 @@ def time_tables(tables=TABLES, repeats=REPEATS) -> float:
 
 def time_frontier(cases=FRONTIER) -> list:
     """Seconds and verdict of one cold verify_case per frontier case.
-    Raises WrongResult unless every case is Verified."""
+    Raises WrongResult unless every case is Verified; a case over the
+    matrix budget is missed too."""
     results = []
     for case in cases:
         _clear_caches()
         start = time.perf_counter()
-        record = verify_case(CaseSpec(*case, seed=SEED))
+        try:
+            verdict = verify_case(CaseSpec(*case, seed=SEED)).verdict
+        except ResourceLimit as exc:
+            raise WrongResult(f"frontier case {list(case)} not Verified: {exc}") from exc
         seconds = time.perf_counter() - start
-        results.append({"case": list(case), "cold_s": seconds, "verdict": record.verdict})
+        results.append({"case": list(case), "cold_s": seconds, "verdict": verdict})
     missed = [r["case"] for r in results if r["verdict"] != VERIFIED]
     if missed:
         raise WrongResult(f"frontier cases not Verified: {missed}")

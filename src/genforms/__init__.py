@@ -25,7 +25,6 @@ from .monomials import (  # noqa: E402
 from .macaulay import (  # noqa: E402
     FormFamily,
     ModPPoly,
-    hilbert_series_of_quotient,
     ideal_dimension_at_degree,
 )
 from .verifier import (  # noqa: E402

@@ -209,8 +209,7 @@ def cmd_sweep(args, cfg):
     lo, hi = parse_range(args.k_range)
     plan = plan_sweep(
         args.n, args.d, args.m, lo, hi,
-        seed=cfg.seed, prime=cfg.prime, trials=cfg.trials,
-        cap=cfg.cap, budget=cfg.budget,
+        seed=cfg.seed, prime=cfg.prime, trials=cfg.trials, cap=cfg.cap,
     )
     cache = load_cache(cfg.cache_path)
     served = {}
@@ -220,7 +219,7 @@ def cmd_sweep(args, cfg):
             served[spec.k] = hit
     if len(served) < len(plan.cases):
         check_appendable(cfg.cache_path)
-    records, witnesses, failures = run_sweep(
+    records, witnesses, failures, skipped = run_sweep(
         plan, cap=cfg.cap, budget=cfg.budget, served=served
     )
     for rec in records:
@@ -242,7 +241,7 @@ def cmd_sweep(args, cfg):
         )
     for (ilo, ihi), reason in failures:
         print(json.dumps({"interval": [ilo, ihi], "verdict": "Rejected", "reason": reason}))
-    for spec, reason in plan.skipped:
+    for spec, reason in skipped:
         print(json.dumps({"k": spec.k, "verdict": "Skipped", "reason": reason}))
 
     verdicts = [r.verdict for r in records]
@@ -251,7 +250,7 @@ def cmd_sweep(args, cfg):
         f"sweep n={args.n} d={args.d} m={args.m} k={lo}..{hi}: "
         f"{sum(v == verifier.VERIFIED for v in verdicts)}/{len(verdicts)} direct cases verified, "
         f"{len(witnesses)} intervals deduced, {len(failures)} rejected, "
-        f"{len(plan.skipped)} skipped; covered {len(covered)}/{hi - lo + 1} values of k",
+        f"{len(skipped)} skipped; covered {len(covered)}/{hi - lo + 1} values of k",
         file=sys.stderr,
     )
     if any(v == verifier.NOT_ATTAINED for v in verdicts):
@@ -322,13 +321,13 @@ def cmd_table(args, cfg):
 def build_parser() -> _Parser:
     parser = _Parser(prog="genforms", description=__doc__)
     parser.add_argument("--version", action="version", version=f"genforms {__version__}")
-    parser.add_argument("--prime", type=int, default=None, help="prime modulus")
-    parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    parser.add_argument("--prime", type=int, default=modp.DEFAULT_PRIME, help="prime modulus")
+    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP, help="truncation cap")
     parser.add_argument("--trials", type=int, default=verifier.DEFAULT_TRIALS)
     parser.add_argument(
         "--matrix-budget", type=int, default=verifier.DEFAULT_BUDGET,
-        help="max entries per Macaulay matrix",
+        help="max entries of the matrix eliminated per degree, after pure powers",
     )
     parser.add_argument("--cache", default=None, help="JSON-lines record cache path")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -380,16 +379,9 @@ def build_parser() -> _Parser:
 
 
 def config_from_args(args) -> Config:
-    prime = args.prime
-    if prime is None:
-        prime = int(os.environ.get("GENFORMS_PRIME", modp.DEFAULT_PRIME))
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("GENFORMS_SEED", 0))
-    cache = args.cache or os.environ.get("GENFORMS_CACHE")
     cfg = Config(
-        prime=prime, seed=seed, cap=args.cap, trials=args.trials,
-        budget=args.matrix_budget, cache_path=cache,
+        prime=args.prime, seed=args.seed, cap=args.cap, trials=args.trials,
+        budget=args.matrix_budget, cache_path=args.cache,
     )
     cfg.validate()
     return cfg

@@ -49,6 +49,7 @@ between them and the case is certified.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain as chained
@@ -66,7 +67,8 @@ _PRODUCT_ENTRIES = 2**16
 
 
 class ResourceLimit(RuntimeError):
-    """A Macaulay matrix would exceed the configured entry budget."""
+    """The matrix to eliminate at a degree would exceed the entry budget
+    (see `ideal_dimension_at_degree`)."""
 
 
 class SoundnessError(ArithmeticError):
@@ -390,7 +392,10 @@ def macaulay_shape(family: FormFamily, e: int) -> tuple[int, int]:
 
 
 def ideal_dimension_at_degree(
-    family: FormFamily, e: int, chain: dict[int, modp.Echelon] | None = None
+    family: FormFamily,
+    e: int,
+    chain: dict[int, modp.Echelon] | None = None,
+    budget: int | None = None,
 ) -> int:
     """dim of the degree-e graded piece of the ideal generated by the family.
 
@@ -401,6 +406,11 @@ def ideal_dimension_at_degree(
     time, into one `modp.RowReducer` (`add_blocks`, which merges them in
     groups of at most `modp.CHUNK` rows into a reduced echelon basis).
     Once the rows have full column rank no further block is built.
+
+    budget caps the entries of the matrix eliminated: every standard
+    multiple of the other forms, however few of them a seeded degree
+    feeds, times the standard columns. ResourceLimit is raised before any
+    row is built. With no pure powers this is the whole Macaulay matrix.
 
     chain, if given, is a dict that one family's calls share across
     degrees: it maps the last degree eliminated with it to that degree's
@@ -420,6 +430,17 @@ def ideal_dimension_at_degree(
     least, others = pure_powers(family)
     bounds = _bounds_at(least, e)
     cols = _standard(family.n, e, bounds)[1]
+    if budget is not None:
+        degrees = Counter(f.degree for f in others if f.degree <= e)
+        rows = sum(
+            count * len(_standard_exponents(family.n, e - dg, _bounds_at(least, e - dg)))
+            for dg, count in degrees.items()
+        )
+        if rows * cols > budget:
+            raise ResourceLimit(
+                f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} "
+                f"entries, over budget {budget}"
+            )
     again = []
     if seed is not None:
         seed, again = _x1_seed(seed, family.n, e, least)
@@ -456,20 +477,16 @@ def quotient_series_with_stats(family, max_deg, budget=None):
     of the maximal ideal, so the tail is zero without further elimination.
     Each degree's basis is carried to the next: x_1 times it seeds degree
     e + 1, and only the x_1-free rows are fed (see the module docstring).
-    budget caps the entry count of any single Macaulay matrix, the full
-    one whatever the rows fed, checked as each degree is reached.
+    budget caps the entry count of the matrix eliminated at each degree,
+    checked as the degree is reached (see `ideal_dimension_at_degree`).
+    The stats give the shape of the whole Macaulay matrix.
     """
     coeffs = []
     stats = []
     chain = {}  # the last eliminated degree -> its basis
     for e in range(max_deg + 1):
         rows, cols = macaulay_shape(family, e)
-        if budget is not None and rows * cols > budget:
-            raise ResourceLimit(
-                f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} "
-                f"entries, over budget {budget}"
-            )
-        dim = ideal_dimension_at_degree(family, e, chain)
+        dim = ideal_dimension_at_degree(family, e, chain, budget)
         coeff = cols - dim
         # first-order lower bound holds at every specialization
         if coeff < cols - rows:
@@ -484,11 +501,6 @@ def quotient_series_with_stats(family, max_deg, budget=None):
             break
     terminated = coeffs[-1] == 0
     return TruncatedSeries(tuple(coeffs), terminated=terminated), stats
-
-
-def hilbert_series_of_quotient(family: FormFamily, max_deg: int) -> TruncatedSeries:
-    series, _ = quotient_series_with_stats(family, max_deg)
-    return series
 
 
 def first_order_lower_bound(family: FormFamily, e: int) -> int:

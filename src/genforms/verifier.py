@@ -394,7 +394,6 @@ def verify_interval(
 class SweepPlan:
     cases: tuple[CaseSpec, ...]
     intervals: tuple[tuple[int, int], ...]
-    skipped: tuple[tuple[CaseSpec, str], ...] = ()
 
 
 def certified_ks(records, witnesses) -> set[int]:
@@ -404,14 +403,6 @@ def certified_ks(records, witnesses) -> set[int]:
     for w in witnesses:
         ks.update(range(w.k_low, w.k_high + 1))
     return ks
-
-
-def estimated_max_entries(spec: CaseSpec) -> int:
-    """Largest Macaulay matrix (in entries) a case is expected to build:
-    the largest of the shapes `_implied_stats` gives for its conjectured
-    series at spec.trunc, which must be set."""
-    conjectured = conjectured_series(spec.degree_list, spec.trunc).coeffs
-    return max(st.rows * st.cols for st in _implied_stats(spec, conjectured))
 
 
 def plan_sweep(
@@ -424,15 +415,12 @@ def plan_sweep(
     prime: int = modp.DEFAULT_PRIME,
     trials: int = DEFAULT_TRIALS,
     cap: int = DEFAULT_CAP,
-    budget: int = DEFAULT_BUDGET,
 ) -> SweepPlan:
     """Endpoint cases plus intervals covering [k_lo, k_hi].
 
     k <= n are complete intersections and get individual cases. Above n,
     consecutive k sharing the termination degree of their conjectured
-    series form one interval, verified at its two endpoints. An interval
-    is planned only when both its endpoints are planned, not skipped over
-    budget.
+    series form one interval, verified at its two endpoints.
     """
     md = m * d
     top = monomial_count(n, md)
@@ -443,22 +431,8 @@ def plan_sweep(
         trunc = case_truncation(n, md, k, cap)
         return CaseSpec(n, d, m, k, trunc=trunc, seed=seed, prime=prime, trials=trials)
 
-    cases, intervals, skipped = [], [], []
-
-    def add_case(k) -> bool:
-        spec = make(k)
-        worst = estimated_max_entries(spec)
-        if worst > budget:
-            skipped.append((spec, f"estimated {worst} matrix entries over budget"))
-            return False
-        cases.append(spec)
-        return True
-
-    k = k_lo
-    while k <= min(n, k_hi):
-        add_case(k)
-        k += 1
-
+    cases = [make(k) for k in range(k_lo, min(n, k_hi) + 1)]
+    intervals = []
     runs = []  # (termination degree, lo, hi)
     for k in range(max(k_lo, n + 1), k_hi + 1):
         term = case_truncation(n, md, k, cap) - 1
@@ -467,11 +441,12 @@ def plan_sweep(
         else:
             runs.append((term, k, k))
     for _, lo, hi in runs:
-        planned_lo = add_case(lo)
-        if hi > lo and add_case(hi) and planned_lo:
+        cases.append(make(lo))
+        if hi > lo:
+            cases.append(make(hi))
             intervals.append((lo, hi))
 
-    return SweepPlan(tuple(cases), tuple(intervals), tuple(skipped))
+    return SweepPlan(tuple(cases), tuple(intervals))
 
 
 def run_sweep(
@@ -482,20 +457,31 @@ def run_sweep(
 ):
     """Execute a plan: direct cases first, then interval deductions
     reusing the endpoint records. served maps k to a record already at
-    hand (a cache hit), which is used instead of computing that case."""
+    hand (a cache hit), which is used instead of computing that case.
+
+    Returns (records, witnesses, failures, skipped). A case that raises
+    ResourceLimit (a matrix over the budget) has no record and is skipped
+    as (spec, reason); an interval is deduced only when both its endpoint
+    records exist.
+    """
     served = served or {}
-    records = {
-        spec.k: served[spec.k] if spec.k in served else verify_case(spec, cap, budget)
-        for spec in plan.cases
-    }
+    records = {}
+    skipped = []
+    for spec in plan.cases:
+        try:
+            records[spec.k] = served.get(spec.k) or verify_case(spec, cap, budget)
+        except ResourceLimit as exc:
+            skipped.append((spec, str(exc)))
     witnesses = []
     failures = []
     for lo, hi in plan.intervals:
+        if lo not in records or hi not in records:
+            continue
         try:
             witnesses.append(verify_interval(records[lo], records[hi], cap))
         except DeductionInapplicable as exc:
             failures.append(((lo, hi), str(exc)))
-    return list(records.values()), witnesses, failures
+    return list(records.values()), witnesses, failures, skipped
 
 
 # The verified-cases table: (n, d, m) cells. The stretch cells are the
@@ -509,7 +495,7 @@ def suite_k_values(n, d, m, cap=DEFAULT_CAP):
     intersection range, mid-range (snapped to a planned endpoint), and
     the maximal useful generator count."""
     top = monomial_count(n, m * d)
-    plan = plan_sweep(n, d, m, 1, top, cap=cap, budget=10**18)
+    plan = plan_sweep(n, d, m, 1, top, cap=cap)
     mid_target = (n + 1 + top) // 2
     endpoints = sorted({c.k for c in plan.cases})
     mid = min(endpoints, key=lambda k: abs(k - mid_target))

@@ -288,14 +288,35 @@ def test_sweep_counts_only_certified_k_as_covered(capsys):
 
 
 def test_sweep_plans_no_interval_with_an_endpoint_over_budget(capsys):
-    # k=4 and k=6 are skipped over budget, so (5, 6) is planned as no
-    # interval, and 7..14 is still deduced from its two endpoints
-    code, out, err = run(capsys, "--matrix-budget", "1000", *SWEEP_322)
+    # k=14 is skipped over budget, so 7..14 is not deduced, and 5..6 is
+    # still deduced from its two endpoints
+    code, out, err = run(capsys, "--matrix-budget", "200", *SWEEP_322)
     assert code == EXIT_OK
     lines = [json.loads(line) for line in out.splitlines()]
-    assert [rec["k"] for rec in lines if rec.get("verdict") == "Skipped"] == [4, 6]
-    assert [rec["interval"] for rec in lines if "interval" in rec] == [[7, 14]]
-    assert "covered 10/12 values of k" in err
+    assert [rec["k"] for rec in lines if rec.get("verdict") == "Skipped"] == [14]
+    assert [rec["interval"] for rec in lines if "interval" in rec] == [[5, 6]]
+    assert "5/5 direct cases verified, 1 intervals deduced, 0 rejected, 1 skipped" in err
+    assert "covered 5/12 values of k" in err
+
+
+def test_sweep_over_budget_prints_its_records_and_skips(capsys):
+    """At p = 2 with one trial most pure-power points miss, and the random
+    trial then meets the budget at a degree the pure-power point never
+    reached: each such case is a Skipped line, not an exit 3, and the
+    record that did finish is still printed."""
+    code, out, err = run(capsys, "--prime", "2", "--trials", "1", "--matrix-budget", "1000",
+                         *SWEEP_322)
+    assert code == EXIT_NOT_ATTAINED
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [(rec["k"], rec["verdict"]) for rec in lines] == [
+        (15, "NotAttained"), (4, "Skipped"), (5, "Skipped"), (6, "Skipped"),
+        (7, "Skipped"), (14, "Skipped"),
+    ]
+    assert lines[2]["reason"] == (
+        "degree-7 Macaulay matrix has 50x36 = 1800 entries, over budget 1000"
+    )
+    assert "0/1 direct cases verified, 0 intervals deduced, 0 rejected, 5 skipped" in err
+    assert "covered 0/12 values of k" in err
 
 
 @pytest.mark.parametrize("where", ["a directory", "in a missing directory"])
@@ -359,10 +380,9 @@ def test_bad_prime_exits_with_error(capsys):
     assert "not prime" in err
 
 
-def test_prime_above_2_31_exits_with_error(capsys, monkeypatch):
+def test_prime_above_2_31_exits_with_error(capsys):
     # prime, but outside the range where elimination mod p is exact
-    monkeypatch.setenv("GENFORMS_PRIME", "4294967311")
-    code, out, err = run(capsys, "verify", "--n", "3", "--d", "2", "--k", "4")
+    code, out, err = run(capsys, "--prime", "4294967311", *VERIFY_342)
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("error: modulus 4294967311 is outside [2, 2^31)")
@@ -378,13 +398,3 @@ def test_workers_option_is_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["--workers", "2", "sweep", "--n", "3", "--d", "2", "--k-range", "4..6"])
     assert exc.value.code == EXIT_ERROR
-
-
-def test_env_overrides(tmp_path, capsys, monkeypatch):
-    cache = str(tmp_path / "env.jsonl")
-    monkeypatch.setenv("GENFORMS_SEED", "5")
-    monkeypatch.setenv("GENFORMS_CACHE", cache)
-    code, out, _ = run(capsys, "verify", "--n", "3", "--d", "2", "--k", "4")
-    assert code == EXIT_OK
-    assert json.loads(out)["seed"] == 5
-    assert load_cache(cache)

@@ -19,7 +19,6 @@ from genforms.macaulay import (
     _products,
     _scatter_table,
     first_order_lower_bound,
-    hilbert_series_of_quotient,
     ideal_dimension_at_degree,
     macaulay_rows,
     macaulay_shape,
@@ -357,20 +356,20 @@ def test_macaulay_shape():
 
 
 def test_quotient_complete_intersection_of_squares():
-    series = hilbert_series_of_quotient(pure_power_family(2, 2), 3)
+    series = quotient_series_with_stats(pure_power_family(2, 2), 3)[0]
     assert series.coeffs == (1, 2, 1, 0)
     assert series.terminated
 
 
 def test_quotient_four_random_quadrics():
     fam = FormFamily.random(3, 2, 4, seed=5)
-    series = hilbert_series_of_quotient(fam, 3)
+    series = quotient_series_with_stats(fam, 3)[0]
     assert series.coeffs == (1, 3, 2, 0)
 
 
 def test_quotient_empty_family():
     fam = FormFamily(3, ())
-    assert hilbert_series_of_quotient(fam, 2).coeffs == (1, 3, 6)
+    assert quotient_series_with_stats(fam, 2)[0].coeffs == (1, 3, 6)
 
 
 def test_specialization_and_first_order_bounds():
@@ -393,14 +392,14 @@ def test_specialization_and_first_order_bounds():
 def test_adding_a_form_never_raises_coefficients():
     base = FormFamily.random(3, 2, 3, seed=8)
     bigger = FormFamily.random(3, 2, 4, seed=8)
-    a = hilbert_series_of_quotient(base, 5)
-    b = hilbert_series_of_quotient(bigger, 5)
+    a = quotient_series_with_stats(base, 5)[0]
+    b = quotient_series_with_stats(bigger, 5)[0]
     assert all(x >= y for x, y in zip(a.coeffs, b.coeffs))
 
 
 def test_replay_determinism():
-    a = hilbert_series_of_quotient(FormFamily.random(3, 3, 4, seed=21), 6)
-    b = hilbert_series_of_quotient(FormFamily.random(3, 3, 4, seed=21), 6)
+    a = quotient_series_with_stats(FormFamily.random(3, 3, 4, seed=21), 6)[0]
+    b = quotient_series_with_stats(FormFamily.random(3, 3, 4, seed=21), 6)[0]
     assert a == b
 
 
@@ -408,6 +407,26 @@ def test_resource_limit():
     fam = FormFamily.random(3, 2, 4, seed=0)
     with pytest.raises(ResourceLimit):
         quotient_series_with_stats(fam, 3, budget=10)
+
+
+def test_budget_counts_the_matrix_left_after_pure_powers():
+    """x^4, y^4, z^4 and two quartics: the series ends at degree 6, where
+    the whole Macaulay matrix has 840 entries but only 12 x 10 remain once
+    the pure powers are divided out (at most 120 at any degree). A budget
+    of 200 lets it run; five quartics with no pure powers meet it at
+    degree 5 (315 entries)."""
+    quartics = FormFamily.random(3, 4, 2, seed=3).forms
+    family = FormFamily(3, tuple(pure_power(3, i, 4) for i in range(3)) + quartics)
+    series, stats = quotient_series_with_stats(family, 10, budget=200)
+    assert (series, stats) == quotient_series_with_stats(family, 10)
+    assert series.coeffs == (1, 3, 6, 10, 10, 6, 0, 0, 0, 0, 0)
+    assert max(st.rows * st.cols for st in stats) == 840
+    assert max(np.prod(reference_eliminated_shape(family, e)) for e in range(7)) == 120
+    with pytest.raises(ResourceLimit, match="^degree-6 Macaulay matrix has 12x10 = 120 "):
+        quotient_series_with_stats(family, 10, budget=119)
+    random_family = FormFamily.random(3, 4, 5, seed=3)
+    with pytest.raises(ResourceLimit, match="^degree-5 Macaulay matrix has 15x21 = 315 "):
+        quotient_series_with_stats(random_family, 10, budget=200)
 
 
 def test_forms_reject_prime_above_2_31():
@@ -422,18 +441,51 @@ def reference_dimension(family, e):
     return modp.rank(np.vstack(blocks), family.prime) if blocks else 0
 
 
+def reference_eliminated_shape(family, e):
+    """(rows, cols) of the degree-e matrix that the budget counts, from the
+    monomial lists alone. A form of degree a >= 1 whose one nonzero
+    coefficient sits at x_i^a is a pure power; a monomial is standard when
+    each exponent is below the least such a of its variable. cols are the
+    standard monomials of degree e, rows the standard multiples of every
+    other form."""
+    n = family.n
+    least = [None] * n
+    others = []
+    for f in family.forms:
+        support = np.flatnonzero(f.coeffs)
+        mono = enumerate_monomials(n, f.degree)[support[0]] if support.size == 1 else ()
+        if f.degree >= 1 and f.degree in mono:
+            i = mono.index(f.degree)
+            least[i] = f.degree if least[i] is None else min(least[i], f.degree)
+        else:
+            others.append(f)
+
+    def standard(u):
+        return all(a is None or x < a for x, a in zip(u, least))
+
+    cols = sum(map(standard, enumerate_monomials(n, e)))
+    rows = sum(
+        standard(u)
+        for f in others if f.degree <= e
+        for u in enumerate_monomials(n, e - f.degree)
+    )
+    return rows, cols
+
+
 def reference_quotient_series(family, max_deg, budget=None):
     """Every degree's whole Macaulay matrix eliminated from scratch, in
-    degree order: the slow reference for `quotient_series_with_stats`."""
+    degree order, the budget checked on `reference_eliminated_shape`: the
+    slow reference for `quotient_series_with_stats`."""
     coeffs = []
     stats = []
     for e in range(max_deg + 1):
-        rows, cols = macaulay_shape(family, e)
+        rows, cols = reference_eliminated_shape(family, e)
         if budget is not None and rows * cols > budget:
             raise ResourceLimit(
                 f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} "
                 f"entries, over budget {budget}"
             )
+        rows, cols = macaulay_shape(family, e)
         dim = reference_dimension(family, e)
         coeffs.append(cols - dim)
         stats.append(DegreeStat(e, rows, cols, dim))
@@ -478,9 +530,10 @@ def _outcome(fn, family, max_deg, budget):
 def test_quotient_series_matches_per_degree_reference(data, family, max_deg):
     budget = None
     if data.draw(st.booleans()):
-        # cut just below or at the matrix of a degree in range
-        rows, cols = macaulay_shape(family, data.draw(st.integers(0, max_deg)))
-        budget = rows * cols - data.draw(st.sampled_from((0, 1)))
+        # cut just below or at the eliminated matrix of a degree in range
+        e = data.draw(st.integers(0, max_deg))
+        rows, cols = reference_eliminated_shape(family, e)
+        budget = max(0, rows * cols - data.draw(st.sampled_from((0, 1))))
     assert _outcome(quotient_series_with_stats, family, max_deg, budget) == _outcome(
         reference_quotient_series, family, max_deg, budget
     )

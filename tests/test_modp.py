@@ -1,5 +1,6 @@
 """Tests for prime-field arithmetic and rank computation."""
 
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -287,6 +288,20 @@ def test_bench_kernel_script_smoke():
     assert chain["degrees"] == [15, 18] and chain["ranks"] == [600, 815, 1060, 1330]
     with pytest.raises(bench.WrongResult):
         bench.time_chain(bench.CHAIN[:5] + ((600, 815, 1060, 1329),), repeats=1)
+
+
+def test_bench_kernel_frontier_reports_a_case_over_budget(monkeypatch):
+    """A frontier case over the matrix budget is a missed case, reported
+    as WrongResult (exit 1 with an error line), not a traceback."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_kernel.py"
+    spec = importlib.util.spec_from_file_location("bench_kernel", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert (7, 2, 2, 8) in bench.FRONTIER
+    assert bench.time_frontier(((3, 2, 2, 4),))[0]["verdict"] == "Verified"
+    monkeypatch.setattr(bench, "verify_case", functools.partial(bench.verify_case, budget=10))
+    with pytest.raises(bench.WrongResult, match=r"\[3, 2, 2, 4\] not Verified: .*over budget 10"):
+        bench.time_frontier(((3, 2, 2, 4),))
 
 
 def test_bench_kernel_assembly_smoke(monkeypatch):

@@ -178,8 +178,10 @@ def test_case_spec_validation():
 
 
 def test_resource_limit_propagates():
+    # the pure-power point eliminates at most 1x3 and 3x1 entries, the
+    # random trial 4x6 at degree 2
     with pytest.raises(ResourceLimit):
-        verify_case(CaseSpec(3, 2, 1, 4), budget=5)
+        verify_case(CaseSpec(3, 2, 1, 4), budget=2)
 
 
 def test_trivial_interval():
@@ -251,26 +253,32 @@ def test_verify_and_sweep_share_the_complete_intersection_truncation():
     assert resolve_truncation(CaseSpec(4, 2, 2, 3, trunc=7)) == 7
 
 
-def test_plan_sweep_plans_intervals_only_between_planned_cases():
-    # budget 1000 skips k=4 and k=6, budget 300 also k=5, 7 and 14
-    plan = plan_sweep(3, 2, 2, 4, 15, budget=1000)
-    assert [spec.k for spec, _ in plan.skipped] == [4, 6]
-    assert plan.intervals == ((7, 14),)
-    plan = plan_sweep(3, 2, 2, 4, 15, budget=300)
-    assert [c.k for c in plan.cases] == [15]
-    assert plan.intervals == ()
-
-
-@pytest.mark.parametrize("n, d, m, k, entries", [
-    (4, 3, 3, 4, 83538000), (4, 2, 4, 4, 40156160), (5, 2, 2, 5, 44089500),
-])
-def test_plan_sweep_skips_at_pinned_estimates(n, d, m, k, entries):
-    """The entry estimates at the default budget, pinned as the degree
-    walk up to the first zero of the conjectured series gave them."""
-    plan = plan_sweep(n, d, m, 1, 6)
-    assert [(spec.k, reason) for spec, reason in plan.skipped] == [
-        (k, f"estimated {entries} matrix entries over budget")
+def test_run_sweep_deduces_no_interval_across_a_skipped_endpoint():
+    """At a budget of 200 entries only k=14 is over it: at the pure-power
+    point (33x12 standard entries at degree 5) and then in the random
+    trial (14x15 at degree 4). It is skipped with the trial's message,
+    7..14 is not deduced, and 5..6 still is."""
+    plan = plan_sweep(3, 2, 2, 4, 15)
+    assert [c.k for c in plan.cases] == [4, 5, 6, 7, 14, 15]
+    assert plan.intervals == ((5, 6), (7, 14))
+    records, witnesses, failures, skipped = run_sweep(plan, budget=200)
+    assert [r.spec.k for r in records] == [4, 5, 6, 7, 15]
+    assert all(r.verdict == VERIFIED for r in records)
+    assert [(w.k_low, w.k_high) for w in witnesses] == [(5, 6)] and failures == []
+    assert [(spec.k, reason) for spec, reason in skipped] == [
+        (14, "degree-4 Macaulay matrix has 14x15 = 210 entries, over budget 200")
     ]
+    assert certified_ks(records, witnesses) == {4, 5, 6, 7, 15}
+
+
+@pytest.mark.parametrize("n, d, m", [(4, 3, 3), (4, 2, 4), (5, 2, 2)])
+def test_run_sweep_certifies_k_equal_n_under_the_default_budget(n, d, m):
+    """k = n is a monomial complete intersection at the pure-power point,
+    with no rows left to eliminate, however large its whole Macaulay
+    matrices (83538000 entries for (4,3,3) k=4)."""
+    records, witnesses, failures, skipped = run_sweep(plan_sweep(n, d, m, n, n))
+    assert [(r.spec.k, r.verdict, r.seeds_tried) for r in records] == [(n, VERIFIED, (0,))]
+    assert witnesses == failures == skipped == []
 
 
 def test_plan_sweep_range_validation():
@@ -280,8 +288,8 @@ def test_plan_sweep_range_validation():
 
 def test_run_sweep_end_to_end():
     plan = plan_sweep(3, 2, 1, 1, 6)
-    records, witnesses, failures = run_sweep(plan)
-    assert failures == []
+    records, witnesses, failures, skipped = run_sweep(plan)
+    assert failures == skipped == []
     assert all(r.verdict == VERIFIED for r in records)
     assert certified_ks(records, witnesses) == set(range(1, 7))
 
