@@ -6,7 +6,7 @@ Each matrix is one degree of a table case at seed 0 (m-th powers of k
 random degree-d forms in n variables, default prime). The script times
 `ideal_dimension_at_degree` on it from scratch (median of 5 runs) and
 checks the matrix shape and the rank. The chain eliminates consecutive
-degrees of one case as the quotient series does, each seeded with x_1
+degrees of one case as the quotient series does, each seeded with x_n
 times the basis of the degree below, and checks every rank. Assembly
 times two things: a cold build of every scatter table that the five
 `ci-deep` cases of perfbench use (caches cleared before each run, every
@@ -14,7 +14,7 @@ table's shape checked), and the build of one powered family at
 p = 2^31 - 1 by `default_family` (the draw, the forms and the batched
 powering), checked against a pinned checksum of its coefficients. The
 frontier field times one cold `verify_case` (caches cleared first) of
-each of five large cases, with its verdict. The script prints one JSON
+each of six large cases, with its verdict. The script prints one JSON
 line with the timings and the numpy version, the BLAS library and the
 core count. It exits 1 with an `error:` line if a shape, a rank or the
 checksum is off, or if a frontier case is not Verified (also when its
@@ -49,7 +49,7 @@ CASES = (
 # (n, d, m, k, first degree, rank of each degree from the first on)
 CHAIN = (4, 2, 4, 5, 15, (600, 815, 1060, 1330))
 
-# (n, source degree, degree, x1_free, bounds) of every scatter table that
+# (n, source degree, degree, xn_free, bounds) of every scatter table that
 # verify_case builds for (4,2,2,5) (4,2,3,5) (4,3,2,5) (5,2,2,6) (4,2,4,5):
 # the powering products (bounds None), then the one random form's Macaulay
 # rows at the pure-power point, over the monomials standard for
@@ -64,7 +64,7 @@ TABLES = (
     (5, 4, 4, False, (4,) * 5), *((5, 4, e, True, (4,) * 5) for e in range(5, 11)),
 )
 # (n, d, m, k) of the frontier cases, each verified cold by verify_case
-FRONTIER = ((4, 3, 3, 5), (4, 2, 5, 5), (5, 2, 3, 6), (6, 2, 2, 7), (7, 2, 2, 8))
+FRONTIER = ((4, 3, 3, 5), (4, 2, 5, 5), (5, 2, 3, 6), (6, 2, 2, 7), (7, 2, 2, 8), (5, 2, 4, 6))
 # (n, d, m, k, prime) of the powered family, and the first 16 hex digits
 # of the SHA-256 of its coefficients as little-endian int64, forms in
 # order. The prime is named, not the default, so the checksum stays valid
@@ -118,17 +118,18 @@ def time_chain(chain=CHAIN, repeats=REPEATS) -> dict:
 def _clear_caches():
     """Empty the lru_caches, as in a fresh process."""
     for cached in (macaulay._scatter_table, macaulay._standard, macaulay._standard_exponents,
-                   macaulay._exponents, macaulay.enumerate_monomials, case_truncation):
+                   macaulay._xn_shift, macaulay._exponents, macaulay.enumerate_monomials,
+                   case_truncation):
         cached.cache_clear()
 
 
-def _table_rows(n, dg, e, x1_free, bounds) -> int:
+def _table_rows(n, dg, e, xn_free, bounds) -> int:
     """Multipliers of a table: the degree-(e - dg) monomials, only the
-    standard ones under bounds, only the x_1-free ones with x1_free."""
+    standard ones under bounds, only the x_n-free ones with xn_free."""
     return sum(
         1 for u in enumerate_monomials(n, e - dg)
         if (bounds is None or all(x < b for x, b in zip(u, bounds)))
-        and not (x1_free and u[0])
+        and not (xn_free and u[-1])
     )
 
 

@@ -23,19 +23,26 @@ Macaulay matrix.
 
 Every degree is eliminated, once, and consecutive degrees share work.
 With B_e the image of I_e in (R/J)_e, for e >= 1
-B_e = x_1 B_{e-1} + span{u*h : u standard, x_1 does not divide u}, since
-u*h = x_1 (u/x_1 * h) when x_1 | u. In the lex order x_1 comes first:
-the standard monomials of degree e - 1 that x_1 kills (x_1-exponent
-a_1 - 1) are a prefix of degree e - 1's standard columns, x_1 maps the
-others in order onto the first standard columns of degree e, and the
-standard monomials free of x_1 are the last ones. The reduced echelon
-basis of B_{e-1} with that prefix dropped, padded with zero columns, is
-therefore a reduced echelon basis of part of x_1 B_{e-1}, found with no
-arithmetic. It seeds degree e's elimination. The basis rows whose pivot
-fell in the prefix (already zero at every other pivot) are fed again,
-then the x_1-free standard rows: for (4,2,4) k=5 at degree 18 with no
-pure powers, no row is fed again and 330 of the 1430 rows are. So a
-seeded degree costs little, and every rank reported is computed.
+B_e = x_n B_{e-1} + span{u*h : u standard, x_n does not divide u}, since
+u*h = x_n (u/x_n * h) when x_n | u. Multiplying by a monomial keeps the
+lex order, so x_n maps the standard monomials of degree e - 1 in order
+onto standard monomials of degree e, except those that x_n kills
+(x_n-exponent a_n - 1), which it sends to zero (`_xn_shift`). Moved
+through that map, the rows of the reduced echelon basis of B_{e-1}
+whose pivot survives are a reduced echelon basis of part of x_n B_{e-1},
+found with no arithmetic. It seeds degree e's elimination. The basis
+rows whose pivot x_n killed are fed again, moved the same way, then the
+x_n-free standard rows.
+
+Why x_n and not x_1: the reduced echelon basis puts its pivots on the
+earliest lex columns, which have the highest x_1-exponents, so x_1
+would kill the very columns that carry pivots, while the monomials that
+x_n kills come last in lex order. At the pure-power point x_1 would move
+594 basis rows off the seed on the five `ci-deep` cases of perfbench,
+x_n moves 113; on (7,2,2) k=8 it is 2098 against 744. For (4,2,4) k=5
+at degree 18 with no pure powers no row is fed again and 330 of the
+1430 rows are. So a seeded degree costs little, and every rank reported
+is computed.
 
 Why a random prime-field point says anything about generic forms: the
 rank of the Macaulay matrix at any specialization is at most the generic
@@ -51,7 +58,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain as chained
 
 import numpy as np
@@ -68,7 +75,11 @@ _PRODUCT_ENTRIES = 2**16
 
 class ResourceLimit(RuntimeError):
     """The matrix to eliminate at a degree would exceed the entry budget
-    (see `ideal_dimension_at_degree`)."""
+    (see `ideal_dimension_at_degree`); degree is that degree."""
+
+    def __init__(self, message, degree):
+        super().__init__(message)
+        self.degree = degree
 
 
 class SoundnessError(ArithmeticError):
@@ -142,6 +153,11 @@ class FormFamily:
     @property
     def k(self) -> int:
         return len(self.forms)
+
+    @cached_property
+    def pure_powers(self):
+        """`pure_powers` of the family, found once per family."""
+        return pure_powers(self)
 
     @classmethod
     def random(cls, n, d, k, seed, prime=modp.DEFAULT_PRIME):
@@ -284,10 +300,10 @@ def _standard(n: int, e: int, bounds: tuple[int, ...]) -> tuple[np.ndarray, int]
 
 
 @lru_cache(maxsize=None)
-def _scatter_table(n: int, dg: int, e: int, x1_free: bool, bounds=None) -> np.ndarray:
+def _scatter_table(n: int, dg: int, e: int, xn_free: bool, bounds=None) -> np.ndarray:
     """Index matrix T with T[i, j] = rank(multiplier_i * monomial_j) in
-    degree e, for multipliers of degree e - dg (with x1_free, only those
-    not divisible by x_1) and source monomials of degree dg.
+    degree e, for multipliers of degree e - dg (with xn_free, only those
+    not divisible by x_n) and source monomials of degree dg.
 
     With bounds, a tuple of n exponent bounds, only the standard
     multipliers are kept (every exponent e_i < bounds[i]), and T[i, j] is
@@ -305,8 +321,8 @@ def _scatter_table(n: int, dg: int, e: int, x1_free: bool, bounds=None) -> np.nd
         mult = _exponents(n, e - dg)
     else:
         mult = _standard_exponents(n, e - dg, _bounds_at(bounds, e - dg))
-    if x1_free:
-        mult = mult[mult[:, 0] == 0]
+    if xn_free:
+        mult = mult[mult[:, -1] == 0]
     table = lex_rank(mult[:, None, :] + _exponents(n, dg)[None, :, :])
     if bounds is not None:
         table = _standard(n, e, bounds)[0][table]
@@ -314,16 +330,16 @@ def _scatter_table(n: int, dg: int, e: int, x1_free: bool, bounds=None) -> np.nd
     return table
 
 
-def macaulay_rows(form: ModPPoly, e: int, x1_free: bool = False, bounds=None) -> np.ndarray:
+def macaulay_rows(form: ModPPoly, e: int, xn_free: bool = False, bounds=None) -> np.ndarray:
     """Rows of the degree-e Macaulay matrix contributed by one form:
-    all monomial multiples of degree e - deg(form), or with x1_free only
-    the multiples u*form with x_1 not dividing u, which come last. With
+    all monomial multiples of degree e - deg(form), or with xn_free only
+    the multiples u*form with x_n not dividing u, in the same order. With
     bounds, only the standard multiples and columns (see `_scatter_table`)."""
     n = form.n
     cols = monomial_count(n, e) if bounds is None else _standard(n, e, bounds)[1]
     if e < form.degree:
         return np.zeros((0, cols), dtype=np.int64)
-    t = _scatter_table(n, form.degree, e, x1_free, bounds)
+    t = _scatter_table(n, form.degree, e, xn_free, bounds)
     # products outside the standard columns land in one extra column
     block = np.zeros((t.shape[0], cols + 1), dtype=np.int64)
     block[np.arange(t.shape[0])[:, None], t] = form.coeffs
@@ -355,30 +371,49 @@ def _bounds_at(least, e: int) -> tuple[int, ...]:
     return tuple(e + 1 if a is None else min(a, e + 1) for a in least)
 
 
-def _x1_seed(basis: modp.Echelon, n: int, e: int, least):
-    """x_1 times degree e - 1's basis, as degree e's seed and a list of
-    the blocks of rows to feed again (see the module docstring).
+@lru_cache(maxsize=None)
+def _xn_shift(n: int, e: int, bounds: tuple[int, ...]) -> np.ndarray:
+    """sigma: sigma[j] is the column of x_n times the j-th standard
+    monomial of degree e - 1 among the standard monomials of degree e
+    (bounds those of degree e), or their count when x_n kills it, that is
+    when its x_n-exponent is bounds[-1] - 1. Multiplying by x_n keeps the
+    lex order, so sigma is strictly increasing on the columns it keeps."""
+    shifted = _standard_exponents(n, e - 1, _bounds_at(bounds, e - 1)).copy()
+    shifted[:, -1] += 1
+    sigma = _standard(n, e, bounds)[0][lex_rank(shifted)]
+    sigma.flags.writeable = False
+    return sigma
 
-    The seed is the basis with its first `prefix` columns dropped, the
-    standard monomials of degree e - 1 that x_1 kills: rows whose pivot
-    lies there are left out of it and returned, over degree e's standard
-    columns, to be fed again.
+
+def _xn_seed(basis: modp.Echelon, n: int, e: int, bounds):
+    """x_n times degree e - 1's basis, as degree e's seed over all of
+    degree e's standard columns (bounds), and the block of rows to feed
+    again, in a list (see the module docstring).
+
+    The rows whose pivot survives `_xn_shift` keep their pivot and their
+    surviving free entries, moved through it: with no arithmetic they are
+    still a reduced echelon basis. The rows whose pivot x_n kills are
+    returned, moved the same way, to be fed again.
     """
     pivots, free, block = basis
-    below = _bounds_at(least, e - 1)
-    width, standard = pivots.size + free.size, _standard(n, e - 1, below)[1]
-    if width != standard:
-        raise SoundnessError(f"degree-{e - 1} seed has {width} columns, not {standard}")
-    bounds = _bounds_at(least, e)
-    prefix = int((_standard_exponents(n, e - 1, below)[:, 0] == bounds[0] - 1).sum())
-    if not prefix:
-        return basis, []
-    lost = pivots < prefix
-    kept = free >= prefix
+    sigma = _xn_shift(n, e, bounds)
+    width = pivots.size + free.size
+    if width != sigma.size:
+        raise SoundnessError(f"degree-{e - 1} seed has {width} columns, not {sigma.size}")
+    cols = _standard(n, e, bounds)[1]
+    lost = sigma[pivots] == cols
+    kept = sigma[free] < cols
+    targets = sigma[free[kept]]
     tails = block[:, kept]
-    again = np.zeros((int(lost.sum()), _standard(n, e, bounds)[1]), dtype=np.int64)
-    again[:, free[kept] - prefix] = tails[lost]
-    return (pivots[~lost] - prefix, free[kept] - prefix, tails[~lost]), [again]
+    seed_pivots = sigma[pivots[~lost]]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[seed_pivots] = False
+    seed_free = np.flatnonzero(is_free)
+    seed_block = np.zeros((seed_pivots.size, seed_free.size), dtype=np.int64)
+    seed_block[:, np.searchsorted(seed_free, targets)] = tails[~lost]
+    again = np.zeros((int(lost.sum()), cols), dtype=np.int64)
+    again[:, targets] = tails[lost]
+    return (seed_pivots, seed_free, seed_block), [again]
 
 
 def macaulay_shape(family: FormFamily, e: int) -> tuple[int, int]:
@@ -409,15 +444,16 @@ def ideal_dimension_at_degree(
 
     budget caps the entries of the matrix eliminated: every standard
     multiple of the other forms, however few of them a seeded degree
-    feeds, times the standard columns. ResourceLimit is raised before any
-    row is built. With no pure powers this is the whole Macaulay matrix.
+    feeds, times the standard columns. ResourceLimit, carrying e, is
+    raised before any row is built. With no pure powers this is the whole
+    Macaulay matrix.
 
     chain, if given, is a dict that one family's calls share across
     degrees: it maps the last degree eliminated with it to that degree's
-    basis. If that degree is e - 1, x_1 times its basis seeds the reducer
-    and only its rows that x_1 moved off the seed and the rows u*h with
-    x_1 not dividing u are fed (see the module docstring). On return it
-    maps e to degree e's basis, and nothing else.
+    basis. If that degree is e - 1, x_n times its basis seeds the reducer
+    and only its rows whose pivot x_n killed and the rows u*h with x_n
+    not dividing u are fed (see the module docstring). On return it maps
+    e to degree e's basis, and nothing else.
     """
     bases = {} if chain is None else chain
     seed = bases.pop(e - 1, None)
@@ -427,7 +463,7 @@ def ideal_dimension_at_degree(
     rows_total, total = macaulay_shape(family, e)
     if rows_total == 0:
         return 0
-    least, others = pure_powers(family)
+    least, others = family.pure_powers
     bounds = _bounds_at(least, e)
     cols = _standard(family.n, e, bounds)[1]
     if budget is not None:
@@ -439,16 +475,16 @@ def ideal_dimension_at_degree(
         if rows * cols > budget:
             raise ResourceLimit(
                 f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} "
-                f"entries, over budget {budget}"
+                f"entries, over budget {budget}", e
             )
     again = []
     if seed is not None:
-        seed, again = _x1_seed(seed, family.n, e, least)
+        seed, again = _xn_seed(seed, family.n, e, bounds)
     reducer = modp.RowReducer(cols, family.prime, seed)
-    x1_free = seed is not None
-    del seed  # the reducer holds x_1 times it; keep one basis alive
+    xn_free = seed is not None
+    del seed  # the reducer holds x_n times it; keep one basis alive
     reducer.add_blocks(chained(again, (
-        macaulay_rows(form, e, x1_free, bounds) for form in others if form.degree <= e
+        macaulay_rows(form, e, xn_free, bounds) for form in others if form.degree <= e
     )))
     dim = total - cols + reducer.rank
     if dim > rows_total or dim > total:
@@ -475,8 +511,9 @@ def quotient_series_with_stats(family, max_deg, budget=None):
     Coefficient e = C(n+e-1, e) - dim I_e, each dim I_e eliminated in
     degree order. Once a coefficient is zero the ideal contains that power
     of the maximal ideal, so the tail is zero without further elimination.
-    Each degree's basis is carried to the next: x_1 times it seeds degree
-    e + 1, and only the x_1-free rows are fed (see the module docstring).
+    Each degree's basis is carried to the next: x_n times it seeds degree
+    e + 1, and only its rows whose pivot x_n killed and the x_n-free rows
+    are fed (see the module docstring).
     budget caps the entry count of the matrix eliminated at each degree,
     checked as the degree is reached (see `ideal_dimension_at_degree`).
     The stats give the shape of the whole Macaulay matrix.

@@ -38,8 +38,8 @@ kernel rejects larger moduli. Any prime certifies the same way (see
 likelier. Rank does not depend on the elimination order, so batch,
 blockwise and streamed ranks agree.
 
-A reducer may start from a seed: the basis of another reducer over a
-prefix of its columns, taken over as it stands (see `RowReducer`).
+A reducer may start from a seed: a basis in compact RREF over all of its
+columns, taken over as it stands (see `RowReducer`).
 """
 
 from __future__ import annotations
@@ -257,10 +257,10 @@ class RowReducer:
     and the r x (cols - r) block of its free columns. Rows are merged
     into it CHUNK at a time (`_merge`).
 
-    seed, if given, is the compact RREF of a row space over the first
-    w <= cols columns. Padded with zeros in columns w.. it is still in
-    RREF, so it is the starting basis as it stands, with no arithmetic.
-    Without a seed the basis starts empty: a seed over no columns.
+    seed, if given, is the compact RREF of a row space over all cols
+    columns, the starting basis as it stands, with no arithmetic (a seed
+    over any other number of columns raises ValueError). Without a seed
+    the basis starts empty.
     """
 
     def __init__(self, cols: int, p: int = DEFAULT_PRIME, seed: Echelon | None = None):
@@ -268,18 +268,16 @@ class RowReducer:
         _count_call()
         self.cols = cols
         self.p = p
-        if seed is None:  # the empty space over no columns
-            empty = np.zeros(0, dtype=np.intp)
-            seed = (empty, empty, np.zeros((0, 0), dtype=np.int64))
-        pivots, free, basis = seed
-        width = pivots.size + free.size
-        if width > cols:
-            raise ValueError(f"seed has {width} columns, more than {cols}")
-        self._echelon: Echelon = (
-            pivots,
-            np.concatenate([free, np.arange(width, cols)]),
-            np.hstack([basis, np.zeros((pivots.size, cols - width), dtype=np.int64)]),
-        )
+        if seed is None:
+            seed = (
+                np.zeros(0, dtype=np.intp),
+                np.arange(cols),
+                np.zeros((0, cols), dtype=np.int64),
+            )
+        width = seed[0].size + seed[1].size
+        if width != cols:
+            raise ValueError(f"seed has {width} columns, not {cols}")
+        self._echelon: Echelon = seed
 
     @property
     def echelon(self) -> Echelon:

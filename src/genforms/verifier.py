@@ -226,12 +226,20 @@ def resolve_truncation(spec: CaseSpec, cap: int = DEFAULT_CAP) -> int:
 
 def _at_pure_powers(spec, trunc, conjectured, budget):
     """(computed, stats) at `pure_power_family(spec, spec.seed)` if its
-    series is the conjectured one, else None: also when it meets the
-    budget, which the random trials then meet or not as they would have."""
+    series is the conjectured one, else None.
+
+    Over the budget at degree e, it raises ResourceLimit again when the
+    conjectured series has no zero below e: a trial that attains it must
+    eliminate degree e, and its matrix there (the whole Macaulay matrix,
+    unless the trial drew pure powers) is no smaller than the one met
+    here. Otherwise it returns None, and the random trials meet the
+    budget or not as they would have."""
     family = pure_power_family(spec, spec.seed)
     try:
         computed, stats = quotient_series_with_stats(family, trunc, budget=budget)
-    except ResourceLimit:
+    except ResourceLimit as exc:
+        if 0 not in conjectured.coeffs[: exc.degree]:
+            raise
         return None
     if lex_compare(computed, conjectured) is not Ordering.EQUAL:
         return None
@@ -257,6 +265,13 @@ def verify_case(
     and the random trials run as if it had not been tried, so a
     NotAttained record never depends on it. A given family_builder (for
     example `degenerate_family`) skips it.
+
+    One exception: if it meets the budget at a degree below which the
+    conjectured series has no zero, ResourceLimit is raised with no
+    random trial, since a trial that attains would meet the budget too.
+    Trials that would stop below that degree could only be NotAttained,
+    never Verified, so such a case raises (a sweep lists it as Skipped)
+    where it could have ended NotAttained.
 
     A random specialization can be unlucky; only after `trials` failures
     is the verdict NotAttained, with every seed recorded.

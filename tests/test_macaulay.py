@@ -43,8 +43,8 @@ P = DEFAULT_PRIME
 PRIMES = (2, 3, 101, 65537, 2**31 - 1)
 
 
-def _x1_free_count(n: int, e: int) -> int:
-    """Degree-e monomials not divisible by x_1: all of them but x_1 times
+def _xn_free_count(n: int, e: int) -> int:
+    """Degree-e monomials not divisible by x_n: all of them but x_n times
     each degree-(e - 1) monomial."""
     return monomial_count(n, e) - (monomial_count(n, e - 1) if e else 0)
 
@@ -229,24 +229,24 @@ def reference_scatter_table(n, dg, e):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_scatter_table_matches_dict_reference(n):
-    """Every table of degrees 0..12, full and x_1-free (the reference's
-    x_1-free table is its last rows: the old loop over the last
-    multipliers)."""
+    """Every table of degrees 0..12, full and x_n-free (the reference's
+    x_n-free table is its rows of multipliers u with u_n = 0, in order)."""
     for e in range(13):
         for dg in range(e + 1):
             want = reference_scatter_table(n, dg, e)
             full = _scatter_table(n, dg, e, False)
             free = _scatter_table(n, dg, e, True)
             assert full.dtype == np.intp and np.array_equal(full, want)
-            assert free.shape[0] == _x1_free_count(n, e - dg)
-            assert np.array_equal(free, want[want.shape[0] - free.shape[0] :])
+            xn_free = [u[-1] == 0 for u in enumerate_monomials(n, e - dg)]
+            assert free.shape[0] == _xn_free_count(n, e - dg)
+            assert np.array_equal(free, want[xn_free])
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_bounded_scatter_table_matches_dict_reference(n):
     """With exponent bounds: the reference table's rows of standard
-    multipliers (every exponent below its bound; with x1_free, only those
-    free of x_1), each product given its index among the standard
+    multipliers (every exponent below its bound; with xn_free, only those
+    free of x_n), each product given its index among the standard
     monomials of degree e in lex order, or their count if not standard."""
     for bounds in {(1,) * n, (2,) * n, (3, 9, 2, 4)[:n], (9, 1, 3, 2)[:n]}:
         for e in range(10):
@@ -255,12 +255,12 @@ def test_bounded_scatter_table_matches_dict_reference(n):
                         if all(x < b for x, b in zip(m, capped))]
             column = {m: i for i, m in enumerate(standard)}
             for dg in range(e + 1):
-                for x1_free in (False, True):
+                for xn_free in (False, True):
                     want = [[column.get(tuple(x + y for x, y in zip(u, v)), len(standard))
                              for v in enumerate_monomials(n, dg)]
                             for u in enumerate_monomials(n, e - dg)
-                            if all(x < b for x, b in zip(u, capped)) and not (x1_free and u[0])]
-                    table = _scatter_table(n, dg, e, x1_free, capped)
+                            if all(x < b for x, b in zip(u, capped)) and not (xn_free and u[-1])]
+                    table = _scatter_table(n, dg, e, xn_free, capped)
                     assert table.tolist() == want
 
 
@@ -483,7 +483,7 @@ def reference_quotient_series(family, max_deg, budget=None):
         if budget is not None and rows * cols > budget:
             raise ResourceLimit(
                 f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} "
-                f"entries, over budget {budget}"
+                f"entries, over budget {budget}", e
             )
         rows, cols = macaulay_shape(family, e)
         dim = reference_dimension(family, e)
@@ -540,26 +540,37 @@ def test_quotient_series_matches_per_degree_reference(data, family, max_deg):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_x1_times_a_monomial_keeps_its_index(n):
-    """The index lemma behind the seeded chain: in degree e, x_1 times the
-    j-th degree-(e - 1) monomial is the j-th monomial, and the monomials
-    free of x_1 come after them."""
-    for e in range(13):
-        below = enumerate_monomials(n, e - 1) if e else ()
-        mons = enumerate_monomials(n, e)
-        assert [(m[0] + 1,) + m[1:] for m in below] == list(mons[: len(below)])
-        assert all(m[0] == 0 for m in mons[len(below) :])
-        assert len(mons) - len(below) == _x1_free_count(n, e)
+def test_xn_shift_is_increasing_and_kills_the_top_xn_exponent(n):
+    """The lemma behind the seeded chain: sigma sends each standard
+    monomial of degree e - 1 to x_n times it among the standard monomials
+    of degree e, found here by lookup in the enumeration, is strictly
+    increasing on the columns it keeps, and kills exactly those with
+    x_n-exponent b_n - 1."""
+    for bounds in {(3, 9, 2, 4, 5, 2)[:n], (9,) * n, (2,) * n, (1, 4, 3, 2, 9, 3)[:n]}:
+        for e in range(1, 13):
+            below, above = (
+                [m for m in enumerate_monomials(n, d) if all(x < b for x, b in zip(m, bounds))]
+                for d in (e - 1, e)
+            )
+            column = {m: i for i, m in enumerate(above)}
+            sigma = macaulay._xn_shift(n, e, tuple(min(b, e + 1) for b in bounds))
+            assert sigma.tolist() == [
+                column.get(m[:-1] + (m[-1] + 1,), len(above)) for m in below
+            ]
+            killed = [m[-1] == bounds[-1] - 1 for m in below]
+            assert (sigma == len(above)).tolist() == killed
+            kept = sigma[sigma < len(above)]
+            assert np.all(np.diff(kept) > 0)
 
 
-def test_x1_free_rows_are_the_last_macaulay_rows():
+def test_xn_free_rows_are_the_macaulay_rows_of_xn_free_multipliers():
     fam = FormFamily.random(3, 2, 1, seed=4)
     f = fam.forms[0]
     for e in range(2, 7):
         full = macaulay_rows(f, e)
-        free = macaulay_rows(f, e, x1_free=True)
-        assert free.shape[0] == _x1_free_count(3, e - 2)
-        assert np.array_equal(free, full[full.shape[0] - free.shape[0] :])
+        free = macaulay_rows(f, e, xn_free=True)
+        assert free.shape[0] == _xn_free_count(3, e - 2)
+        assert np.array_equal(free, full[[u[-1] == 0 for u in enumerate_monomials(3, e - 2)]])
 
 
 def assert_chain_matches_scratch(family, max_deg):
@@ -663,12 +674,13 @@ def test_seeded_chain_with_pure_powers_named_cases(prime):
     ]
 
 
-def test_a_seeded_degree_feeds_the_rows_x1_moved_off_the_seed(monkeypatch):
+def test_a_seeded_degree_feeds_the_rows_xn_moved_off_the_seed(monkeypatch):
     """(3,2,2) k=4 at the pure-power point, degree 7 seeded by degree 6:
-    x_1^4 kills the 4 standard monomials of degree 6 with x_1-exponent 3,
-    so 4 of the 6 basis rows lose their pivot and are fed again. With the
-    2 rows kept in the seed they span all 6 standard columns of degree 7,
-    so the random form's rows are never built."""
+    x_3^4 kills the standard monomials of degree 6 with x_3-exponent 3,
+    columns 3, 6, 8 and 9 of 10, and the basis has its 6 pivots on
+    columns 0..5, so 1 basis row loses its pivot and is fed again. With
+    the 5 rows kept in the seed it spans all 6 standard columns of
+    degree 7, so the random form's rows are never built."""
     from genforms.verifier import CaseSpec, pure_power_family
 
     family = pure_power_family(CaseSpec(3, 2, 2, 4), 0)
@@ -676,7 +688,9 @@ def test_a_seeded_degree_feeds_the_rows_x1_moved_off_the_seed(monkeypatch):
     chain = {}
     ideal_dimension_at_degree(family, 6, chain)
     pivots = chain[6][0]
-    assert (pivots.size, int((pivots < 4).sum())) == (6, 4)
+    killed = [3, 6, 8, 9]
+    assert macaulay._standard_exponents(3, 6, (4, 4, 4))[killed, 2].tolist() == [3] * 4
+    assert (pivots.size, int(np.isin(pivots, killed).sum())) == (6, 1)
     fed = []
     real = modp.RowReducer.add_rows
 
@@ -686,7 +700,35 @@ def test_a_seeded_degree_feeds_the_rows_x1_moved_off_the_seed(monkeypatch):
 
     monkeypatch.setattr(modp.RowReducer, "add_rows", counting)
     assert ideal_dimension_at_degree(family, 7, chain) == want
-    assert fed == [4]
+    assert fed == [1]
+
+
+def test_the_pure_power_point_feeds_few_basis_rows_again(monkeypatch):
+    """(4,2,4) k=5 at the pure-power point, seed 0, over its whole series:
+    the reducers take the 256 Macaulay rows built and 40 basis rows whose
+    pivot x_n killed (x_1, which kills the columns that carry the
+    pivots, would move 241)."""
+    from genforms.verifier import CaseSpec, pure_power_family, resolve_truncation
+
+    spec = CaseSpec(4, 2, 4, 5)
+    family = pure_power_family(spec, 0)
+    fed, built = [], []
+    real_add, real_rows = modp.RowReducer.add_rows, macaulay.macaulay_rows
+
+    def adding(self, block):
+        fed.append(np.atleast_2d(block).shape[0])
+        return real_add(self, block)
+
+    def building(*args):
+        block = real_rows(*args)
+        built.append(block.shape[0])
+        return block
+
+    monkeypatch.setattr(modp.RowReducer, "add_rows", adding)
+    monkeypatch.setattr(macaulay, "macaulay_rows", building)
+    series = quotient_series_with_stats(family, resolve_truncation(spec))[0]
+    assert series.coeffs[-1] == 0
+    assert (sum(built), sum(fed) - sum(built)) == (256, 40)
 
 
 @pytest.mark.parametrize("n, a, k", [(1, 3, 1), (2, 2, 2), (3, 4, 2), (3, 2, 3), (4, 3, 4)])

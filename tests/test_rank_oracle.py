@@ -210,19 +210,18 @@ def test_rank_above_the_two_product_inner_dimension():
 @settings(max_examples=60, deadline=None)
 @given(planted_matrices(), st.data())
 def test_seeded_reducer_matches_reference(case, data):
-    """A reducer seeded with the basis of rows over the first w columns
-    spans those rows padded with zeros: rows fed on top of the seed give
+    """A reducer seeded with the basis of rows that are zero past their
+    first w columns spans those rows: rows fed on top of the seed give
     the rank of both together."""
     rows, cols, p = case
     width = data.draw(st.integers(0, cols))
     cut = data.draw(st.integers(0, len(rows)))
-    below = [row[:width] for row in rows[:cut]]
-    seed = RowReducer(width, p)
-    seed.add_rows(as_array(below, width))
+    padded = [row[:width] + [0] * (cols - width) for row in rows[:cut]]
+    seed = RowReducer(cols, p)
+    seed.add_rows(as_array(padded, cols))
     reducer = RowReducer(cols, p, seed.echelon)
     assert reducer.rank == seed.rank
     reducer.add_rows(as_array(rows[cut:], cols))
-    padded = [row + [0] * (cols - width) for row in below]
     assert reducer.rank == reference_rank(padded + rows[cut:], p)
 
 
@@ -231,3 +230,10 @@ def test_seed_wider_than_the_reducer_is_rejected():
     seed.add_rows(np.eye(4, dtype=np.int64))
     with pytest.raises(ValueError, match="columns"):
         RowReducer(3, 101, seed.echelon)
+
+
+def test_seed_narrower_than_the_reducer_is_rejected():
+    seed = RowReducer(3, 101)
+    seed.add_rows(np.eye(3, dtype=np.int64))
+    with pytest.raises(ValueError, match="3 columns, not 4"):
+        RowReducer(4, 101, seed.echelon)

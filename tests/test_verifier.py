@@ -254,10 +254,11 @@ def test_verify_and_sweep_share_the_complete_intersection_truncation():
 
 
 def test_run_sweep_deduces_no_interval_across_a_skipped_endpoint():
-    """At a budget of 200 entries only k=14 is over it: at the pure-power
-    point (33x12 standard entries at degree 5) and then in the random
-    trial (14x15 at degree 4). It is skipped with the trial's message,
-    7..14 is not deduced, and 5..6 still is."""
+    """At a budget of 200 entries only k=14 is over it, at the pure-power
+    point (33x12 standard entries at degree 5). Its conjectured series
+    has no zero below degree 5, so no random trial could attain within
+    the budget: it is skipped with the pure-power point's message, 7..14
+    is not deduced, and 5..6 still is."""
     plan = plan_sweep(3, 2, 2, 4, 15)
     assert [c.k for c in plan.cases] == [4, 5, 6, 7, 14, 15]
     assert plan.intervals == ((5, 6), (7, 14))
@@ -266,7 +267,7 @@ def test_run_sweep_deduces_no_interval_across_a_skipped_endpoint():
     assert all(r.verdict == VERIFIED for r in records)
     assert [(w.k_low, w.k_high) for w in witnesses] == [(5, 6)] and failures == []
     assert [(spec.k, reason) for spec, reason in skipped] == [
-        (14, "degree-4 Macaulay matrix has 14x15 = 210 entries, over budget 200")
+        (14, "degree-5 Macaulay matrix has 33x12 = 396 entries, over budget 200")
     ]
     assert certified_ks(records, witnesses) == {4, 5, 6, 7, 15}
 
@@ -345,6 +346,24 @@ def test_a_first_attempt_over_budget_falls_through_to_the_random_trials(monkeypa
     assert record.verdict == VERIFIED and record.seeds_tried == (0,)
     with pytest.raises(ResourceLimit):
         verify_case(CaseSpec(3, 2, 1, 4), budget=200, family_builder=degenerate_family)
+
+
+def test_no_random_family_is_built_after_a_limit_no_later_than_the_first_zero(monkeypatch):
+    """(3,2,2,14) at a budget of 200 meets it at the pure-power point at
+    degree 5, and its conjectured series has its first zero at degree 5:
+    ResourceLimit is raised with no random draw, and the trial's own
+    limit (degree 4, 14x15) is never reached."""
+    spec = CaseSpec(3, 2, 2, 14)
+    conjectured = conjectured_series(spec.degree_list, resolve_truncation(spec))
+    assert conjectured.coeffs.index(0) == 5
+
+    def refuse(spec, seed):
+        raise AssertionError("a random family was built")
+
+    monkeypatch.setattr(verifier, "default_family", refuse)
+    with pytest.raises(ResourceLimit, match="^degree-5 Macaulay matrix has 33x12") as exc:
+        verify_case(spec, budget=200)
+    assert exc.value.degree == 5
 
 
 # The pure-power point certifies (4,2,2,5) at the first seed; it fails on
