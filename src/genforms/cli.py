@@ -2,7 +2,10 @@
 
 Subcommands: series, verify, sweep, construct, search, table.
 Verification records are emitted as JSON lines; an append-only cache file
-lets repeated invocations skip the linear algebra entirely.
+lets repeated invocations skip the linear algebra entirely. `sweep` and
+each cell of `table` share one runner, `sweep_cell`: plan the k range,
+serve the cache hits, run the rest with `run_sweep` (the one place a
+budget limit becomes a Skipped case) and append the computed records.
 
 Exit codes: 0 all verdicts Verified, 2 a NotAttained verdict is present,
 3 resource or usage error.
@@ -14,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
 
 from . import __version__, modp
@@ -39,12 +41,10 @@ from .series import (
 )
 from . import verifier
 from .verifier import (
-    STRETCH_CELLS,
     TABLE_CELLS,
     CaseSpec,
     plan_sweep,
     run_sweep,
-    suite_k_values,
     verify_case,
 )
 
@@ -205,11 +205,14 @@ def cmd_verify(args, cfg):
     return EXIT_OK if record.verdict == verifier.VERIFIED else EXIT_NOT_ATTAINED
 
 
-def cmd_sweep(args, cfg):
-    lo, hi = parse_range(args.k_range)
+def sweep_cell(n, d, m, lo, hi, cfg):
+    """The runner of `sweep` and of each `table` cell: plan k = lo..hi,
+    serve the --cache hits, check that the cache can be appended to when a
+    case needs computing, run the plan, append each computed record and
+    print the summary line to stderr. Returns (served, records, witnesses,
+    failures, skipped): the k served from the cache, then `run_sweep`'s."""
     plan = plan_sweep(
-        args.n, args.d, args.m, lo, hi,
-        seed=cfg.seed, prime=cfg.prime, trials=cfg.trials, cap=cfg.cap,
+        n, d, m, lo, hi, seed=cfg.seed, prime=cfg.prime, trials=cfg.trials, cap=cfg.cap,
     )
     cache = load_cache(cfg.cache_path)
     served = {}
@@ -223,11 +226,29 @@ def cmd_sweep(args, cfg):
         plan, cap=cfg.cap, budget=cfg.budget, served=served
     )
     for rec in records:
+        if rec.spec.k not in served:
+            append_cache(cfg.cache_path, rec.to_dict())
+    verdicts = [r.verdict for r in records]
+    covered = verifier.certified_ks(records, witnesses)
+    print(
+        f"sweep n={n} d={d} m={m} k={lo}..{hi}: "
+        f"{sum(v == verifier.VERIFIED for v in verdicts)}/{len(verdicts)} direct cases verified, "
+        f"{len(witnesses)} intervals deduced, {len(failures)} rejected, "
+        f"{len(skipped)} skipped; covered {len(covered)}/{hi - lo + 1} values of k",
+        file=sys.stderr,
+    )
+    return served, records, witnesses, failures, skipped
+
+
+def cmd_sweep(args, cfg):
+    lo, hi = parse_range(args.k_range)
+    served, records, witnesses, failures, skipped = sweep_cell(
+        args.n, args.d, args.m, lo, hi, cfg
+    )
+    for rec in records:
         out = rec.to_dict()
         if rec.spec.k in served:
             out["cached"] = True
-        else:
-            append_cache(cfg.cache_path, out)
         print(json.dumps(out))
     for w in witnesses:
         print(
@@ -243,17 +264,7 @@ def cmd_sweep(args, cfg):
         print(json.dumps({"interval": [ilo, ihi], "verdict": "Rejected", "reason": reason}))
     for spec, reason in skipped:
         print(json.dumps({"k": spec.k, "verdict": "Skipped", "reason": reason}))
-
-    verdicts = [r.verdict for r in records]
-    covered = verifier.certified_ks(records, witnesses)
-    print(
-        f"sweep n={args.n} d={args.d} m={args.m} k={lo}..{hi}: "
-        f"{sum(v == verifier.VERIFIED for v in verdicts)}/{len(verdicts)} direct cases verified, "
-        f"{len(witnesses)} intervals deduced, {len(failures)} rejected, "
-        f"{len(skipped)} skipped; covered {len(covered)}/{hi - lo + 1} values of k",
-        file=sys.stderr,
-    )
-    if any(v == verifier.NOT_ATTAINED for v in verdicts):
+    if any(r.verdict == verifier.NOT_ATTAINED for r in records):
         return EXIT_NOT_ATTAINED
     return EXIT_OK
 
@@ -292,27 +303,36 @@ def cmd_search(args, cfg):
     return EXIT_OK
 
 
+def _table_row(cell, k, trunc, verdict, seconds="-", note=""):
+    n, d, m = cell
+    print(f"{n:>3} {d:>3} {m:>3} {k:>8} {trunc:>5}  {verdict:<15} {seconds:>7}{note}",
+          flush=True)
+
+
 def cmd_table(args, cfg):
+    """Each cell of `TABLE_CELLS` run as a sweep: with --budget small only
+    its top k, with --budget full every k. One row per direct record (its
+    seconds are the record's, "cached" for a hit), then one per deduced or
+    rejected interval and per skipped case."""
     worst = EXIT_OK
-    print(f"{'n':>3} {'d':>3} {'m':>3} {'k':>5} {'trunc':>5}  {'verdict':<15} seconds")
-    for n, d, m in TABLE_CELLS + STRETCH_CELLS:
-        if args.budget == "small":
-            ks = [monomial_count(n, m * d)]
-        else:
-            ks = suite_k_values(n, d, m, cfg.cap)
-        for k in ks:
-            spec = CaseSpec(n, d, m, k, seed=cfg.seed, prime=cfg.prime, trials=cfg.trials)
-            start = time.perf_counter()
-            try:
-                rec = verify_case(spec, cap=cfg.cap, budget=cfg.budget)
-                verdict, trunc = rec.verdict, rec.trunc
-            except ResourceLimit:
-                verdict, trunc = "Skipped(budget)", "-"
-            seconds = time.perf_counter() - start
-            print(f"{n:>3} {d:>3} {m:>3} {k:>5} {trunc:>5}  {verdict:<15} {seconds:7.2f}",
-                  flush=True)
-            if verdict == verifier.NOT_ATTAINED:
-                worst = max(worst, EXIT_NOT_ATTAINED)
+    for cell in TABLE_CELLS:
+        n, d, m = cell
+        top = monomial_count(n, m * d)
+        lo = top if args.budget == "small" else 1
+        served, records, witnesses, failures, skipped = sweep_cell(n, d, m, lo, top, cfg)
+        if cell == TABLE_CELLS[0]:  # after the first cache check, so a bad path prints nothing
+            print(f"{'n':>3} {'d':>3} {'m':>3} {'k':>8} {'trunc':>5}  {'verdict':<15} seconds")
+        for rec in records:
+            seconds = "cached" if rec.spec.k in served else f"{rec.millis / 1000:.2f}"
+            _table_row(cell, rec.spec.k, rec.trunc, rec.verdict, seconds)
+            if rec.verdict == verifier.NOT_ATTAINED:
+                worst = EXIT_NOT_ATTAINED
+        for w in witnesses:
+            _table_row(cell, f"{w.k_low}..{w.k_high}", "-", "Deduced")
+        for (ilo, ihi), reason in failures:
+            _table_row(cell, f"{ilo}..{ihi}", "-", "Rejected", note=f"  {reason}")
+        for spec, reason in skipped:
+            _table_row(cell, spec.k, spec.trunc, "Skipped(budget)", note=f"  {reason}")
     return worst
 
 

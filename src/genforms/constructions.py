@@ -6,8 +6,12 @@ n*r >= C(n+d, d+1), the quotient series is the first d coefficients of
 1/(1-t)^n followed by C(n+d-1,d) - r at degree d and nothing after, which
 is exactly the conjectured ceiling series for r generic forms of degree d.
 
-Also here: the exhaustive search showing small k cannot always be covered
-by monomial ideals, and the trivial-syzygy witness explaining why.
+Also here: the induction inequality and the range of k the family
+covers, and the exhaustive search showing small k cannot always be
+covered by monomial ideals. Why not: a terminating series forces every
+pure power x_i^d among the generators, and a mixed generator m divisible
+by x_i then gives the trivial syzygy x_i^(d-1) * m = x_i^d * (m / x_i),
+two equal rows of the degree-(2d - 1) Macaulay matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from .monomials import (
-    Monomial,
     MonomialIdeal,
     contains_power_of_maximal_ideal,
     enumerate_monomials,
@@ -89,9 +92,7 @@ def froberg_monomial_ideal(params: FrobergFamilyParams) -> MonomialIdeal:
         mono[j - 1] += d - 1
         excluded.add(tuple(mono))
     gens = [m for m in enumerate_monomials(n, d) if m not in excluded]
-    ideal = MonomialIdeal.from_generators(n, gens)
-    assert len(ideal.generators) == params.k
-    return ideal
+    return MonomialIdeal.from_generators(n, gens)
 
 
 def check_theorem1(ideal: MonomialIdeal, n: int, d: int) -> Theorem1Report:
@@ -200,39 +201,4 @@ def exhaustive_monomial_search(
         series = quotient_hilbert_function(ideal, max_deg)
         if lex_compare(series, target) is Ordering.EQUAL:
             return ideal
-    return None
-
-
-@dataclass(frozen=True)
-class SyzygyWitness:
-    """Two monomial multiples of distinct generators with equal product."""
-
-    multiplier_a: Monomial
-    generator_a: Monomial
-    multiplier_b: Monomial
-    generator_b: Monomial
-    product: Monomial
-
-
-def trivial_syzygy_witness(n: int, d: int, ideal: MonomialIdeal):
-    """For a mixed generator m divisible by x_i, exhibit
-    x_i^(d-1) * m = x_i^d * (m / x_i) as a dependent row pair.
-
-    Requires all pure powers x_i^d among the generators; returns None when
-    every generator is a pure power.
-    """
-    pure = {tuple(d if i == j else 0 for i in range(n)) for j in range(n)}
-    gens = set(ideal.generators)
-    if not pure <= gens:
-        raise InvalidParams("generator set must contain every pure power x_i^d")
-    for m in ideal.generators:
-        if m in pure:
-            continue
-        i = next(idx for idx, e in enumerate(m) if e > 0)
-        mult_a = tuple(d - 1 if j == i else 0 for j in range(n))
-        gen_b = tuple(d if j == i else 0 for j in range(n))
-        mult_b = tuple(e - 1 if j == i else e for j, e in enumerate(m))
-        product = tuple(x + y for x, y in zip(mult_a, m))
-        assert product == tuple(x + y for x, y in zip(mult_b, gen_b))
-        return SyzygyWitness(mult_a, m, mult_b, gen_b, product)
     return None

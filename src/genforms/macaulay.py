@@ -5,7 +5,11 @@ A form of degree d is one read-only int64 vector of coefficients in
 to its Macaulay rows. The degree-e graded piece of the ideal generated by
 a family of forms is spanned by monomial multiples of the generators; its
 dimension is the rank of the Macaulay matrix whose rows are those
-multiples, computed over Z/p.
+multiples, computed over Z/p. Forms are multiplied only to be powered:
+`power` squares a whole family at once, each product one batched
+`_products` call through the same scatter tables as the Macaulay rows.
+The first-order bound, coefficient >= cols - rows of that degree's
+`DegreeStat`, holds at every specialization and is checked per degree.
 
 Pure powers are divided out in closed form. Let a_i be the least a such
 that some c*x_i^a (c != 0) is in the family, J the monomial ideal of
@@ -65,7 +69,7 @@ import numpy as np
 
 from . import modp
 from .monomials import enumerate_monomials, exponent_array, lex_rank, monomial_count
-from .series import TruncatedSeries, binomial
+from .series import TruncatedSeries
 
 
 # Terms per slice of a batched product: its int64 and float64
@@ -173,17 +177,6 @@ def random_form(n, d, rng, prime=modp.DEFAULT_PRIME) -> ModPPoly:
         raise ValueError("form degree must be >= 1")
     coeffs = rng.integers(0, prime, size=monomial_count(n, d), dtype=np.int64)
     return ModPPoly(n, d, coeffs, prime)
-
-
-def multiply(f: ModPPoly, g: ModPPoly) -> ModPPoly:
-    """Exact product f*g: the one-form case of the batched `_products`,
-    which scatters each term through the degree-(deg f + deg g) table
-    and is exact while min(S_f, S_g)(p - 1) < 2^53 (S_f, S_g the
-    coefficient counts; checked, raising OverflowError)."""
-    if f.n != g.n or f.prime != g.prime:
-        raise ValueError("operands must share n and prime")
-    rows = _products(f.coeffs[None], g.coeffs[None], f.n, f.degree, g.degree, f.prime)
-    return ModPPoly(f.n, f.degree + g.degree, rows[0], f.prime)
 
 
 def power(f: ModPPoly | FormFamily, m: int):
@@ -538,13 +531,3 @@ def quotient_series_with_stats(family, max_deg, budget=None):
             break
     terminated = coeffs[-1] == 0
     return TruncatedSeries(tuple(coeffs), terminated=terminated), stats
-
-
-def first_order_lower_bound(family: FormFamily, e: int) -> int:
-    """C(n+e-1,e) - sum_g C(n+e-deg g-1, e-deg g); valid over any field."""
-    n = family.n
-    total = binomial(n + e - 1, e)
-    for f in family.forms:
-        if f.degree <= e:
-            total -= binomial(n + e - f.degree - 1, e - f.degree)
-    return total

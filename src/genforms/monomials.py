@@ -55,7 +55,8 @@ def lex_rank(exps) -> np.ndarray:
     where r_i = d - m_0 - ... - m_{i-1} and a negative degree counts 0.
     With t = n - 1 - i and s_t = r_i - m_i, the sum of the last t
     exponents, the term is C(s_t + t - 1, t). Entries are not checked:
-    a negative exponent gives a wrong rank, not an error (see `rank`).
+    a negative exponent gives a wrong rank, not an error (see
+    `exponent_array`, which checks them).
     """
     exps = np.asarray(exps, dtype=np.int64)
     n = exps.shape[-1]
@@ -87,17 +88,6 @@ def exponent_array(monos, n: int, d: int) -> np.ndarray:
         if sum(m) != d:
             raise ValueError(f"monomial {m} has degree {sum(m)}, not {d}")
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
-
-
-def rank(m: Monomial) -> int:
-    """Position of a monomial in the fixed-degree enumeration.
-
-    Raises ValueError for an empty tuple or a negative exponent.
-    """
-    m = tuple(m)
-    if not m:
-        raise ValueError("a monomial needs at least one variable")
-    return int(lex_rank(exponent_array([m], len(m), sum(m)))[0])
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
@@ -133,11 +123,6 @@ class MonomialIdeal:
 
     def contains(self, m: Monomial) -> bool:
         return any(divides(g, m) for g in self.generators)
-
-
-def maximal_ideal_power(n: int, e: int) -> MonomialIdeal:
-    """m^e where m = (x1, ..., xn)."""
-    return MonomialIdeal.from_generators(n, enumerate_monomials(n, e))
 
 
 def quotient_hilbert_function(ideal: MonomialIdeal, max_deg: int) -> TruncatedSeries:

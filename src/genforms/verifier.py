@@ -499,19 +499,5 @@ def run_sweep(
     return list(records.values()), witnesses, failures, skipped
 
 
-# The verified-cases table: (n, d, m) cells. The stretch cells are the
-# two largest.
-TABLE_CELLS = ((4, 2, 2), (4, 2, 3), (4, 3, 2), (5, 2, 2))
-STRETCH_CELLS = ((4, 2, 4), (4, 3, 3))
-
-
-def suite_k_values(n, d, m, cap=DEFAULT_CAP):
-    """Desk-scale k sample per table cell: just above the complete
-    intersection range, mid-range (snapped to a planned endpoint), and
-    the maximal useful generator count."""
-    top = monomial_count(n, m * d)
-    plan = plan_sweep(n, d, m, 1, top, cap=cap)
-    mid_target = (n + 1 + top) // 2
-    endpoints = sorted({c.k for c in plan.cases})
-    mid = min(endpoints, key=lambda k: abs(k - mid_target))
-    return sorted({n + 1, mid, top})
+# The verified-cases table: (n, d, m) cells, the last two the largest.
+TABLE_CELLS = ((4, 2, 2), (4, 2, 3), (4, 3, 2), (5, 2, 2), (4, 2, 4), (4, 3, 3))

@@ -18,7 +18,6 @@ from genforms.constructions import (
 )
 from genforms.macaulay import (
     FormFamily,
-    first_order_lower_bound,
     ideal_dimension_at_degree,
     quotient_series_with_stats,
     random_form,
@@ -39,9 +38,7 @@ from genforms.verifier import (
     NOT_ATTAINED,
     VERIFIED,
     CaseSpec,
-    TABLE_CELLS,
     degenerate_family,
-    suite_k_values,
     verify_case,
     verify_interval,
 )
@@ -77,6 +74,7 @@ def test_acceptance_2_monomial_family_content():
             for l in range(1, n + 1):
                 params = FrobergFamilyParams(n, d, l)
                 ideal = froberg_monomial_ideal(params)
+                assert len(ideal.generators) == params.k
                 report_t1 = check_theorem1(ideal, n, d)
                 sieved = quotient_hilbert_function(ideal, d + 1)
                 expected = conjectured_series(DegreeList(n, (d,) * params.k), d + 1)
@@ -98,10 +96,20 @@ def test_acceptance_3_no_monomial_ideal_attains_1_4t_5t2():
     report("unpruned 252-candidate search agrees", start, 60.0)
 
 
-@pytest.mark.parametrize("cell", TABLE_CELLS)
+# Per (n, d, m): k just above the complete intersections, a planned
+# interval endpoint near mid-range, and the largest useful k.
+TABLE_SLICE = {
+    (4, 2, 2): (5, 14, 35),
+    (4, 2, 3): (5, 30, 84),
+    (4, 3, 2): (5, 30, 84),
+    (5, 2, 2): (6, 26, 70),
+}
+
+
+@pytest.mark.parametrize("cell", TABLE_SLICE)
 def test_acceptance_4_power_conjecture_table_slice(cell):
     n, d, m = cell
-    for k in suite_k_values(n, d, m):
+    for k in TABLE_SLICE[cell]:
         start = time.perf_counter()
         record = verify_case(CaseSpec(n, d, m, k))
         assert record.verdict == VERIFIED
@@ -156,7 +164,7 @@ def test_acceptance_6_property_suites():
         series, stats = quotient_series_with_stats(fam, rnd.randint(0, 10))
         for st in stats:
             assert st.rank <= min(st.rows, st.cols)
-            assert first_order_lower_bound(fam, st.e) <= series.coeffs[st.e]
+            assert st.cols - st.rows <= series.coeffs[st.e]  # the first-order bound
             assert series.coeffs[st.e] <= binomial(n + st.e - 1, st.e)
 
     # incremental elimination agrees with batch elimination

@@ -321,14 +321,14 @@ def test_sweep_over_budget_prints_its_records_and_skips(capsys):
 
 @pytest.mark.parametrize("where", ["a directory", "in a missing directory"])
 def test_unusable_cache_path_exits_with_error(tmp_path, capsys, monkeypatch, where):
-    """verify and sweep refuse the path before any elimination."""
+    """verify, sweep and table refuse the path before any elimination."""
 
     def no_elimination(*args, **kwargs):
         raise AssertionError("a RowReducer was constructed")
 
     monkeypatch.setattr(modp, "RowReducer", no_elimination)
     cache = tmp_path if where == "a directory" else tmp_path / "missing" / "c.jsonl"
-    for argv in (VERIFY_342, SWEEP_322):
+    for argv in (VERIFY_342, SWEEP_322, ("table",)):
         code, out, err = run(capsys, "--cache", str(cache), *argv)
         assert code == EXIT_ERROR
         assert out == ""
@@ -372,6 +372,43 @@ def test_table_small(capsys):
     assert len(lines) == 7  # header + six table cells
     assert lines[0].split() == ["n", "d", "m", "k", "trunc", "verdict", "seconds"]
     assert all("Verified" in line for line in lines[1:])
+
+
+def test_table_full_covers_every_k_of_each_cell(capsys):
+    code, out, err = run(capsys, "table", "--budget", "full")
+    assert code == EXIT_OK
+    assert "NotAttained" not in out and "Skipped" not in out and "Rejected" not in out
+    summaries = err.splitlines()
+    tops = [35, 84, 84, 70, 165, 220]
+    assert len(summaries) == len(tops)
+    for line, top in zip(summaries, tops):
+        assert f"k=1..{top}:" in line
+        assert line.endswith(f"0 rejected, 0 skipped; covered {top}/{top} values of k")
+
+
+def test_repeated_table_is_served_from_cache(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    code, first, _ = run(capsys, "--cache", str(cache), "table", "--budget", "small")
+    assert code == EXIT_OK
+    lines = cache.read_text().splitlines()
+    assert len(lines) == 6
+    modp.reset_telemetry()
+    code, second, _ = run(capsys, "--cache", str(cache), "table", "--budget", "small")
+    assert code == EXIT_OK
+    assert modp.ELIMINATION_CALLS == 0
+    assert cache.read_text().splitlines() == lines
+    rows = second.splitlines()[1:]
+    assert [row.split()[:6] for row in rows] == [row.split()[:6] for row in first.splitlines()[1:]]
+    assert all(row.split()[6] == "cached" for row in rows)
+
+
+def test_table_over_budget_prints_skipped_rows(capsys):
+    code, out, err = run(capsys, "--matrix-budget", "1", "table")
+    assert code == EXIT_OK
+    rows = out.splitlines()[1:]
+    assert len(rows) == 6
+    assert all(row.split()[5] == "Skipped(budget)" and "over budget 1" in row for row in rows)
+    assert err.count("0/0 direct cases verified") == 6
 
 
 def test_bad_prime_exits_with_error(capsys):

@@ -1,5 +1,8 @@
 """Tests for the explicit monomial-ideal family and the search machinery."""
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 
 from genforms.constructions import (
@@ -12,17 +15,45 @@ from genforms.constructions import (
     exhaustive_monomial_search,
     froberg_monomial_ideal,
     induction_inequality_check,
-    trivial_syzygy_witness,
+)
+from genforms.macaulay import (
+    FormFamily,
+    ModPPoly,
+    ideal_dimension_at_degree,
+    macaulay_rows,
+    macaulay_shape,
 )
 from genforms.monomials import (
     MonomialIdeal,
     contains_power_of_maximal_ideal,
+    enumerate_monomials,
     monomial_count,
     quotient_hilbert_function,
 )
 from genforms.series import DegreeList, TruncatedSeries, conjectured_series
 
 SQUARES_XY_GENS = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 0, 0)]
+
+
+def monomial_form(g):
+    return ModPPoly.from_monomial_dict(len(g), sum(g), {tuple(g): 1})
+
+
+def monomial_family(n, gens):
+    return FormFamily(n, tuple(monomial_form(g) for g in gens))
+
+
+def macaulay_row(generator, multiplier):
+    """The row multiplier * generator of the Macaulay matrix of their
+    joint degree."""
+    n, dm = len(generator), sum(multiplier)
+    rows = macaulay_rows(monomial_form(generator), sum(generator) + dm)
+    return rows[enumerate_monomials(n, dm).index(multiplier)]
+
+
+def has_dependent_rows(n, gens, e):
+    family = monomial_family(n, gens)
+    return ideal_dimension_at_degree(family, e) < macaulay_shape(family, e)[0]
 
 
 def test_family_l1_is_maximal_ideal_power():
@@ -160,39 +191,27 @@ def test_positive_2d_minus_1_coefficient_blocks_monomial_ideals():
     target = conjectured_series(spec, 4)
     assert target.coeffs[3] > 0
     assert exhaustive_monomial_search(5, 2, 6, target) is None
-    from itertools import combinations
-
-    from genforms.monomials import enumerate_monomials
-
     pure = [tuple(2 if i == j else 0 for i in range(5)) for j in range(5)]
     mixed = [m for m in enumerate_monomials(5, 2) if m not in set(pure)]
     for extra in combinations(mixed, 1):
-        ideal = MonomialIdeal.from_generators(5, pure + list(extra))
-        assert trivial_syzygy_witness(5, 2, ideal) is not None
+        assert has_dependent_rows(5, pure + list(extra), 3)
 
 
 def test_syzygy_witness_degree2():
-    ideal = MonomialIdeal.from_generators(4, SQUARES_XY_GENS)
-    w = trivial_syzygy_witness(4, 2, ideal)
-    assert w.generator_a == (1, 1, 0, 0)
-    assert w.product == tuple(
-        a + b for a, b in zip(w.multiplier_b, w.generator_b)
-    )
+    # x1 * (x1 x2) = x2 * x1^2: two equal rows in degree 2d - 1 = 3
+    assert np.array_equal(macaulay_row((1, 1, 0, 0), (1, 0, 0, 0)),
+                          macaulay_row((2, 0, 0, 0), (0, 1, 0, 0)))
+    assert has_dependent_rows(4, SQUARES_XY_GENS, 3)
 
 
 def test_syzygy_witness_degree3():
-    gens = [tuple(3 if i == j else 0 for i in range(3)) for j in range(3)]
-    gens.append((2, 1, 0))  # x^2 y
-    w = trivial_syzygy_witness(3, 3, MonomialIdeal.from_generators(3, gens))
-    assert w.generator_a == (2, 1, 0)
-    assert w.product == (4, 1, 0)  # x^4 y both ways
+    # x^2 * (x^2 y) = (x y) * x^3 = x^4 y in degree 2d - 1 = 5
+    row = macaulay_row((2, 1, 0), (2, 0, 0))
+    assert np.array_equal(row, macaulay_row((3, 0, 0), (1, 1, 0)))
+    assert np.flatnonzero(row).tolist() == [enumerate_monomials(3, 5).index((4, 1, 0))]
 
 
 def test_syzygy_witness_pure_powers_only():
+    # the pure powers alone have no syzygy below degree 2d
     gens = [tuple(2 if i == j else 0 for i in range(3)) for j in range(3)]
-    assert trivial_syzygy_witness(3, 2, MonomialIdeal.from_generators(3, gens)) is None
-
-
-def test_syzygy_witness_requires_pure_powers():
-    with pytest.raises(InvalidParams):
-        trivial_syzygy_witness(2, 2, MonomialIdeal.from_generators(2, [(1, 1)]))
+    assert not has_dependent_rows(3, gens, 3)

@@ -18,11 +18,9 @@ from genforms.macaulay import (
     ResourceLimit,
     _products,
     _scatter_table,
-    first_order_lower_bound,
     ideal_dimension_at_degree,
     macaulay_rows,
     macaulay_shape,
-    multiply,
     power,
     pure_powers,
     quotient_series_with_stats,
@@ -35,7 +33,6 @@ from genforms.monomials import (
     enumerate_monomials,
     monomial_count,
     quotient_hilbert_function,
-    rank as mono_rank,
 )
 from genforms.series import TruncatedSeries, binomial
 
@@ -61,6 +58,17 @@ def pure_power(n, i, a, c=1, prime=P):
 
 def pure_power_family(n, d, prime=P):
     return FormFamily(n, tuple(pure_power(n, i, d, prime=prime) for i in range(n)), prime)
+
+
+def multiply(f, g):
+    """f*g through `_products`, the batched product that `power` runs."""
+    rows = _products(f.coeffs[None], g.coeffs[None], f.n, f.degree, g.degree, f.prime)
+    return ModPPoly(f.n, f.degree + g.degree, rows[0], f.prime)
+
+
+def mono_rank(m):
+    """Position of m among the monomials of its degree, by lookup."""
+    return enumerate_monomials(len(m), sum(m)).index(tuple(m))
 
 
 def test_random_form_deterministic():
@@ -151,7 +159,7 @@ def test_power_multiply_consistency(m):
 def reference_multiply(f, g):
     """The product by convolution over exponent-vector addition, on
     Python ints, with each target looked up in the enumeration itself
-    rather than ranked in closed form: the slow reference for `multiply`."""
+    rather than ranked in closed form: the slow reference for `_products`."""
     n, p = f.n, f.prime
     degree = f.degree + g.degree
     position = {m: i for i, m in enumerate(enumerate_monomials(n, degree))}
@@ -385,7 +393,12 @@ def test_specialization_and_first_order_bounds():
         series, stats = quotient_series_with_stats(fam, max_deg)
         for st in stats:
             assert st.rank <= min(st.rows, st.cols)
-            assert series.coeffs[st.e] >= first_order_lower_bound(fam, st.e)
+            # the first-order bound: C(n+e-1, e) - sum_g C(n+e-deg g-1, e-deg g)
+            first_order = binomial(n + st.e - 1, st.e) - sum(
+                binomial(n + st.e - dg - 1, st.e - dg) for dg in degrees if dg <= st.e
+            )
+            assert st.cols - st.rows == first_order
+            assert series.coeffs[st.e] >= st.cols - st.rows
             assert series.coeffs[st.e] <= binomial(n + st.e - 1, st.e)
 
 
@@ -618,9 +631,9 @@ def test_seeded_chain_named_cases(prime):
         assert ranks[3] == monomial_count(3, 3) and ranks[6] == monomial_count(3, 6)
 
 
-def test_seeded_degree_feeds_only_x1_free_rows(monkeypatch):
+def test_seeded_degree_feeds_only_xn_free_rows(monkeypatch):
     """(4,2,4) k=5 at degree 18, seeded by degree 17: 5 forms of degree 8
-    times the 66 x_1-free monomials of degree 10, 330 of the 1430 rows."""
+    times the 66 x_n-free monomials of degree 10, 330 of the 1430 rows."""
     from genforms import macaulay
     from genforms.verifier import CaseSpec, default_family
 
@@ -657,9 +670,10 @@ def test_pure_powers_are_recognised_by_their_one_term():
 
 @pytest.mark.parametrize("prime", (2, 3, 101, 2**31 - 1))
 def test_seeded_chain_with_pure_powers_named_cases(prime):
-    """Pure powers of x_1 and of the last variable around random forms:
-    from degree a_1 on, x_1 kills a prefix of the standard columns, and
-    basis rows whose pivot lies there must be fed again."""
+    """Pure powers x_1^{a_1} and 2*x_n^3 around random forms: the seed
+    goes through x_n, which from degree 3 on kills the standard columns of
+    x_n-exponent 2, and basis rows whose pivot lies there must be fed
+    again."""
     rng = np.random.default_rng(prime)
     for n, a1 in ((2, 1), (3, 2), (3, 3), (4, 2)):
         forms = (random_form(n, 2, rng, prime), pure_power(n, 0, a1, prime=prime),

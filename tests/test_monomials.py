@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from genforms.macaulay import ModPPoly
 from genforms.monomials import (
     MonomialIdeal,
     contains_power_of_maximal_ideal,
     divides,
     enumerate_monomials,
+    exponent_array,
     lex_rank,
-    maximal_ideal_power,
     monomial_count,
     monomial_to_str,
     quotient_hilbert_function,
-    rank,
 )
 
 SQUARES_XY_GENS = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 0, 0)]
@@ -33,6 +33,11 @@ def brute_force_survivors(gens, n, e):
     return count
 
 
+def maximal_ideal_power(n, e):
+    """(x1, ..., xn)^e, generated by every degree-e monomial."""
+    return MonomialIdeal.from_generators(n, enumerate_monomials(n, e))
+
+
 def test_monomial_count_three_vars_degree15():
     assert monomial_count(3, 15) == 136
 
@@ -45,7 +50,7 @@ def test_monomial_count_small():
 
 def test_enumerate_order():
     assert enumerate_monomials(2, 2) == ((2, 0), (1, 1), (0, 2))
-    assert rank((2, 0)) == 0
+    assert lex_rank(exponent_array([(2, 0)], 2, 2)).tolist() == [0]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -53,9 +58,9 @@ def test_enumerate_order():
 def test_rank_unrank_bijective(n, d):
     monos = enumerate_monomials(n, d)
     assert len(monos) == monomial_count(n, d) == len(set(monos))
-    for i, m in enumerate(monos):
+    for m in monos:
         assert len(m) == n and sum(m) == d and min(m) >= 0
-        assert rank(m) == i
+    assert lex_rank(exponent_array(monos, n, d)).tolist() == list(range(len(monos)))
 
 
 def test_quotient_hilbert_function_squares_xy_ideal():
@@ -123,7 +128,8 @@ def test_lex_rank_is_the_enumeration_order(n):
         ranks = lex_rank(np.array(mons).reshape(len(mons), n))
         assert ranks.tolist() == list(range(len(mons)))
         step = max(1, len(mons) // 7)
-        assert [rank(m) for m in mons[::step]] == list(range(0, len(mons), step))
+        picked = exponent_array(mons[::step], n, d)
+        assert lex_rank(picked).tolist() == list(range(0, len(mons), step))
 
 
 def test_lex_rank_ranks_each_row_in_its_own_degree():
@@ -132,10 +138,15 @@ def test_lex_rank_ranks_each_row_in_its_own_degree():
 
 
 @pytest.mark.parametrize(
-    "bad", [(), (2, -1, 1), (1, 2.5)], ids=["empty", "negative", "fractional"],
+    "bad, n, why",
+    [((), 1, "length"), ((2, -1, 1), 3, "nonnegative"), ((1, 2.5), 2, "integer")],
+    ids=["empty", "negative", "fractional"],
 )
-def test_rank_rejects_bad_monomials(bad):
-    """The closed form would return a wrong rank for these; they must
-    raise, not be ranked."""
-    with pytest.raises(ValueError):
-        rank(bad)
+def test_rank_rejects_bad_monomials(bad, n, why):
+    """The closed form would return a wrong rank for these: `exponent_array`,
+    the gate in front of `lex_rank`, and a form built from them must raise,
+    not rank them."""
+    with pytest.raises(ValueError, match=why):
+        exponent_array([bad], n, 2)
+    with pytest.raises(ValueError, match=why):
+        ModPPoly.from_monomial_dict(n, 2, {bad: 1})

@@ -1,7 +1,10 @@
 """Tests for case verification, the interval engine, and sweep planning."""
 
+import ast
 import dataclasses
 import hashlib
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +31,6 @@ from genforms.verifier import (
     pure_power_family,
     resolve_truncation,
     run_sweep,
-    suite_k_values,
     verify_case,
     verify_interval,
 )
@@ -295,12 +297,6 @@ def test_run_sweep_end_to_end():
     assert certified_ks(records, witnesses) == set(range(1, 7))
 
 
-def test_suite_k_values_shape():
-    ks = suite_k_values(4, 2, 2)
-    assert ks[0] == 5 and ks[-1] == 35
-    assert len(ks) == 3
-
-
 def test_pure_power_family_keeps_the_later_draws():
     spec = CaseSpec(3, 2, 3, 5, seed=4)
     family = pure_power_family(spec, 4)
@@ -464,6 +460,19 @@ def test_soundness_checks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_no_assert_in_the_package():
+    """`python -O` strips assert statements, so no check in the package may
+    be one: every check raises an exception of its own."""
+    package = Path(genforms.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 # Endpoint records that bound no interval: of another (n, d, m), even one
 # of the same degree m*d, or with the low k above the high k. Each must be
 # refused with a ValueError, also with assertions stripped, while records
@@ -498,12 +507,13 @@ def test_interval_refuses_endpoint_records_of_another_case(flags):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_sweep_n3_script_smoke():
-    root = Path(__file__).resolve().parents[1]
-    src = str(Path(genforms.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "sweep_n3.py"), "--max-dm", "4"],
-        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "covered=  15/  15" in proc.stdout
+def test_sweep_n3_script_smoke(monkeypatch, capsys):
+    """The campaign script run as __main__, in process, on its three cells
+    with d*m <= 6: it exits 0 and covers every k of each."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "sweep_n3.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--max-dm", "6"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 0
+    covered = re.findall(r"covered=\s*(\d+)/\s*(\d+)", capsys.readouterr().out)
+    assert covered == [("15", "15"), ("28", "28"), ("28", "28")]
