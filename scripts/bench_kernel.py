@@ -12,13 +12,17 @@ times two things: a cold build of every scatter table that the five
 `ci-deep` cases of perfbench use (caches cleared before each run, every
 table's shape checked), and the build of one powered family at
 p = 2^31 - 1 by `default_family` (the draw, the forms and the batched
-powering), checked against a pinned checksum of its coefficients. The
-frontier field times one cold `verify_case` (caches cleared first) of
-each of six large cases, with its verdict. The script prints one JSON
-line with the timings and the numpy version, the BLAS library and the
-core count. It exits 1 with an `error:` line if a shape, a rank or the
-checksum is off, or if a frontier case is not Verified (also when its
-matrix is over the default budget).
+powering, with no draws kept from an earlier build), checked against a
+pinned checksum of its coefficients. The plan field times cold
+`plan_sweep` calls over the whole k range of four cells (median of 5
+runs, caches cleared before each), each checked against its count of
+cases and intervals. The frontier field times one cold `verify_case`
+(caches cleared first) of each of six large cases, with its verdict.
+The script prints one JSON line with the timings and the numpy version,
+the BLAS library and the core count. It exits 1 with an `error:` line
+if a shape, a rank, the checksum or a plan's counts are off, or if a
+frontier case is not Verified (also when its matrix is over the default
+budget).
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_kernel.py
@@ -33,10 +37,17 @@ import time
 
 import numpy as np
 
-from genforms import macaulay
+from genforms import macaulay, verifier
 from genforms.macaulay import ResourceLimit, ideal_dimension_at_degree, macaulay_shape
 from genforms.monomials import enumerate_monomials, monomial_count
-from genforms.verifier import VERIFIED, CaseSpec, case_truncation, default_family, verify_case
+from genforms.verifier import (
+    VERIFIED,
+    CaseSpec,
+    case_truncation,
+    default_family,
+    plan_sweep,
+    verify_case,
+)
 
 SEED = 0
 REPEATS = 5
@@ -65,6 +76,9 @@ TABLES = (
 )
 # (n, d, m, k) of the frontier cases, each verified cold by verify_case
 FRONTIER = ((4, 3, 3, 5), (4, 2, 5, 5), (5, 2, 3, 6), (6, 2, 2, 7), (7, 2, 2, 8), (5, 2, 4, 6))
+# (n, d, m, top k, cases, intervals) of each planned cell: k = 1..top k
+PLANS = ((4, 2, 8, 969, 33, 11), (5, 3, 3, 715, 29, 9), (6, 2, 3, 462, 26, 8),
+         (4, 3, 3, 220, 22, 7))
 # (n, d, m, k, prime) of the powered family, and the first 16 hex digits
 # of the SHA-256 of its coefficients as little-endian int64, forms in
 # order. The prime is named, not the default, so the checksum stays valid
@@ -116,11 +130,12 @@ def time_chain(chain=CHAIN, repeats=REPEATS) -> dict:
 
 
 def _clear_caches():
-    """Empty the lru_caches, as in a fresh process."""
+    """Empty the lru_caches and the kept draws, as in a fresh process."""
     for cached in (macaulay._scatter_table, macaulay._standard, macaulay._standard_exponents,
                    macaulay._xn_shift, macaulay._exponents, macaulay.enumerate_monomials,
                    case_truncation):
         cached.cache_clear()
+    verifier._draws.clear()
 
 
 def _table_rows(n, dg, e, xn_free, bounds) -> int:
@@ -178,6 +193,7 @@ def time_power(case=POWERED, repeats=REPEATS) -> float:
     default_family(spec, SEED)
     times = []
     for _ in range(repeats):
+        verifier._draws.clear()
         start = time.perf_counter()
         family = default_family(spec, SEED)
         times.append(time.perf_counter() - start)
@@ -186,6 +202,27 @@ def time_power(case=POWERED, repeats=REPEATS) -> float:
         if digest != POWERED_SHA256:
             raise WrongResult(f"{case}: powered checksum {digest}, expected {POWERED_SHA256}")
     return statistics.median(times)
+
+
+def time_plans(plans=PLANS, repeats=REPEATS) -> list:
+    """Median seconds of `repeats` cold plans of each cell's whole k
+    range, the caches cleared before each plan."""
+    results = []
+    for n, d, m, top, cases, intervals in plans:
+        times = []
+        for _ in range(repeats):
+            _clear_caches()
+            start = time.perf_counter()
+            plan = plan_sweep(n, d, m, 1, top)
+            times.append(time.perf_counter() - start)
+            if (len(plan.cases), len(plan.intervals)) != (cases, intervals):
+                raise WrongResult(
+                    f"plan {(n, d, m)} 1..{top}: {len(plan.cases)} cases and "
+                    f"{len(plan.intervals)} intervals, expected {cases} and {intervals}"
+                )
+        results.append({"cell": [n, d, m], "k": [1, top], "cases": cases,
+                        "intervals": intervals, "cold_median_s": statistics.median(times)})
+    return results
 
 
 def time_assembly() -> dict:
@@ -213,13 +250,14 @@ def main() -> int:
         results = [time_case(case) for case in CASES]
         chain = time_chain()
         assembly = time_assembly()
+        plans = time_plans()
         frontier = time_frontier()
     except WrongResult as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps({"seed": SEED, "repeats": REPEATS, **environment(),
                       "cases": results, "chain": chain, "assembly": assembly,
-                      "frontier": frontier}))
+                      "plan": plans, "frontier": frontier}))
     return 0
 
 

@@ -113,6 +113,10 @@ def _cache_key(n, d, m, k, prime, seed, trunc):
     return (n, d, m, k, prime, seed, trunc)
 
 
+def _record_key(rec):
+    return _cache_key(*(rec[f] for f in _KEY_FIELDS))
+
+
 def load_cache(path):
     """Records by key, the last line for a key winning. A line that is not
     a record, such as the torn tail of an interrupted append, is skipped:
@@ -123,7 +127,7 @@ def load_cache(path):
             for line in fh:
                 try:
                     rec = json.loads(line)
-                    cache[_cache_key(*(rec[f] for f in _KEY_FIELDS))] = rec
+                    cache[_record_key(rec)] = rec
                 except (ValueError, KeyError, TypeError):
                     continue
     return cache
@@ -205,16 +209,17 @@ def cmd_verify(args, cfg):
     return EXIT_OK if record.verdict == verifier.VERIFIED else EXIT_NOT_ATTAINED
 
 
-def sweep_cell(n, d, m, lo, hi, cfg):
+def sweep_cell(n, d, m, lo, hi, cfg, cache):
     """The runner of `sweep` and of each `table` cell: plan k = lo..hi,
-    serve the --cache hits, check that the cache can be appended to when a
-    case needs computing, run the plan, append each computed record and
-    print the summary line to stderr. Returns (served, records, witnesses,
-    failures, skipped): the k served from the cache, then `run_sweep`'s."""
+    serve the hits of cache (`load_cache` of --cache, loaded once per
+    command), check that the cache can be appended to when a case needs
+    computing, run the plan, append each computed record to the file and
+    to cache, and print the summary line to stderr. Returns (served,
+    records, witnesses, failures, skipped): the k served from the cache,
+    then `run_sweep`'s."""
     plan = plan_sweep(
         n, d, m, lo, hi, seed=cfg.seed, prime=cfg.prime, trials=cfg.trials, cap=cfg.cap,
     )
-    cache = load_cache(cfg.cache_path)
     served = {}
     for spec in plan.cases:
         hit = _cache_hit(cache, spec, spec.trunc)
@@ -227,7 +232,9 @@ def sweep_cell(n, d, m, lo, hi, cfg):
     )
     for rec in records:
         if rec.spec.k not in served:
-            append_cache(cfg.cache_path, rec.to_dict())
+            out = rec.to_dict()
+            append_cache(cfg.cache_path, out)
+            cache[_record_key(out)] = out
     verdicts = [r.verdict for r in records]
     covered = verifier.certified_ks(records, witnesses)
     print(
@@ -243,7 +250,7 @@ def sweep_cell(n, d, m, lo, hi, cfg):
 def cmd_sweep(args, cfg):
     lo, hi = parse_range(args.k_range)
     served, records, witnesses, failures, skipped = sweep_cell(
-        args.n, args.d, args.m, lo, hi, cfg
+        args.n, args.d, args.m, lo, hi, cfg, load_cache(cfg.cache_path)
     )
     for rec in records:
         out = rec.to_dict()
@@ -315,11 +322,14 @@ def cmd_table(args, cfg):
     seconds are the record's, "cached" for a hit), then one per deduced or
     rejected interval and per skipped case."""
     worst = EXIT_OK
+    cache = load_cache(cfg.cache_path)
     for cell in TABLE_CELLS:
         n, d, m = cell
         top = monomial_count(n, m * d)
         lo = top if args.budget == "small" else 1
-        served, records, witnesses, failures, skipped = sweep_cell(n, d, m, lo, top, cfg)
+        served, records, witnesses, failures, skipped = sweep_cell(
+            n, d, m, lo, top, cfg, cache
+        )
         if cell == TABLE_CELLS[0]:  # after the first cache check, so a bad path prints nothing
             print(f"{'n':>3} {'d':>3} {'m':>3} {'k':>8} {'trunc':>5}  {'verdict':<15} seconds")
         for rec in records:

@@ -3,12 +3,20 @@
 Everything here is exact big-integer arithmetic: Taylor expansion of
 prod(1 - t^d_i) / (1 - t)^n, the ceiling operator that cuts a series at
 its first nonpositive coefficient, and lexicographic comparison of series.
+
+The expansion is in closed form. The numerator is built once per
+distinct degree D of multiplicity c, as the binomial expansion
+(1 - t^D)^c = sum_j (-1)^j C(c, j) t^{jD}, and coefficient e of the
+series is sum_i a_i C(n - 1 + e - i, n - 1) over the numerator's
+nonzero coefficients a_i with i <= e. So k generators of one degree D
+cost O(trunc^2 / D) steps, not the O(k trunc) of one factor at a time.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 DEFAULT_CAP = 64
@@ -101,16 +109,42 @@ def _inverse_power_coeffs(n: int, trunc: int) -> list[int]:
     return coeffs
 
 
+def _numerator_terms(degrees, trunc: int) -> list[tuple[int, int]]:
+    """(i, a_i) for the nonzero coefficients a_i, i <= trunc, of
+    prod(1 - t^d) over degrees, in increasing i: one binomial expansion
+    per distinct degree, multiplied into the terms so far."""
+    terms = {0: 1}
+    for dg, count in Counter(degrees).items():
+        factor = [
+            (j * dg, (-1) ** j * math.comb(count, j))
+            for j in range(min(count, trunc // dg) + 1)
+        ]
+        product = {}
+        for i, a in terms.items():
+            for shift, b in factor:
+                if i + shift > trunc:
+                    break
+                product[i + shift] = product.get(i + shift, 0) + a * b
+        terms = {i: a for i, a in product.items() if a}
+    return sorted(terms.items())
+
+
+def _expansion(spec: DegreeList, trunc: int):
+    """Taylor coefficients 0..trunc of prod(1 - t^d_i) / (1 - t)^n, one
+    at a time, each the numerator's terms against C(n - 1 + e - i, e - i)."""
+    numerator = _numerator_terms(spec.degrees, trunc)
+    inverse = _inverse_power_coeffs(spec.n, trunc)
+    for e in range(trunc + 1):
+        yield sum(a * inverse[e - i] for i, a in numerator if i <= e)
+
+
 def expand_rational(spec: DegreeList, trunc: int) -> SignedSeries:
-    """Taylor coefficients of prod(1 - t^d_i) / (1 - t)^n up to trunc."""
+    """Taylor coefficients of prod(1 - t^d_i) / (1 - t)^n up to trunc,
+    from the numerator's binomial expansion per distinct degree (see the
+    module docstring)."""
     if trunc < 0:
         raise ValueError("trunc must be >= 0")
-    coeffs = _inverse_power_coeffs(spec.n, trunc)
-    for d in spec.degrees:
-        # multiply in place by (1 - t^d)
-        for e in range(trunc, d - 1, -1):
-            coeffs[e] -= coeffs[e - d]
-    return SignedSeries(tuple(coeffs))
+    return SignedSeries(tuple(_expansion(spec, trunc)))
 
 
 def ceiling(series: SignedSeries) -> TruncatedSeries:
@@ -155,15 +189,15 @@ def default_truncation(spec: DegreeList, cap: int = DEFAULT_CAP) -> int:
     """Truncation degree that safely covers the conjectured series.
 
     For k > n the conjectured series terminates; return one past the first
-    zero ceiling coefficient (bounded by cap). For k <= n (complete
-    intersection) return cap.
+    zero ceiling coefficient (bounded by cap). The coefficients are
+    expanded one at a time and no further than that first nonpositive
+    one. For k <= n (complete intersection) return cap.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if spec.k <= spec.n:
         return cap
-    raw = expand_rational(spec, cap)
-    for e, a in enumerate(raw.coeffs):
+    for e, a in enumerate(_expansion(spec, cap)):
         if a <= 0:
             return min(e + 1, cap)
     raise CapExceeded(

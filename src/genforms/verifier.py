@@ -174,27 +174,53 @@ def _implied_stats(spec: CaseSpec, coeffs) -> tuple[DegreeStat, ...]:
     return tuple(stats)
 
 
+# The powered draws of one (n, d, m, seed, prime), the last asked for:
+# {key: forms}, forms[i] the m-th power of draw i + 1 of
+# FormFamily.random(n, d, len(forms), seed, prime). Draw i of a stream
+# does not depend on how many forms are drawn, so forms[:k] serves every
+# k up to len(forms).
+_draws = {}
+
+
+def powered_draws(n, d, m, k, seed, prime) -> tuple[ModPPoly, ...]:
+    """The m-th powers of draws 1..k of `FormFamily.random(n, d, k, seed,
+    prime)`. They are drawn and powered, in one batched `power` call,
+    only when the draws kept for (n, d, m, seed, prime) are fewer than k;
+    those draws then replace whatever was kept."""
+    key = (n, d, m, seed, prime)
+    forms = _draws.get(key, ())
+    if len(forms) < k:
+        forms = power(FormFamily.random(n, d, k, seed, prime), m).forms
+        _draws.clear()
+        _draws[key] = forms
+    return forms[:k]
+
+
 def default_family(spec: CaseSpec, seed: int) -> FormFamily:
-    """k random degree-d forms, each raised to the m-th power, all k in
-    one batched `power` call."""
-    return power(FormFamily.random(spec.n, spec.d, spec.k, seed, spec.prime), spec.m)
+    """k random degree-d forms, each raised to the m-th power: the
+    `powered_draws` of the seed."""
+    forms = powered_draws(spec.n, spec.d, spec.m, spec.k, seed, spec.prime)
+    return FormFamily(spec.n, forms, spec.prime, seed)
 
 
 def pure_power_family(spec: CaseSpec, seed: int) -> FormFamily:
-    """The pure-power point: x_i^d for i <= min(k, n), then draws
-    min(k, n)+1..k of `FormFamily.random(n, d, k, seed)`, so the same
-    draws as `default_family`'s; all k raised to the m-th power in one
-    batched `power` call."""
-    n, d = spec.n, spec.d
+    """The pure-power point: the m-th powers of x_i^d for i <= min(k, n),
+    that is x_i^{md}, then those of draws min(k, n)+1..k of
+    `FormFamily.random(n, d, k, seed)`, so the same draws as
+    `default_family`'s. The draws come from `powered_draws`, so the
+    cases of one (n, d, m, seed, prime) share them: after the one with
+    the largest k, each other takes a prefix with no new draw or power."""
+    n, md = spec.n, spec.effective_degree
     pure = min(spec.k, n)
-    drawn = FormFamily.random(n, d, spec.k, seed, spec.prime)
     forms = tuple(
         ModPPoly.from_monomial_dict(
-            n, d, {tuple(d * (j == i) for j in range(n)): 1}, spec.prime
+            n, md, {tuple(md * (j == i) for j in range(n)): 1}, spec.prime
         )
         for i in range(pure)
     )
-    return power(FormFamily(n, forms + drawn.forms[pure:], spec.prime, seed), spec.m)
+    if spec.k > pure:
+        forms += powered_draws(n, spec.d, spec.m, spec.k, seed, spec.prime)[pure:]
+    return FormFamily(n, forms, spec.prime, seed)
 
 
 def degenerate_family(spec: CaseSpec, seed: int) -> FormFamily:
@@ -473,20 +499,27 @@ def run_sweep(
     """Execute a plan: direct cases first, then interval deductions
     reusing the endpoint records. served maps k to a record already at
     hand (a cache hit), which is used instead of computing that case.
+    The other cases run from the largest k down, so the forms drawn for
+    the first are shared by the rest (`pure_power_family`); records and
+    skipped cases are returned in plan order.
 
     Returns (records, witnesses, failures, skipped). A case that raises
     ResourceLimit (a matrix over the budget) has no record and is skipped
     as (spec, reason); an interval is deduced only when both its endpoint
     records exist.
     """
-    served = served or {}
-    records = {}
-    skipped = []
-    for spec in plan.cases:
-        try:
-            records[spec.k] = served.get(spec.k) or verify_case(spec, cap, budget)
-        except ResourceLimit as exc:
-            skipped.append((spec, str(exc)))
+    found = dict(served or {})
+    limits = {}
+    # largest k first: its pure-power point draws every form that the
+    # smaller k take a prefix of (`pure_power_family`)
+    for spec in sorted(plan.cases, key=lambda s: s.k, reverse=True):
+        if spec.k not in found:
+            try:
+                found[spec.k] = verify_case(spec, cap, budget)
+            except ResourceLimit as exc:
+                limits[spec.k] = str(exc)
+    records = {s.k: found[s.k] for s in plan.cases if s.k in found}
+    skipped = [(s, limits[s.k]) for s in plan.cases if s.k in limits]
     witnesses = []
     failures = []
     for lo, hi in plan.intervals:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from genforms import modp
+from genforms import cli, modp
 from genforms.cli import (
     EXIT_ERROR,
     EXIT_NOT_ATTAINED,
@@ -213,6 +213,18 @@ def test_repeated_sweep_is_served_from_cache(tmp_path, capsys):
     assert any("interval" in line for line in second)
 
 
+def test_sweep_cell_adds_the_records_it_computes_to_its_cache_map(capsys):
+    cfg, cache = cli.Config(), {}
+    served, records, *_ = cli.sweep_cell(3, 2, 2, 4, 15, cfg, cache)
+    assert served == {}
+    assert len(cache) == len(records)
+    modp.reset_telemetry()
+    served, again, *_ = cli.sweep_cell(3, 2, 2, 4, 15, cfg, cache)
+    assert modp.ELIMINATION_CALLS == 0
+    assert sorted(served) == sorted(r.spec.k for r in records)
+    assert [r.to_dict() for r in again] == [r.to_dict() for r in records]
+
+
 VERIFY_CI = ("verify", "--n", "4", "--d", "2", "--m", "2", "--k", "3")
 
 
@@ -374,9 +386,18 @@ def test_table_small(capsys):
     assert all("Verified" in line for line in lines[1:])
 
 
-def test_table_full_covers_every_k_of_each_cell(capsys):
-    code, out, err = run(capsys, "table", "--budget", "full")
+def test_table_full_covers_every_k_of_each_cell(tmp_path, capsys, monkeypatch):
+    loads = []
+
+    def counted_load(path):
+        loads.append(path)
+        return load_cache(path)
+
+    monkeypatch.setattr(cli, "load_cache", counted_load)
+    cache = tmp_path / "c.jsonl"
+    code, out, err = run(capsys, "--cache", str(cache), "table", "--budget", "full")
     assert code == EXIT_OK
+    assert loads == [str(cache)]  # once per command, not once per cell
     assert "NotAttained" not in out and "Skipped" not in out and "Rejected" not in out
     summaries = err.splitlines()
     tops = [35, 84, 84, 70, 165, 220]

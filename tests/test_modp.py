@@ -317,3 +317,21 @@ def test_bench_kernel_assembly_smoke(monkeypatch):
     monkeypatch.setattr(bench, "POWERED_SHA256", "0" * 16)
     with pytest.raises(bench.WrongResult):
         bench.time_power(repeats=1)
+
+
+def test_bench_kernel_plan_smoke():
+    """The plan timings once: a cell planned cold with its counts checked,
+    and a wrong count reported; clearing the caches drops the kept draws."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_kernel.py"
+    spec = importlib.util.spec_from_file_location("bench_kernel", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    cell = (4, 3, 3, 220, 22, 7)
+    assert cell in bench.PLANS
+    (result,) = bench.time_plans((cell,), repeats=1)
+    assert result["cases"] == 22 and result["intervals"] == 7 and result["cold_median_s"] > 0
+    with pytest.raises(bench.WrongResult, match="22 cases and 7 intervals"):
+        bench.time_plans(((4, 3, 3, 220, 22, 8),), repeats=1)
+    bench.default_family(bench.CaseSpec(3, 2, 2, 4), 0)
+    bench._clear_caches()
+    assert bench.verifier._draws == {}

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genforms.monomials import monomial_count
 from genforms.series import (
+    DEFAULT_CAP,
     CapExceeded,
     DegreeList,
     IncomparableTruncation,
@@ -18,6 +20,7 @@ from genforms.series import (
     format_series,
     lex_compare,
 )
+from genforms.verifier import TABLE_CELLS, case_truncation
 
 
 def sympy_expansion(n, degrees, trunc):
@@ -57,6 +60,70 @@ def test_expand_rational_exact_division():
 def test_expand_rational_matches_sympy_oracle(n, degrees, trunc):
     got = expand_rational(DegreeList(n, tuple(degrees)), trunc).coeffs
     assert got == sympy_expansion(n, degrees, trunc)
+
+
+@pytest.mark.parametrize(
+    "n, degrees, trunc",
+    [
+        (4, (2, 2, 2, 3, 3), 10),
+        (3, (2,) * 30, 12),
+        (5, (1,) * 30 + (4,) * 7, 12),
+        (2, (3,) * 29 + (1,) * 2 + (2,) * 5, 15),
+    ],
+)
+def test_expand_rational_matches_sympy_oracle_on_repeated_degrees(n, degrees, trunc):
+    got = expand_rational(DegreeList(n, degrees), trunc).coeffs
+    assert got == sympy_expansion(n, degrees, trunc)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n=st.integers(1, 4),
+    multiplicities=st.dictionaries(st.integers(1, 4), st.integers(1, 30), max_size=3),
+    trunc=st.integers(0, 12),
+)
+def test_expand_rational_matches_sympy_oracle_with_multiplicities(n, multiplicities, trunc):
+    degrees = [dg for dg, count in multiplicities.items() for _ in range(count)]
+    got = expand_rational(DegreeList(n, tuple(degrees)), trunc).coeffs
+    assert got == sympy_expansion(n, degrees, trunc)
+
+
+def one_factor_per_degree(n, degrees, trunc):
+    """Reference expansion: C(n - 1 + e, e), multiplied in place by
+    (1 - t^d) once for each generator."""
+    coeffs = [binomial(n - 1 + e, e) for e in range(trunc + 1)]
+    for d in degrees:
+        for e in range(trunc, d - 1, -1):
+            coeffs[e] -= coeffs[e - d]
+    return tuple(coeffs)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 8),
+    runs=st.lists(
+        st.tuples(st.sampled_from((1, 2, 3, 5, 8, 14, 16)), st.integers(1, 200)), max_size=5
+    ),
+    trunc=st.integers(0, 64),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_expand_rational_matches_one_factor_per_degree(n, runs, trunc, rnd):
+    degrees = [dg for dg, count in runs for _ in range(count)]
+    rnd.shuffle(degrees)
+    got = expand_rational(DegreeList(n, tuple(degrees)), trunc).coeffs
+    assert got == one_factor_per_degree(n, degrees, trunc)
+
+
+@pytest.mark.parametrize("n, d, m", [*TABLE_CELLS, (3, 7, 2), (3, 2, 7)])
+def test_case_truncation_is_one_past_the_first_nonpositive_reference_coefficient(n, d, m):
+    md = d * m
+    for k in range(1, monomial_count(n, md) + 1):
+        if k <= n:
+            want = min(DEFAULT_CAP, k * (md - 1) + 1)
+        else:
+            raw = one_factor_per_degree(n, (md,) * k, DEFAULT_CAP)
+            want = min(DEFAULT_CAP, next(e for e, a in enumerate(raw) if a <= 0) + 1)
+        assert case_truncation(n, md, k) == want, k
 
 
 @given(n=st.integers(1, 6), trunc=st.integers(0, 20))

@@ -14,8 +14,15 @@ import pytest
 
 import genforms
 
-from genforms import verifier
-from genforms.macaulay import DegreeStat, ResourceLimit, pure_powers, quotient_series_with_stats
+from genforms import modp, verifier
+from genforms.macaulay import (
+    DegreeStat,
+    FormFamily,
+    ResourceLimit,
+    power,
+    pure_powers,
+    quotient_series_with_stats,
+)
 from genforms.monomials import MonomialIdeal, quotient_hilbert_function
 from genforms.series import DegreeList, conjectured_series
 from genforms.verifier import (
@@ -303,6 +310,34 @@ def test_pure_power_family_keeps_the_later_draws():
     assert family.forms[3:] == default_family(spec, 4).forms[3:]
     assert pure_powers(family) == ((6, 6, 6), family.forms[3:])
     assert family.seed == 4 and family.prime == spec.prime
+
+
+@pytest.mark.parametrize("cell", [(3, 7, 2, 4, 120), (5, 2, 2, 1, 70)])
+def test_sweep_records_replay_with_the_draws_of_each_case_alone(cell):
+    # (5,2,2): 15 coefficients per quadric in five variables, an odd count
+    records, _, _, skipped = run_sweep(plan_sweep(*cell))
+    assert skipped == []
+    for record in records:
+        verifier._draws.clear()
+        alone = verify_case(record.spec).to_dict()
+        shared = record.to_dict()
+        del alone["millis"], shared["millis"]
+        assert shared == alone
+
+
+P = modp.DEFAULT_PRIME
+
+
+@pytest.mark.parametrize(
+    "n, d, m, seed, prime",
+    [(3, 2, 2, 0, P), (3, 2, 2, 1, P), (3, 2, 2, 0, 2**31 - 1), (3, 3, 2, 0, P),
+     (3, 2, 3, 0, P), (4, 2, 2, 0, P)],
+)
+def test_powered_draws_serve_only_their_own_key(n, d, m, seed, prime):
+    verifier._draws.clear()
+    verifier.powered_draws(3, 2, 2, 10, 0, P)
+    got = verifier.powered_draws(n, d, m, 4, seed, prime)
+    assert got == power(FormFamily.random(n, d, 4, seed, prime), m).forms
 
 
 def test_verify_case_certifies_at_the_pure_power_point():
