@@ -16,12 +16,16 @@ powering, with no draws kept from an earlier build), checked against a
 pinned checksum of its coefficients. The plan field times cold
 `plan_sweep` calls over the whole k range of four cells (median of 5
 runs, caches cleared before each), each checked against its count of
-cases and intervals. The frontier field times one cold `verify_case`
-(caches cleared first) of each of six large cases, with its verdict.
+cases and intervals. The sweep field times one cold `plan_sweep` and
+`run_sweep` of the whole k range of two cells (caches and kept draws
+cleared first), each checked against its count of direct cases and
+intervals, with every k covered and none skipped. The frontier field
+times one cold `verify_case` (caches cleared first) of each of six
+large cases, with its verdict.
 The script prints one JSON line with the timings and the numpy version,
 the BLAS library and the core count. It exits 1 with an `error:` line
-if a shape, a rank, the checksum or a plan's counts are off, or if a
-frontier case is not Verified (also when its matrix is over the default
+if a shape, a rank, the checksum, a plan's counts or a sweep's
+coverage are off, or if a frontier case is not Verified (also when its matrix is over the default
 budget).
 
 Usage:
@@ -44,8 +48,10 @@ from genforms.verifier import (
     VERIFIED,
     CaseSpec,
     case_truncation,
+    certified_ks,
     default_family,
     plan_sweep,
+    run_sweep,
     verify_case,
 )
 
@@ -79,6 +85,8 @@ FRONTIER = ((4, 3, 3, 5), (4, 2, 5, 5), (5, 2, 3, 6), (6, 2, 2, 7), (7, 2, 2, 8)
 # (n, d, m, top k, cases, intervals) of each planned cell: k = 1..top k
 PLANS = ((4, 2, 8, 969, 33, 11), (5, 3, 3, 715, 29, 9), (6, 2, 3, 462, 26, 8),
          (4, 3, 3, 220, 22, 7))
+# (n, d, m, top k, direct cases, intervals) of each swept cell: k = 1..top k
+SWEEPS = ((4, 2, 6, 455, 27, 8), (4, 4, 3, 455, 27, 8))
 # (n, d, m, k, prime) of the powered family, and the first 16 hex digits
 # of the SHA-256 of its coefficients as little-endian int64, forms in
 # order. The prime is named, not the default, so the checksum stays valid
@@ -225,6 +233,30 @@ def time_plans(plans=PLANS, repeats=REPEATS) -> list:
     return results
 
 
+def time_sweeps(sweeps=SWEEPS) -> list:
+    """Seconds of one cold plan and sweep of each cell's whole k range,
+    the caches and kept draws cleared first. Raises WrongResult unless
+    the cell has its counts of direct cases and intervals, every k is
+    covered and none is skipped."""
+    results = []
+    for n, d, m, top, cases, intervals in sweeps:
+        _clear_caches()
+        start = time.perf_counter()
+        records, witnesses, failures, skipped = run_sweep(plan_sweep(n, d, m, 1, top))
+        seconds = time.perf_counter() - start
+        covered = len(certified_ks(records, witnesses))
+        got = (len(records), len(witnesses), covered, len(skipped))
+        if got != (cases, intervals, top, 0):
+            raise WrongResult(
+                f"sweep {(n, d, m)} 1..{top}: {got[0]} direct cases, {got[1]} intervals, "
+                f"{got[2]} k covered and {got[3]} skipped, expected {cases}, "
+                f"{intervals}, {top} and 0"
+            )
+        results.append({"cell": [n, d, m], "k": [1, top], "cases": cases,
+                        "intervals": intervals, "cold_s": seconds})
+    return results
+
+
 def time_assembly() -> dict:
     return {
         "tables": len(TABLES), "tables_cold_median_s": time_tables(),
@@ -251,13 +283,14 @@ def main() -> int:
         chain = time_chain()
         assembly = time_assembly()
         plans = time_plans()
+        sweeps = time_sweeps()
         frontier = time_frontier()
     except WrongResult as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps({"seed": SEED, "repeats": REPEATS, **environment(),
                       "cases": results, "chain": chain, "assembly": assembly,
-                      "plan": plans, "frontier": frontier}))
+                      "plan": plans, "sweep": sweeps, "frontier": frontier}))
     return 0
 
 

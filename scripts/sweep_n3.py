@@ -8,10 +8,11 @@ Results stream to stdout as one summary line per (d, m) pair.
 
 This reproduces the exhaustive check behind the small-number-of-variables
 power conjecture cases. It is not part of the acceptance gate. At the
-default budget and prime the whole campaign took 3.8-6.0 s (median
-4.9 s over nine runs) on a 2-core Xeon VM whose speed drifts (Python
-3.11, numpy 2.4 with OpenBLAS), every k covered and none skipped. A case
-over the matrix budget is counted in `skipped`.
+default budget and prime the whole campaign took 2.72-3.35 s (median
+2.79 s over three runs) with 48 MB peak RSS on a 2-core Xeon VM whose
+speed drifts (Python 3.11, numpy 2.4 with OpenBLAS), every k covered
+and none skipped. A case over the matrix budget is counted in
+`skipped`.
 
 Usage:
     python3 scripts/sweep_n3.py [--max-dm 20] [--seed S]

@@ -28,6 +28,7 @@ from . import __version__, modp
 from .macaulay import (
     DegreeStat,
     FormFamily,
+    KeptBases,
     ModPPoly,
     ResourceLimit,
     SoundnessError,
@@ -182,6 +183,11 @@ def _implied_stats(spec: CaseSpec, coeffs) -> tuple[DegreeStat, ...]:
 _draws = {}
 
 
+def _draws_key(spec: CaseSpec) -> tuple:
+    """The key of the `powered_draws` that spec's families take."""
+    return spec.n, spec.d, spec.m, spec.seed, spec.prime
+
+
 def powered_draws(n, d, m, k, seed, prime) -> tuple[ModPPoly, ...]:
     """The m-th powers of draws 1..k of `FormFamily.random(n, d, k, seed,
     prime)`. They are drawn and powered, in one batched `power` call,
@@ -208,8 +214,12 @@ def pure_power_family(spec: CaseSpec, seed: int) -> FormFamily:
     that is x_i^{md}, then those of draws min(k, n)+1..k of
     `FormFamily.random(n, d, k, seed)`, so the same draws as
     `default_family`'s. The draws come from `powered_draws`, so the
-    cases of one (n, d, m, seed, prime) share them: after the one with
-    the largest k, each other takes a prefix with no new draw or power."""
+    cases of one (n, d, m, seed, prime) share them: once the largest k's
+    are drawn, each other k takes a prefix with no new draw or power.
+    For k >= n every family has all n pure powers, and the family of k
+    is a prefix of the family of every larger k: so `run_sweep` can seed
+    each degree of a larger k with the bases of a smaller one (the
+    second seed, `macaulay.KeptBases`)."""
     n, md = spec.n, spec.effective_degree
     pure = min(spec.k, n)
     forms = tuple(
@@ -250,7 +260,7 @@ def resolve_truncation(spec: CaseSpec, cap: int = DEFAULT_CAP) -> int:
     return case_truncation(spec.n, spec.effective_degree, spec.k, cap)
 
 
-def _at_pure_powers(spec, trunc, conjectured, budget):
+def _at_pure_powers(spec, trunc, conjectured, budget, kept=None):
     """(computed, stats) at `pure_power_family(spec, spec.seed)` if its
     series is the conjectured one, else None.
 
@@ -259,10 +269,15 @@ def _at_pure_powers(spec, trunc, conjectured, budget):
     eliminate degree e, and its matrix there (the whole Macaulay matrix,
     unless the trial drew pure powers) is no smaller than the one met
     here. Otherwise it returns None, and the random trials meet the
-    budget or not as they would have."""
+    budget or not as they would have.
+
+    kept, for k >= n only, seeds each degree with the basis a smaller k
+    of the same draws left there, and keeps this k's bases in its place
+    (`pure_power_family`)."""
     family = pure_power_family(spec, spec.seed)
+    kept = kept if spec.k >= spec.n else None
     try:
-        computed, stats = quotient_series_with_stats(family, trunc, budget=budget)
+        computed, stats = quotient_series_with_stats(family, trunc, budget, kept)
     except ResourceLimit as exc:
         if 0 not in conjectured.coeffs[: exc.degree]:
             raise
@@ -277,6 +292,7 @@ def verify_case(
     cap: int = DEFAULT_CAP,
     budget: int = DEFAULT_BUDGET,
     family_builder=None,
+    kept: KeptBases | None = None,
 ) -> VerificationRecord:
     """Run one case: first at the pure-power point, then at random
     points, retrying with fresh seeds on mismatch.
@@ -301,6 +317,12 @@ def verify_case(
 
     A random specialization can be unlucky; only after `trials` failures
     is the verdict NotAttained, with every seed recorded.
+
+    kept is `run_sweep`'s: the bases that the pure-power point of a
+    smaller k of the same draws left, which seed this one's degrees and
+    which its own bases replace (see `_at_pure_powers`). Rank does not
+    depend on the seed, so the record is the same with or without it.
+    Called alone, verify_case keeps nothing.
     """
     build = family_builder or default_family
     start = time.perf_counter()
@@ -311,7 +333,9 @@ def verify_case(
     computed = None
     stats = ()
     verdict = NOT_ATTAINED
-    attained = None if family_builder else _at_pure_powers(spec, trunc, conjectured, budget)
+    attained = (
+        None if family_builder else _at_pure_powers(spec, trunc, conjectured, budget, kept)
+    )
     if attained is not None:
         computed, stats = attained
         seeds, verdict = [spec.seed], VERIFIED
@@ -499,9 +523,17 @@ def run_sweep(
     """Execute a plan: direct cases first, then interval deductions
     reusing the endpoint records. served maps k to a record already at
     hand (a cache hit), which is used instead of computing that case.
-    The other cases run from the largest k down, so the forms drawn for
-    the first are shared by the rest (`pure_power_family`); records and
-    skipped cases are returned in plan order.
+
+    The forms of the largest k left to compute are drawn and powered
+    first, so every smaller k of its (n, d, m, seed, prime) takes a
+    prefix of them (`pure_power_family`). The cases then run from the
+    smallest k up, and each hands the next the reduced echelon bases of
+    its pure-power point in a `KeptBases`: for k >= n the family of k is
+    a prefix of the family of every larger k, so its row space in each
+    degree lies in theirs and seeds their elimination. The bases live
+    only in this call and hold at most budget entries. Records and
+    skipped cases are returned in plan order, as if each case had run
+    alone.
 
     Returns (records, witnesses, failures, skipped). A case that raises
     ResourceLimit (a matrix over the budget) has no record and is skipped
@@ -510,14 +542,18 @@ def run_sweep(
     """
     found = dict(served or {})
     limits = {}
-    # largest k first: its pure-power point draws every form that the
-    # smaller k take a prefix of (`pure_power_family`)
-    for spec in sorted(plan.cases, key=lambda s: s.k, reverse=True):
-        if spec.k not in found:
-            try:
-                found[spec.k] = verify_case(spec, cap, budget)
-            except ResourceLimit as exc:
-                limits[spec.k] = str(exc)
+    todo = sorted((s for s in plan.cases if s.k not in found), key=lambda s: s.k)
+    top = todo[-1] if todo else None
+    kept = KeptBases(budget)
+    for spec in todo:
+        ours = _draws_key(spec) == _draws_key(top)
+        if ours:
+            # a no-op unless a random trial drew other forms since
+            powered_draws(top.n, top.d, top.m, top.k, top.seed, top.prime)
+        try:
+            found[spec.k] = verify_case(spec, cap, budget, kept=kept if ours else None)
+        except ResourceLimit as exc:
+            limits[spec.k] = str(exc)
     records = {s.k: found[s.k] for s in plan.cases if s.k in found}
     skipped = [(s, limits[s.k]) for s in plan.cases if s.k in limits]
     witnesses = []

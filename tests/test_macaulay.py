@@ -14,8 +14,10 @@ from genforms import macaulay
 from genforms.macaulay import (
     DegreeStat,
     FormFamily,
+    KeptBases,
     ModPPoly,
     ResourceLimit,
+    SoundnessError,
     _products,
     _scatter_table,
     ideal_dimension_at_degree,
@@ -743,6 +745,104 @@ def test_the_pure_power_point_feeds_few_basis_rows_again(monkeypatch):
     series = quotient_series_with_stats(family, resolve_truncation(spec))[0]
     assert series.coeffs[-1] == 0
     assert (sum(built), sum(fed) - sum(built)) == (256, 40)
+
+
+def growing_families(family):
+    """The family's pure powers followed by the first j of its other
+    forms, for j = 0..len(others): each family extends the one before
+    it, with the same pure powers."""
+    others = pure_powers(family)[1]
+    pure = tuple(f for f in family.forms if not any(f is g for g in others))
+    return [FormFamily(family.n, pure + others[:j], family.prime)
+            for j in range(len(others) + 1)]
+
+
+def assert_kept_seeds_match_scratch(family, max_deg, budget=None):
+    """Every growing family of family, in order, sharing one KeptBases:
+    the same series and stats as each computed alone."""
+    kept = KeptBases(budget)
+    for grown in growing_families(family):
+        assert (quotient_series_with_stats(grown, max_deg, kept=kept)
+                == quotient_series_with_stats(grown, max_deg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=families(), max_deg=st.integers(0, 9), budget=st.sampled_from((None, 0, 40)))
+def test_kept_seeds_match_scratch(family, max_deg, budget):
+    assert_kept_seeds_match_scratch(family, max_deg, budget)
+
+
+@pytest.mark.parametrize("prime", (2, 3, 101, 2**31 - 1))
+def test_kept_seeds_named_cases(prime):
+    """Pure powers x_i^{md} of every variable and random forms after them,
+    as at the pure-power point of a sweep, and the same with a repeated
+    form and with forms of mixed degrees."""
+    rng = np.random.default_rng(prime)
+    for n, md, k in ((3, 4, 9), (4, 4, 8), (3, 6, 7)):
+        forms = tuple(random_form(n, md, rng, prime) for _ in range(k - n))
+        assert_kept_seeds_match_scratch(
+            FormFamily(n, pure_power_family(n, md, prime).forms + forms, prime), 4 * md)
+    quad = random_form(3, 2, rng, prime)
+    mixed = (quad, random_form(3, 3, rng, prime), quad, random_form(3, 2, rng, prime))
+    assert_kept_seeds_match_scratch(
+        FormFamily(3, (pure_power(3, 0, 3, prime=prime),) + mixed, prime), 9)
+
+
+def test_kept_bases_hold_at_most_their_budget():
+    """A basis of r rows over c columns counts r*c entries; one that would
+    pass the budget is not kept, and the one it replaces is dropped."""
+    rng = np.random.default_rng(3)
+    cubes = pure_power_family(3, 3).forms
+    forms = tuple(random_form(3, 3, rng) for _ in range(4))
+
+    def bases(family):
+        chain, out = {}, {}
+        for e in (3, 4, 5):
+            ideal_dimension_at_degree(family, e, chain)
+            out[e] = chain[e]
+        return pure_powers(family)[1], out
+
+    two, small = bases(FormFamily(3, cubes + forms[:2]))
+    four, large = bases(FormFamily(3, cubes + forms))
+    assert [(b[0].size, b[0].size + b[1].size) for b in small.values()] == [(2, 7), (6, 6), (3, 3)]
+    assert (large[3][0].size, large[3][1].size) == (4, 3)
+    kept = KeptBases(budget=30)
+    kept.keep(3, two, (3, 3, 3), small[3])
+    assert kept.entries == 14 and kept.bases[3] == (two, (3, 3, 3), small[3])
+    kept.keep(4, two, (3, 3, 3), small[4])  # 14 + 36 > 30
+    assert kept.entries == 14 and 4 not in kept.bases
+    kept.keep(5, two, (3, 3, 3), small[5])
+    assert kept.entries == 23
+    kept.keep(3, four, (3, 3, 3), large[3])  # 9 + 28 > 30: neither is kept
+    assert kept.entries == 9 and 3 not in kept.bases
+    unbounded = KeptBases()
+    for e, basis in small.items():
+        unbounded.keep(e, two, (3, 3, 3), basis)
+    assert unbounded.entries == 14 + 36 + 9
+
+
+def test_a_kept_basis_the_family_may_not_span_is_refused():
+    """A kept basis of more forms than the family has, of other forms, or
+    over other standard columns raises SoundnessError, not an assert."""
+    rng = np.random.default_rng(5)
+    cubes = pure_power_family(3, 3).forms
+    forms = tuple(random_form(3, 3, rng) for _ in range(4))
+    small = FormFamily(3, cubes + forms[:1])
+    large = FormFamily(3, cubes + forms[:3])
+    kept = KeptBases()
+    ideal_dimension_at_degree(large, 5, kept=kept)
+    with pytest.raises(SoundnessError, match="spans 3 forms"):
+        ideal_dimension_at_degree(small, 5, kept=kept)
+    swapped = FormFamily(3, cubes + (forms[3],) + forms[1:3])
+    with pytest.raises(SoundnessError, match="spans 3 forms"):
+        ideal_dimension_at_degree(swapped, 5, kept=kept)
+    # x_1^2 in place of x_1^3: the same forms over other standard columns
+    other = FormFamily(3, (pure_power(3, 0, 2),) + cubes[1:] + forms[:3])
+    with pytest.raises(SoundnessError, match="columns"):
+        ideal_dimension_at_degree(other, 5, kept=kept)
+    # the family it was kept from, and any family that extends it, take it
+    grown = FormFamily(3, cubes + forms)
+    assert ideal_dimension_at_degree(grown, 5, kept=kept) == reference_dimension(grown, 5)
 
 
 @pytest.mark.parametrize("n, a, k", [(1, 3, 1), (2, 2, 2), (3, 4, 2), (3, 2, 3), (4, 3, 4)])

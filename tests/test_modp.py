@@ -335,3 +335,17 @@ def test_bench_kernel_plan_smoke():
     bench.default_family(bench.CaseSpec(3, 2, 2, 4), 0)
     bench._clear_caches()
     assert bench.verifier._draws == {}
+
+
+def test_bench_kernel_sweep_smoke():
+    """The sweep timings once, on a small cell: its counts checked, and a
+    wrong count reported."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_kernel.py"
+    spec = importlib.util.spec_from_file_location("bench_kernel", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.SWEEPS == ((4, 2, 6, 455, 27, 8), (4, 4, 3, 455, 27, 8))
+    (result,) = bench.time_sweeps(((3, 2, 2, 15, 9, 2),))
+    assert result["cell"] == [3, 2, 2] and result["cold_s"] > 0
+    with pytest.raises(bench.WrongResult, match="9 direct cases, 2 intervals, 15 k covered"):
+        bench.time_sweeps(((3, 2, 2, 15, 9, 3),))

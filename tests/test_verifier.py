@@ -14,10 +14,11 @@ import pytest
 
 import genforms
 
-from genforms import modp, verifier
+from genforms import macaulay, modp, verifier
 from genforms.macaulay import (
     DegreeStat,
     FormFamily,
+    KeptBases,
     ResourceLimit,
     power,
     pure_powers,
@@ -323,6 +324,127 @@ def test_sweep_records_replay_with_the_draws_of_each_case_alone(cell):
         shared = record.to_dict()
         del alone["millis"], shared["millis"]
         assert shared == alone
+
+
+def _without_millis(record) -> dict:
+    row = record.to_dict()
+    del row["millis"]
+    return row
+
+
+def assert_each_record_as_alone(records, budget=verifier.DEFAULT_BUDGET):
+    """Each record equals its case verified alone, with no draws kept,
+    apart from millis."""
+    for record in records:
+        verifier._draws.clear()
+        alone = verify_case(record.spec, budget=budget)
+        assert _without_millis(record) == _without_millis(alone)
+
+
+@pytest.mark.parametrize("cell", [(3, 2, 7, 4, 120), (4, 3, 3, 1, 220)])
+def test_sweep_seeded_by_smaller_k_records_each_case_as_alone(cell):
+    records, _, _, skipped = run_sweep(plan_sweep(*cell))
+    assert skipped == [] and len(records) == len(plan_sweep(*cell).cases)
+    assert_each_record_as_alone(records)
+
+
+def _watch_seeds(monkeypatch):
+    """Counts, while the test runs, of the degrees seeded by a kept basis
+    and by x_n, and of the pivots `modp._gauss_jordan` finds."""
+    counts = {"kept": 0, "xn": 0, "pivots": 0}
+    offered = []
+    real_kept, real_xn = KeptBases.seed, macaulay._xn_seed
+    real_init, real_gj = modp.RowReducer.__init__, modp._gauss_jordan
+
+    def kept_seed(self, *args):
+        prefix = real_kept(self, *args)
+        offered.append(None if prefix is None else prefix[1])
+        return prefix
+
+    def xn_seed(*args):
+        counts["xn"] += 1
+        return real_xn(*args)
+
+    def init(self, cols, p=modp.DEFAULT_PRIME, seed=None):
+        counts["kept"] += seed is not None and any(seed is b for b in offered)
+        offered.clear()
+        real_init(self, cols, p, seed)
+
+    def gauss_jordan(m, p):
+        rows, pivots = real_gj(m, p)
+        counts["pivots"] += len(pivots)
+        return rows, pivots
+
+    monkeypatch.setattr(KeptBases, "seed", kept_seed)
+    monkeypatch.setattr(macaulay, "_xn_seed", xn_seed)
+    monkeypatch.setattr(modp.RowReducer, "__init__", init)
+    monkeypatch.setattr(modp, "_gauss_jordan", gauss_jordan)
+    return counts
+
+
+def test_sweep_takes_both_seeds_and_finds_fewer_pivots(monkeypatch):
+    """(3,7,2) k = 4..120, a slice of the perfbench sweep-n3 workload:
+    some degrees take the kept basis of a smaller k, others x_n times
+    the degree below, and the pivot loop finds 1130 pivots, where the
+    x_n seed alone finds 2377."""
+    verifier._draws.clear()
+    counts = _watch_seeds(monkeypatch)
+    records, _, _, skipped = run_sweep(plan_sweep(3, 7, 2, 4, 120))
+    assert skipped == [] and all(r.verdict == VERIFIED for r in records)
+    assert counts["kept"] >= 1 and counts["xn"] >= 1
+    assert counts["pivots"] <= 1200
+
+
+def test_run_sweep_keeps_no_basis_after_it_returns(monkeypatch):
+    run_sweep(plan_sweep(3, 7, 2, 4, 120))
+    counts = _watch_seeds(monkeypatch)
+    after = verify_case(CaseSpec(3, 7, 2, 4))
+    assert counts["kept"] == 0
+    verifier._draws.clear()
+    assert _without_millis(after) == _without_millis(verify_case(CaseSpec(3, 7, 2, 4)))
+    modules = (verifier, macaulay, modp)
+    assert not any(isinstance(v, KeptBases) for mod in modules for v in vars(mod).values())
+
+
+def test_sweep_records_as_alone_around_a_cache_hit():
+    """A record served for a middle k: the cases above it take the bases
+    of the case below it, and every record is still as computed alone."""
+    plan = plan_sweep(3, 7, 2, 4, 120)
+    middle = plan.cases[len(plan.cases) // 2]
+    verifier._draws.clear()
+    hit = verify_case(middle)
+    records, _, _, skipped = run_sweep(plan, served={middle.k: hit})
+    assert skipped == [] and hit in records
+    assert_each_record_as_alone(records)
+
+
+def test_sweep_records_as_alone_around_a_case_skipped_by_the_budget():
+    """(3,2,2) k = 4..15 at a budget of 200 entries skips k=14 (see
+    test_run_sweep_deduces_no_interval_across_a_skipped_endpoint); k=15
+    still records as alone."""
+    records, _, _, skipped = run_sweep(plan_sweep(3, 2, 2, 4, 15), budget=200)
+    assert [spec.k for spec, _ in skipped] == [14]
+    assert [r.spec.k for r in records] == [4, 5, 6, 7, 15]
+    assert_each_record_as_alone(records, budget=200)
+
+
+def test_sweep_records_as_alone_when_the_budget_admits_not_every_kept_basis(monkeypatch):
+    """At 50000 entries every matrix of (3,7,2) k = 4..120 is eliminated,
+    but the kept bases would reach 234389 entries: some degrees are not
+    kept, and those take the x_n seed alone."""
+    refused = []
+    real_keep = KeptBases.keep
+
+    def keep(self, e, *args):
+        real_keep(self, e, *args)
+        refused.append(e not in self.bases)
+        assert self.entries <= 50_000
+
+    monkeypatch.setattr(KeptBases, "keep", keep)
+    records, _, _, skipped = run_sweep(plan_sweep(3, 7, 2, 4, 120), budget=50_000)
+    assert skipped == [] and any(refused) and not all(refused)
+    monkeypatch.undo()
+    assert_each_record_as_alone(records, budget=50_000)
 
 
 P = modp.DEFAULT_PRIME
