@@ -12,14 +12,13 @@ times two things: a cold build of every scatter table that the five
 `ci-deep` cases of perfbench use (caches cleared before each run, every
 table's shape checked), and the build of one powered family at
 p = 2^31 - 1 by `default_family` (the draw, the forms and the batched
-powering, with no draws kept from an earlier build), checked against a
-pinned checksum of its coefficients. The plan field times cold
-`plan_sweep` calls over the whole k range of four cells (median of 5
-runs, caches cleared before each), each checked against its count of
-cases and intervals. The sweep field times one cold `plan_sweep` and
-`run_sweep` of the whole k range of two cells (caches and kept draws
-cleared first), each checked against its count of direct cases and
-intervals, with every k covered and none skipped. The frontier field
+powering), checked against a pinned checksum of its coefficients. The
+plan field times cold `plan_sweep` calls over the whole k range of four
+cells (median of 5 runs, caches cleared before each), each checked
+against its count of cases and intervals. The sweep field times one
+cold `plan_sweep` and `run_sweep` of the whole k range of three cells
+(caches cleared first), each checked against its count of direct cases
+and intervals, with every k covered and none skipped. The frontier field
 times one cold `verify_case` (caches cleared first) of each of six
 large cases, with its verdict.
 The script prints one JSON line with the timings and the numpy version,
@@ -41,7 +40,7 @@ import time
 
 import numpy as np
 
-from genforms import macaulay, verifier
+from genforms import macaulay
 from genforms.macaulay import ResourceLimit, ideal_dimension_at_degree, macaulay_shape
 from genforms.monomials import enumerate_monomials, monomial_count
 from genforms.verifier import (
@@ -86,7 +85,7 @@ FRONTIER = ((4, 3, 3, 5), (4, 2, 5, 5), (5, 2, 3, 6), (6, 2, 2, 7), (7, 2, 2, 8)
 PLANS = ((4, 2, 8, 969, 33, 11), (5, 3, 3, 715, 29, 9), (6, 2, 3, 462, 26, 8),
          (4, 3, 3, 220, 22, 7))
 # (n, d, m, top k, direct cases, intervals) of each swept cell: k = 1..top k
-SWEEPS = ((4, 2, 6, 455, 27, 8), (4, 4, 3, 455, 27, 8))
+SWEEPS = ((4, 2, 6, 455, 27, 8), (4, 4, 3, 455, 27, 8), (5, 2, 4, 495, 26, 8))
 # (n, d, m, k, prime) of the powered family, and the first 16 hex digits
 # of the SHA-256 of its coefficients as little-endian int64, forms in
 # order. The prime is named, not the default, so the checksum stays valid
@@ -138,12 +137,11 @@ def time_chain(chain=CHAIN, repeats=REPEATS) -> dict:
 
 
 def _clear_caches():
-    """Empty the lru_caches and the kept draws, as in a fresh process."""
+    """Empty the lru_caches, as in a fresh process."""
     for cached in (macaulay._scatter_table, macaulay._standard, macaulay._standard_exponents,
                    macaulay._xn_shift, macaulay._exponents, macaulay.enumerate_monomials,
                    case_truncation):
         cached.cache_clear()
-    verifier._draws.clear()
 
 
 def _table_rows(n, dg, e, xn_free, bounds) -> int:
@@ -201,7 +199,6 @@ def time_power(case=POWERED, repeats=REPEATS) -> float:
     default_family(spec, SEED)
     times = []
     for _ in range(repeats):
-        verifier._draws.clear()
         start = time.perf_counter()
         family = default_family(spec, SEED)
         times.append(time.perf_counter() - start)
@@ -235,9 +232,9 @@ def time_plans(plans=PLANS, repeats=REPEATS) -> list:
 
 def time_sweeps(sweeps=SWEEPS) -> list:
     """Seconds of one cold plan and sweep of each cell's whole k range,
-    the caches and kept draws cleared first. Raises WrongResult unless
-    the cell has its counts of direct cases and intervals, every k is
-    covered and none is skipped."""
+    the caches cleared first. Raises WrongResult unless the cell has its
+    counts of direct cases and intervals, every k is covered and none is
+    skipped."""
     results = []
     for n, d, m, top, cases, intervals in sweeps:
         _clear_caches()

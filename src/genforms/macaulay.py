@@ -57,9 +57,10 @@ This is the second seed (`KeptBases`): a sweep keeps, for each degree,
 the basis of its last pure-power case with k >= n and hands it to the
 next larger k, whose family extends it. Each degree takes whichever
 seed, x_n's or the kept one, has more rows, so fewer pivots are left to
-find. On (3,7,2) k = 4..120, a slice of the perfbench `sweep-n3`
-workload, the pivot loop finds 1130 pivots, against 2377 with the x_n
-seed alone; on (5,2,3) k = 1..210, 4472 against 9819.
+find; the other is dropped before any row is fed. On (3,7,2)
+k = 4..120, a slice of the perfbench `sweep-n3` workload, the pivot
+loop finds 1130 pivots, against 2377 with the x_n seed alone; on
+(5,2,3) k = 1..210, 4472 against 9819; on (5,2,4) k = 1..495, 17390.
 
 Why a random prime-field point says anything about generic forms: the
 rank of the Macaulay matrix at any specialization is at most the generic
@@ -192,21 +193,18 @@ def random_form(n, d, rng, prime=modp.DEFAULT_PRIME) -> ModPPoly:
     return ModPPoly(n, d, coeffs, prime)
 
 
-def power(f: ModPPoly | FormFamily, m: int):
-    """f^m by repeated squaring, for a form or a family of forms of one
-    degree.
+def power(f: FormFamily, m: int) -> FormFamily:
+    """The family of the m-th powers of f's forms, which must share one
+    degree, by repeated squaring.
 
-    A FormFamily gives the family of its forms' m-th powers, and is
-    powered as a whole: every squaring and every product is one batched
-    `_products` call over all its forms, not one call per form. Each call
-    is exact while min(S_a, S_b)(p - 1) < 2^53 for operands of S_a and
-    S_b coefficients, which holds for every p < 2^31 and operand below
-    2^22 monomials, and is checked (OverflowError).
+    The family is powered as a whole: every squaring and every product is
+    one batched `_products` call over all its forms, not one call per
+    form. Each call is exact while min(S_a, S_b)(p - 1) < 2^53 for
+    operands of S_a and S_b coefficients, which holds for every p < 2^31
+    and operand below 2^22 monomials, and is checked (OverflowError).
     """
     if m < 1:
         raise ValueError("exponent must be >= 1")
-    if isinstance(f, ModPPoly):
-        return power(FormFamily(f.n, (f,), f.prime), m).forms[0]
     degrees = {g.degree for g in f.forms}
     if len(degrees) != 1:
         raise ValueError(f"power needs forms of one degree, got {sorted(degrees)}")
@@ -432,30 +430,29 @@ def _xn_seed(basis: modp.Echelon, n: int, e: int, bounds):
 
 
 class KeptBases:
-    """Degree e's reduced echelon basis of the last family computed with
-    it, per degree, for a later family that extends that one to seed
-    degree e with (see `ideal_dimension_at_degree`).
+    """For each degree e, the reduced echelon basis of degree e of the
+    last family computed with it, for a later family that extends that
+    one to seed degree e with (see `ideal_dimension_at_degree`). Like
+    the x_n chain within one family, it holds one basis per degree, the
+    latest.
 
     bases maps e to (others, bounds, basis): the family's forms other
     than pure powers, the exponent bounds of degree e, and the basis over
     degree e's standard columns. A family whose pure powers are the same
     and whose other forms start with others spans, in degree e, a space
-    that contains the basis. A basis of r rows over c columns counts r*c
-    entries; the kept bases hold at most budget entries in all (None:
-    no cap), and a degree whose basis would pass it is not kept.
+    that contains the basis.
     """
 
-    def __init__(self, budget: int | None = None):
-        self.budget = budget
-        self.entries = 0
+    def __init__(self):
         self.bases = {}
 
     def seed(self, e: int, others, bounds, cols: int):
         """(j, basis) kept for degree e, basis spanned by the rows of
-        others[:j], or None. A basis of forms that are not the first j of
-        others, or over other standard columns (bounds, cols), raises
-        SoundnessError: it would seed a space the family's rows may not
-        span."""
+        others[:j], or None. A basis it returns leaves the store, so the
+        caller holds the only reference while it eliminates degree e. A
+        basis of forms that are not the first j of others, or over other
+        standard columns (bounds, cols), raises SoundnessError and stays
+        kept: it would seed a space the family's rows may not span."""
         entry = self.bases.get(e)
         if entry is None:
             return None
@@ -472,22 +469,12 @@ class KeptBases:
                 f"degree-{e} kept basis is over {width} columns with bounds "
                 f"{kept_bounds}, not {cols} with {bounds}"
             )
+        del self.bases[e]
         return j, basis
 
     def keep(self, e: int, others, bounds, basis: modp.Echelon) -> None:
         """Keep basis for degree e in place of the one kept before."""
-        old = self.bases.pop(e, None)
-        if old is not None:
-            self.entries -= self._entries(old[2])
-        size = self._entries(basis)
-        if self.budget is None or self.entries + size <= self.budget:
-            self.bases[e] = (others, bounds, basis)
-            self.entries += size
-
-    @staticmethod
-    def _entries(basis: modp.Echelon) -> int:
-        pivots, free, _ = basis
-        return pivots.size * (pivots.size + free.size)
+        self.bases[e] = (others, bounds, basis)
 
 
 def macaulay_shape(family: FormFamily, e: int) -> tuple[int, int]:
@@ -536,9 +523,11 @@ def ideal_dimension_at_degree(
     standard multiple of others[j:], and nothing else. Of the two seeds
     the one with more rows is taken (on a tie, x_n's), since each row it
     lacks is a pivot to find; both counts are known before any
-    arithmetic. A kept basis of forms that are not the first j of others,
-    or over other standard columns, raises SoundnessError. On return
-    kept holds degree e's basis in place of the one it held.
+    arithmetic. The kept basis leaves kept when it is offered, so the
+    seed that is not taken is dropped before any row is fed, and the
+    reducer holds the only reference to the one that is. A kept basis of
+    forms that are not the first j of others, or over other standard
+    columns, raises SoundnessError. On return kept holds degree e's basis.
     """
     bases = {} if chain is None else chain
     seed = bases.pop(e - 1, None)
@@ -576,7 +565,7 @@ def ideal_dimension_at_degree(
         seed, again = _xn_seed(seed, family.n, e, bounds)
         xn_free = True
     reducer = modp.RowReducer(cols, family.prime, seed)
-    del seed  # the reducer holds it; keep one basis alive
+    del seed, prefix  # the reducer holds the seed; keep one basis alive
     reducer.add_blocks(chained(again, (
         macaulay_rows(form, e, xn_free, bounds) for form in fed if form.degree <= e
     )))

@@ -175,51 +175,33 @@ def _implied_stats(spec: CaseSpec, coeffs) -> tuple[DegreeStat, ...]:
     return tuple(stats)
 
 
-# The powered draws of one (n, d, m, seed, prime), the last asked for:
-# {key: forms}, forms[i] the m-th power of draw i + 1 of
-# FormFamily.random(n, d, len(forms), seed, prime). Draw i of a stream
-# does not depend on how many forms are drawn, so forms[:k] serves every
-# k up to len(forms).
-_draws = {}
-
-
-def _draws_key(spec: CaseSpec) -> tuple:
-    """The key of the `powered_draws` that spec's families take."""
-    return spec.n, spec.d, spec.m, spec.seed, spec.prime
-
-
-def powered_draws(n, d, m, k, seed, prime) -> tuple[ModPPoly, ...]:
+def powered_draws(spec: CaseSpec, seed: int) -> tuple[ModPPoly, ...]:
     """The m-th powers of draws 1..k of `FormFamily.random(n, d, k, seed,
-    prime)`. They are drawn and powered, in one batched `power` call,
-    only when the draws kept for (n, d, m, seed, prime) are fewer than k;
-    those draws then replace whatever was kept."""
-    key = (n, d, m, seed, prime)
-    forms = _draws.get(key, ())
-    if len(forms) < k:
-        forms = power(FormFamily.random(n, d, k, seed, prime), m).forms
-        _draws.clear()
-        _draws[key] = forms
-    return forms[:k]
+    prime)`, powered in one batched `power` call. Draw i of a stream does
+    not depend on how many forms are drawn, so the first j of them are
+    the powered draws of every j <= k."""
+    family = FormFamily.random(spec.n, spec.d, spec.k, seed, spec.prime)
+    return power(family, spec.m).forms
 
 
-def default_family(spec: CaseSpec, seed: int) -> FormFamily:
-    """k random degree-d forms, each raised to the m-th power: the
-    `powered_draws` of the seed."""
-    forms = powered_draws(spec.n, spec.d, spec.m, spec.k, seed, spec.prime)
-    return FormFamily(spec.n, forms, spec.prime, seed)
+def default_family(spec: CaseSpec, seed: int, draws=None) -> FormFamily:
+    """k random degree-d forms, each raised to the m-th power: the first
+    k of draws, the powered draws of seed for some k' >= k, or, if draws
+    is None, the `powered_draws` of seed drawn here."""
+    if draws is None:
+        draws = powered_draws(spec, seed)
+    return FormFamily(spec.n, draws[: spec.k], spec.prime, seed)
 
 
-def pure_power_family(spec: CaseSpec, seed: int) -> FormFamily:
+def pure_power_family(spec: CaseSpec, seed: int, draws=None) -> FormFamily:
     """The pure-power point: the m-th powers of x_i^d for i <= min(k, n),
     that is x_i^{md}, then those of draws min(k, n)+1..k of
     `FormFamily.random(n, d, k, seed)`, so the same draws as
-    `default_family`'s. The draws come from `powered_draws`, so the
-    cases of one (n, d, m, seed, prime) share them: once the largest k's
-    are drawn, each other k takes a prefix with no new draw or power.
-    For k >= n every family has all n pure powers, and the family of k
-    is a prefix of the family of every larger k: so `run_sweep` can seed
-    each degree of a larger k with the bases of a smaller one (the
-    second seed, `macaulay.KeptBases`)."""
+    `default_family`'s, taken from draws as there. For k >= n every
+    family has all n pure powers, and the family of k is a prefix of the
+    family of every larger k: so `run_sweep`, which passes every case
+    the draws of its largest k, can seed each degree of a larger k with
+    the bases of a smaller one (the second seed, `macaulay.KeptBases`)."""
     n, md = spec.n, spec.effective_degree
     pure = min(spec.k, n)
     forms = tuple(
@@ -229,7 +211,9 @@ def pure_power_family(spec: CaseSpec, seed: int) -> FormFamily:
         for i in range(pure)
     )
     if spec.k > pure:
-        forms += powered_draws(n, spec.d, spec.m, spec.k, seed, spec.prime)[pure:]
+        if draws is None:
+            draws = powered_draws(spec, seed)
+        forms += draws[pure : spec.k]
     return FormFamily(n, forms, spec.prime, seed)
 
 
@@ -260,9 +244,9 @@ def resolve_truncation(spec: CaseSpec, cap: int = DEFAULT_CAP) -> int:
     return case_truncation(spec.n, spec.effective_degree, spec.k, cap)
 
 
-def _at_pure_powers(spec, trunc, conjectured, budget, kept=None):
-    """(computed, stats) at `pure_power_family(spec, spec.seed)` if its
-    series is the conjectured one, else None.
+def _at_pure_powers(spec, trunc, conjectured, budget, kept, draws):
+    """(computed, stats) at `pure_power_family(spec, spec.seed, draws)`
+    if its series is the conjectured one, else None.
 
     Over the budget at degree e, it raises ResourceLimit again when the
     conjectured series has no zero below e: a trial that attains it must
@@ -274,7 +258,7 @@ def _at_pure_powers(spec, trunc, conjectured, budget, kept=None):
     kept, for k >= n only, seeds each degree with the basis a smaller k
     of the same draws left there, and keeps this k's bases in its place
     (`pure_power_family`)."""
-    family = pure_power_family(spec, spec.seed)
+    family = pure_power_family(spec, spec.seed, draws)
     kept = kept if spec.k >= spec.n else None
     try:
         computed, stats = quotient_series_with_stats(family, trunc, budget, kept)
@@ -293,6 +277,7 @@ def verify_case(
     budget: int = DEFAULT_BUDGET,
     family_builder=None,
     kept: KeptBases | None = None,
+    draws: tuple[ModPPoly, ...] | None = None,
 ) -> VerificationRecord:
     """Run one case: first at the pure-power point, then at random
     points, retrying with fresh seeds on mismatch.
@@ -318,13 +303,16 @@ def verify_case(
     A random specialization can be unlucky; only after `trials` failures
     is the verdict NotAttained, with every seed recorded.
 
-    kept is `run_sweep`'s: the bases that the pure-power point of a
+    draws are the `powered_draws` of spec.seed for some k' >= k, of
+    which the pure-power point and the first trial take a prefix; if
+    None they are drawn here, once, for k. kept and draws are
+    `run_sweep`'s: kept holds the bases that the pure-power point of a
     smaller k of the same draws left, which seed this one's degrees and
-    which its own bases replace (see `_at_pure_powers`). Rank does not
-    depend on the seed, so the record is the same with or without it.
-    Called alone, verify_case keeps nothing.
+    which its own bases replace (see `_at_pure_powers`). The draws are
+    the same forms and rank does not depend on the seed, so the record
+    is the same with or without them. Called alone, verify_case keeps
+    nothing. A given family_builder takes neither.
     """
-    build = family_builder or default_family
     start = time.perf_counter()
     trunc = resolve_truncation(spec, cap)
     conjectured = conjectured_series(spec.degree_list, trunc)
@@ -333,9 +321,11 @@ def verify_case(
     computed = None
     stats = ()
     verdict = NOT_ATTAINED
-    attained = (
-        None if family_builder else _at_pure_powers(spec, trunc, conjectured, budget, kept)
-    )
+    attained = None
+    if family_builder is None:
+        if draws is None:
+            draws = powered_draws(spec, spec.seed)
+        attained = _at_pure_powers(spec, trunc, conjectured, budget, kept, draws)
     if attained is not None:
         computed, stats = attained
         seeds, verdict = [spec.seed], VERIFIED
@@ -343,7 +333,10 @@ def verify_case(
         for trial in range(spec.trials):
             seed_t = spec.seed + trial
             seeds.append(seed_t)
-            family = build(spec, seed_t)
+            if family_builder is not None:
+                family = family_builder(spec, seed_t)
+            else:
+                family = default_family(spec, seed_t, None if trial else draws)
             computed, stat_list = quotient_series_with_stats(family, trunc, budget=budget)
             stats = tuple(stat_list)
             if lex_compare(computed, conjectured) is Ordering.EQUAL:
@@ -524,14 +517,15 @@ def run_sweep(
     reusing the endpoint records. served maps k to a record already at
     hand (a cache hit), which is used instead of computing that case.
 
-    The forms of the largest k left to compute are drawn and powered
-    first, so every smaller k of its (n, d, m, seed, prime) takes a
+    The plan's cases must share (n, d, m, seed, prime), as every plan of
+    `plan_sweep` does (ValueError otherwise). The forms of the largest k
+    left to compute are drawn and powered once, and every case takes a
     prefix of them (`pure_power_family`). The cases then run from the
     smallest k up, and each hands the next the reduced echelon bases of
     its pure-power point in a `KeptBases`: for k >= n the family of k is
     a prefix of the family of every larger k, so its row space in each
-    degree lies in theirs and seeds their elimination. The bases live
-    only in this call and hold at most budget entries. Records and
+    degree lies in theirs and seeds their elimination. The draws and the
+    bases live only in this call, the bases one per degree. Records and
     skipped cases are returned in plan order, as if each case had run
     alone.
 
@@ -540,18 +534,16 @@ def run_sweep(
     as (spec, reason); an interval is deduced only when both its endpoint
     records exist.
     """
+    if len({(s.n, s.d, s.m, s.seed, s.prime) for s in plan.cases}) > 1:
+        raise ValueError("a sweep plan's cases must share (n, d, m, seed, prime)")
     found = dict(served or {})
     limits = {}
     todo = sorted((s for s in plan.cases if s.k not in found), key=lambda s: s.k)
-    top = todo[-1] if todo else None
-    kept = KeptBases(budget)
+    draws = powered_draws(todo[-1], todo[-1].seed) if todo else None
+    kept = KeptBases()
     for spec in todo:
-        ours = _draws_key(spec) == _draws_key(top)
-        if ours:
-            # a no-op unless a random trial drew other forms since
-            powered_draws(top.n, top.d, top.m, top.k, top.seed, top.prime)
         try:
-            found[spec.k] = verify_case(spec, cap, budget, kept=kept if ours else None)
+            found[spec.k] = verify_case(spec, cap, budget, kept=kept, draws=draws)
         except ResourceLimit as exc:
             limits[spec.k] = str(exc)
     records = {s.k: found[s.k] for s in plan.cases if s.k in found}

@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,11 @@ def pure_power(n, i, a, c=1, prime=P):
 
 def pure_power_family(n, d, prime=P):
     return FormFamily(n, tuple(pure_power(n, i, d, prime=prime) for i in range(n)), prime)
+
+
+def power_of(f, m):
+    """f^m, the one form of the powered one-form family."""
+    return power(FormFamily(f.n, (f,), f.prime), m).forms[0]
 
 
 def multiply(f, g):
@@ -142,20 +148,20 @@ def test_square_of_binomial():
     f = form(2, {(1, 0): 1, (0, 1): 1})
     sq = multiply(f, f)
     assert sq == form(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-    assert power(f, 2) == sq
+    assert power_of(f, 2) == sq
 
 
 def test_power_identity_and_multinomial():
     f = form(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-    assert power(f, 1) == f
-    sq = power(f, 2)
+    assert power_of(f, 1) == f
+    sq = power_of(f, 2)
     assert sq.coeffs[mono_rank((1, 1, 0))] == 2
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_power_multiply_consistency(m):
     f = random_form(2, 2, np.random.default_rng(m))
-    assert power(f, m) == multiply(power(f, m - 1), f)
+    assert power_of(f, m) == multiply(power_of(f, m - 1), f)
 
 
 def reference_multiply(f, g):
@@ -205,13 +211,13 @@ def test_multiply_matches_reference(data, n, prime):
        m=st.integers(1, 5))
 def test_power_matches_reference(data, n, prime, m):
     f = data.draw(forms_of(n, prime))
-    assert power(f, m) == reference_power(f, m)
+    assert power_of(f, m) == reference_power(f, m)
 
 
 @pytest.mark.parametrize("prime", PRIMES)
 def test_power_of_all_p_minus_1_form(prime):
     f = ModPPoly(4, 5, (prime - 1,) * monomial_count(4, 5), prime)
-    assert power(f, 5) == reference_power(f, 5)
+    assert power_of(f, 5) == reference_power(f, 5)
 
 
 @pytest.mark.parametrize(
@@ -757,19 +763,19 @@ def growing_families(family):
             for j in range(len(others) + 1)]
 
 
-def assert_kept_seeds_match_scratch(family, max_deg, budget=None):
+def assert_kept_seeds_match_scratch(family, max_deg):
     """Every growing family of family, in order, sharing one KeptBases:
     the same series and stats as each computed alone."""
-    kept = KeptBases(budget)
+    kept = KeptBases()
     for grown in growing_families(family):
         assert (quotient_series_with_stats(grown, max_deg, kept=kept)
                 == quotient_series_with_stats(grown, max_deg))
 
 
 @settings(max_examples=150, deadline=None)
-@given(family=families(), max_deg=st.integers(0, 9), budget=st.sampled_from((None, 0, 40)))
-def test_kept_seeds_match_scratch(family, max_deg, budget):
-    assert_kept_seeds_match_scratch(family, max_deg, budget)
+@given(family=families(), max_deg=st.integers(0, 9))
+def test_kept_seeds_match_scratch(family, max_deg):
+    assert_kept_seeds_match_scratch(family, max_deg)
 
 
 @pytest.mark.parametrize("prime", (2, 3, 101, 2**31 - 1))
@@ -788,12 +794,14 @@ def test_kept_seeds_named_cases(prime):
         FormFamily(3, (pure_power(3, 0, 3, prime=prime),) + mixed, prime), 9)
 
 
-def test_kept_bases_hold_at_most_their_budget():
-    """A basis of r rows over c columns counts r*c entries; one that would
-    pass the budget is not kept, and the one it replaces is dropped."""
+def test_kept_bases_hold_the_latest_basis_of_each_degree():
+    """One basis per degree, the latest kept, whatever its size. seed
+    hands a basis over and no longer holds it; a refused seed leaves
+    every basis kept."""
     rng = np.random.default_rng(3)
     cubes = pure_power_family(3, 3).forms
     forms = tuple(random_form(3, 3, rng) for _ in range(4))
+    bounds = (3, 3, 3)
 
     def bases(family):
         chain, out = {}, {}
@@ -805,20 +813,55 @@ def test_kept_bases_hold_at_most_their_budget():
     two, small = bases(FormFamily(3, cubes + forms[:2]))
     four, large = bases(FormFamily(3, cubes + forms))
     assert [(b[0].size, b[0].size + b[1].size) for b in small.values()] == [(2, 7), (6, 6), (3, 3)]
-    assert (large[3][0].size, large[3][1].size) == (4, 3)
-    kept = KeptBases(budget=30)
-    kept.keep(3, two, (3, 3, 3), small[3])
-    assert kept.entries == 14 and kept.bases[3] == (two, (3, 3, 3), small[3])
-    kept.keep(4, two, (3, 3, 3), small[4])  # 14 + 36 > 30
-    assert kept.entries == 14 and 4 not in kept.bases
-    kept.keep(5, two, (3, 3, 3), small[5])
-    assert kept.entries == 23
-    kept.keep(3, four, (3, 3, 3), large[3])  # 9 + 28 > 30: neither is kept
-    assert kept.entries == 9 and 3 not in kept.bases
-    unbounded = KeptBases()
+    kept = KeptBases()
     for e, basis in small.items():
-        unbounded.keep(e, two, (3, 3, 3), basis)
-    assert unbounded.entries == 14 + 36 + 9
+        kept.keep(e, two, bounds, basis)
+    kept.keep(3, four, bounds, large[3])
+    held = {e: entry[2] for e, entry in kept.bases.items()}
+    assert held == {3: large[3], 4: small[4], 5: small[5]}
+    assert all(held[e] is basis for e, basis in ((3, large[3]), (4, small[4])))
+    with pytest.raises(SoundnessError, match="spans 4 forms"):
+        kept.seed(3, two, bounds, 7)
+    with pytest.raises(SoundnessError, match="columns"):
+        kept.seed(4, two, (2, 3, 3), 6)
+    assert {e: entry[2] for e, entry in kept.bases.items()} == held
+    j, basis = kept.seed(3, four, bounds, 7)
+    assert j == 4 and basis is large[3] and set(kept.bases) == {4, 5}
+    assert kept.seed(3, four, bounds, 7) is None
+    assert kept.seed(4, four, bounds, 6)[1] is small[4] and set(kept.bases) == {5}
+
+
+def test_the_reducer_alone_holds_the_seed_it_starts_from(monkeypatch):
+    """While degree e is eliminated, a kept basis that lost to x_n's seed
+    is already freed, and the seed taken, kept or x_n's, is held by the
+    reducer alone (its only reference besides getrefcount's argument)."""
+    rng = np.random.default_rng(4)
+    cubes = pure_power_family(3, 3).forms
+    forms = tuple(random_form(3, 3, rng) for _ in range(3))
+    watched, checks = [], []
+    real_add = modp.RowReducer.add_blocks
+
+    def add_blocks(self, blocks):
+        checks.append((sys.getrefcount(self._echelon), [ref() for ref in watched]))
+        return real_add(self, blocks)
+
+    monkeypatch.setattr(modp.RowReducer, "add_blocks", add_blocks)
+    # the kept basis of two forms seeds degree 4 of three, which has no chain
+    kept = KeptBases()
+    ideal_dimension_at_degree(FormFamily(3, cubes + forms[:2]), 4, kept=kept)
+    checks.clear()
+    ideal_dimension_at_degree(FormFamily(3, cubes + forms), 4, kept=kept)
+    assert checks == [(2, [])]
+    # the kept basis of the pure powers alone has no rows: x_n's seed wins
+    kept = KeptBases()
+    ideal_dimension_at_degree(FormFamily(3, cubes), 4, kept=kept)
+    watched.append(weakref.ref(kept.bases[4][2][2]))
+    chain = {}
+    family = FormFamily(3, cubes + forms)
+    ideal_dimension_at_degree(family, 3, chain)
+    checks.clear()
+    ideal_dimension_at_degree(family, 4, chain, kept=kept)
+    assert checks == [(2, [None])]
 
 
 def test_a_kept_basis_the_family_may_not_span_is_refused():

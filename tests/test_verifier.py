@@ -20,7 +20,6 @@ from genforms.macaulay import (
     FormFamily,
     KeptBases,
     ResourceLimit,
-    power,
     pure_powers,
     quotient_series_with_stats,
 )
@@ -319,7 +318,6 @@ def test_sweep_records_replay_with_the_draws_of_each_case_alone(cell):
     records, _, _, skipped = run_sweep(plan_sweep(*cell))
     assert skipped == []
     for record in records:
-        verifier._draws.clear()
         alone = verify_case(record.spec).to_dict()
         shared = record.to_dict()
         del alone["millis"], shared["millis"]
@@ -333,10 +331,8 @@ def _without_millis(record) -> dict:
 
 
 def assert_each_record_as_alone(records, budget=verifier.DEFAULT_BUDGET):
-    """Each record equals its case verified alone, with no draws kept,
-    apart from millis."""
+    """Each record equals its case verified alone, apart from millis."""
     for record in records:
-        verifier._draws.clear()
         alone = verify_case(record.spec, budget=budget)
         assert _without_millis(record) == _without_millis(alone)
 
@@ -387,7 +383,6 @@ def test_sweep_takes_both_seeds_and_finds_fewer_pivots(monkeypatch):
     some degrees take the kept basis of a smaller k, others x_n times
     the degree below, and the pivot loop finds 1130 pivots, where the
     x_n seed alone finds 2377."""
-    verifier._draws.clear()
     counts = _watch_seeds(monkeypatch)
     records, _, _, skipped = run_sweep(plan_sweep(3, 7, 2, 4, 120))
     assert skipped == [] and all(r.verdict == VERIFIED for r in records)
@@ -400,7 +395,6 @@ def test_run_sweep_keeps_no_basis_after_it_returns(monkeypatch):
     counts = _watch_seeds(monkeypatch)
     after = verify_case(CaseSpec(3, 7, 2, 4))
     assert counts["kept"] == 0
-    verifier._draws.clear()
     assert _without_millis(after) == _without_millis(verify_case(CaseSpec(3, 7, 2, 4)))
     modules = (verifier, macaulay, modp)
     assert not any(isinstance(v, KeptBases) for mod in modules for v in vars(mod).values())
@@ -411,7 +405,6 @@ def test_sweep_records_as_alone_around_a_cache_hit():
     of the case below it, and every record is still as computed alone."""
     plan = plan_sweep(3, 7, 2, 4, 120)
     middle = plan.cases[len(plan.cases) // 2]
-    verifier._draws.clear()
     hit = verify_case(middle)
     records, _, _, skipped = run_sweep(plan, served={middle.k: hit})
     assert skipped == [] and hit in records
@@ -428,21 +421,23 @@ def test_sweep_records_as_alone_around_a_case_skipped_by_the_budget():
     assert_each_record_as_alone(records, budget=200)
 
 
-def test_sweep_records_as_alone_when_the_budget_admits_not_every_kept_basis(monkeypatch):
+def test_sweep_keeps_every_degree_at_a_small_budget(monkeypatch):
     """At 50000 entries every matrix of (3,7,2) k = 4..120 is eliminated,
-    but the kept bases would reach 234389 entries: some degrees are not
-    kept, and those take the x_n seed alone."""
-    refused = []
+    and the budget caps nothing else: the kept bases, 234389 entries in
+    all if counted as rows times columns, keep every degree a case
+    eliminated, and every record is as alone."""
+    stores, degrees = [], set()
     real_keep = KeptBases.keep
 
     def keep(self, e, *args):
         real_keep(self, e, *args)
-        refused.append(e not in self.bases)
-        assert self.entries <= 50_000
+        stores.append(self)
+        degrees.add(e)
 
     monkeypatch.setattr(KeptBases, "keep", keep)
     records, _, _, skipped = run_sweep(plan_sweep(3, 7, 2, 4, 120), budget=50_000)
-    assert skipped == [] and any(refused) and not all(refused)
+    assert skipped == [] and len({id(store) for store in stores}) == 1
+    assert set(stores[0].bases) == degrees
     monkeypatch.undo()
     assert_each_record_as_alone(records, budget=50_000)
 
@@ -456,10 +451,76 @@ P = modp.DEFAULT_PRIME
      (3, 2, 3, 0, P), (4, 2, 2, 0, P)],
 )
 def test_powered_draws_serve_only_their_own_key(n, d, m, seed, prime):
-    verifier._draws.clear()
-    verifier.powered_draws(3, 2, 2, 10, 0, P)
-    got = verifier.powered_draws(n, d, m, 4, seed, prime)
-    assert got == power(FormFamily.random(n, d, 4, seed, prime), m).forms
+    """run_sweep powers one set of draws for every case of its plan, so a
+    plan whose top case is of another (n, d, m, seed, prime) than the
+    rest is refused with nothing computed; one of a single key runs,
+    each record as alone."""
+    plan = plan_sweep(3, 2, 2, 4, 10)
+    assert plan.cases[-1].k == 10
+    top = CaseSpec(n, d, m, 10, seed=seed, prime=prime)
+    mixed = dataclasses.replace(plan, cases=plan.cases[:-1] + (top,))
+    if (n, d, m, seed, prime) == (3, 2, 2, 0, P):
+        records, _, _, skipped = run_sweep(mixed)
+        assert skipped == [] and [r.spec.k for r in records] == [c.k for c in plan.cases]
+        assert_each_record_as_alone(records)
+    else:
+        with pytest.raises(ValueError, match="must share"):
+            run_sweep(mixed)
+
+
+def _count_powers(monkeypatch):
+    """The k of each family `verifier.power` powers while the test runs."""
+    calls = []
+    real = verifier.power
+
+    def counted(family, m):
+        calls.append(family.k)
+        return real(family, m)
+
+    monkeypatch.setattr(verifier, "power", counted)
+    return calls
+
+
+def test_a_sweep_powers_its_draws_once(monkeypatch):
+    calls = _count_powers(monkeypatch)
+    records, _, _, skipped = run_sweep(plan_sweep(3, 7, 2, 4, 120))
+    assert skipped == [] and calls == [120]
+
+
+@pytest.mark.parametrize("n, d, m, k", [(4, 2, 2, 5), (4, 2, 3, 5), (4, 3, 2, 5),
+                                        (5, 2, 2, 6), (4, 2, 4, 5)])
+def test_verify_case_alone_powers_its_draws_once(monkeypatch, n, d, m, k):
+    """The five ci-deep cases of perfbench: the pure-power point takes
+    draws n+1..k of the one powered family of k forms."""
+    calls = _count_powers(monkeypatch)
+    assert verify_case(CaseSpec(n, d, m, k)).seeds_tried == (0,)
+    assert calls == [k]
+
+
+def test_a_missed_pure_power_point_does_not_power_the_top_draws_again(monkeypatch):
+    """k=4 of (3,7,2) k = 4..120 with its pure-power point and its first
+    trial forced to miss: the first trial takes the sweep's draws, the
+    second draws and powers seed 1 for its 4 forms, and no later case
+    powers the draws of k=120 again."""
+    plan = plan_sweep(3, 7, 2, 4, 120)
+    real_at, real_default = verifier._at_pure_powers, verifier.default_family
+
+    def at_pure_powers(spec, *args):
+        return None if spec.k == 4 else real_at(spec, *args)
+
+    def default_family(spec, seed, draws=None):
+        if spec.k == 4 and seed == 0:
+            assert draws is not None and len(draws) == 120
+            return FormFamily(spec.n, (draws[0],) * 4, spec.prime, seed)
+        return real_default(spec, seed, draws)
+
+    monkeypatch.setattr(verifier, "_at_pure_powers", at_pure_powers)
+    monkeypatch.setattr(verifier, "default_family", default_family)
+    calls = _count_powers(monkeypatch)
+    records, _, _, skipped = run_sweep(plan)
+    assert skipped == [] and all(r.verdict == VERIFIED for r in records)
+    assert records[0].spec.k == 4 and records[0].seeds_tried == (0, 1)
+    assert calls == [120, 4]
 
 
 def test_verify_case_certifies_at_the_pure_power_point():
@@ -494,7 +555,8 @@ def test_a_first_attempt_over_budget_falls_through_to_the_random_trials(monkeypa
     """(3,2,1,4) at the degenerate point does not terminate at degree 3,
     and its degree-4 matrix (24x15) is over a budget of 200 entries; the
     random trials stop at degree 3 (12x10) and certify."""
-    monkeypatch.setattr(verifier, "pure_power_family", degenerate_family)
+    monkeypatch.setattr(verifier, "pure_power_family",
+                        lambda spec, seed, draws: degenerate_family(spec, seed))
     record = verify_case(CaseSpec(3, 2, 1, 4), budget=200)
     assert record.verdict == VERIFIED and record.seeds_tried == (0,)
     with pytest.raises(ResourceLimit):
