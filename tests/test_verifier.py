@@ -423,9 +423,8 @@ def test_sweep_records_as_alone_around_a_case_skipped_by_the_budget():
 
 def test_sweep_keeps_every_degree_at_a_small_budget(monkeypatch):
     """At 50000 entries every matrix of (3,7,2) k = 4..120 is eliminated,
-    and the budget caps nothing else: the kept bases, 234389 entries in
-    all if counted as rows times columns, keep every degree a case
-    eliminated, and every record is as alone."""
+    and the budget caps nothing else: the one store of the sweep keeps
+    every degree a case eliminated, and every record is as alone."""
     stores, degrees = [], set()
     real_keep = KeptBases.keep
 
@@ -453,8 +452,7 @@ P = modp.DEFAULT_PRIME
 def test_powered_draws_serve_only_their_own_key(n, d, m, seed, prime):
     """run_sweep powers one set of draws for every case of its plan, so a
     plan whose top case is of another (n, d, m, seed, prime) than the
-    rest is refused with nothing computed; one of a single key runs,
-    each record as alone."""
+    rest is refused; one of a single key runs, each record as alone."""
     plan = plan_sweep(3, 2, 2, 4, 10)
     assert plan.cases[-1].k == 10
     top = CaseSpec(n, d, m, 10, seed=seed, prime=prime)
