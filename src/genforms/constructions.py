@@ -6,12 +6,12 @@ n*r >= C(n+d, d+1), the quotient series is the first d coefficients of
 1/(1-t)^n followed by C(n+d-1,d) - r at degree d and nothing after, which
 is exactly the conjectured ceiling series for r generic forms of degree d.
 
-Also here: the induction inequality and the range of k the family
-covers, and the exhaustive search showing small k cannot always be
-covered by monomial ideals. Why not: a terminating series forces every
-pure power x_i^d among the generators, and a mixed generator m divisible
-by x_i then gives the trivial syzygy x_i^(d-1) * m = x_i^d * (m / x_i),
-two equal rows of the degree-(2d - 1) Macaulay matrix.
+Also here: the range of k the family covers, and the exhaustive search
+showing small k cannot always be covered by monomial ideals. Why not: a
+terminating series forces every pure power x_i^d among the generators,
+and a mixed generator m divisible by x_i then gives the trivial syzygy
+x_i^(d-1) * m = x_i^d * (m / x_i), two equal rows of the degree-(2d - 1)
+Macaulay matrix.
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ class Theorem1Report:
     d: int
     r: int
     threshold: int  # C(n+d, d+1); hypothesis is n*r >= threshold
-    threshold_holds: bool
-    contains_m_power: bool
     predicted: TruncatedSeries
 
 
@@ -105,13 +103,13 @@ def check_theorem1(ideal: MonomialIdeal, n: int, d: int) -> Theorem1Report:
     """
     if any(sum(g) != d for g in ideal.generators):
         raise HypothesisFailed(f"ideal is not generated in degree {d} exactly")
-    contains_m_power = contains_power_of_maximal_ideal(ideal, d + 1)
-    if not contains_m_power:
+    if not contains_power_of_maximal_ideal(ideal, d + 1):
         raise HypothesisFailed(f"m^{d + 1} is not contained in the ideal")
     r = sum(1 for m in enumerate_monomials(n, d) if ideal.contains(m))
     threshold = binomial(n + d, d + 1)
-    threshold_holds = n * r >= threshold
-    if not threshold_holds:
+    # implied by m^(d+1) in the ideal: its degree-(d+1) part is spanned by
+    # the n*r products x_j * g of the degree-d monomials g it contains
+    if n * r < threshold:
         raise HypothesisFailed(f"n*r = {n * r} < C(n+d, d+1) = {threshold}")
 
     coeffs = [binomial(n + i - 1, i) for i in range(d)]
@@ -126,14 +124,7 @@ def check_theorem1(ideal: MonomialIdeal, n: int, d: int) -> Theorem1Report:
     if lex_compare(predicted, sieved) is not Ordering.EQUAL:
         raise HypothesisFailed("predicted series disagrees with the sieve")
 
-    return Theorem1Report(n, d, r, threshold, threshold_holds, contains_m_power, predicted)
-
-
-def induction_inequality_check(n: int, d: int) -> bool:
-    """(n+d - n(d+1)) * C(n+d-1, d) <= -n^2 (d+1), in exact integers."""
-    if n < 4 or d < 2:
-        raise InvalidParams("inequality is stated for n >= 4, d >= 2")
-    return (n + d - n * (d + 1)) * binomial(n + d - 1, d) <= -(n * n) * (d + 1)
+    return Theorem1Report(n, d, r, threshold, predicted)
 
 
 def corollary1_range(n: int, d: int) -> tuple[int, int]:

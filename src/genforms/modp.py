@@ -61,9 +61,8 @@ _MAX_INNER = 2**20
 # Entries per column stripe of a product: float64 temporaries of 512 KB.
 _STRIPE_ENTRIES = 2**16
 
-# Telemetry: number of elimination passes performed (rank calls plus
-# RowReducer constructions). The CLI uses this to prove cache hits do no
-# linear algebra.
+# Telemetry: number of RowReducer constructions. The CLI uses this to
+# prove cache hits do no linear algebra.
 ELIMINATION_CALLS = 0
 
 
@@ -343,11 +342,3 @@ def _sub_mod(x: np.ndarray, y: np.ndarray, p: int) -> None:
     """x = (x - y) mod p in place, for x and y with entries in [0, p)."""
     x -= y
     x += (x >> 63) & p
-
-
-def rank(matrix, p: int = DEFAULT_PRIME) -> int:
-    """Rank of a matrix over Z/p."""
-    m = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
-    reducer = RowReducer(m.shape[1], p)
-    reducer.add_rows(m)
-    return reducer.rank

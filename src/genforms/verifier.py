@@ -217,13 +217,6 @@ def pure_power_family(spec: CaseSpec, seed: int, draws=None) -> FormFamily:
     return FormFamily(n, forms, spec.prime, seed)
 
 
-def degenerate_family(spec: CaseSpec, seed: int) -> FormFamily:
-    """k copies of one form: a guaranteed non-generic specialization,
-    used to regression-test that the verifier never reports false wins."""
-    (f,) = power(FormFamily.random(spec.n, spec.d, 1, seed, spec.prime), spec.m).forms
-    return FormFamily(spec.n, (f,) * spec.k, spec.prime, seed)
-
-
 @lru_cache(maxsize=None)
 def case_truncation(n: int, md: int, k: int, cap: int = DEFAULT_CAP) -> int:
     """Truncation degree of k forms of degree md in n variables.
@@ -275,23 +268,20 @@ def verify_case(
     spec: CaseSpec,
     cap: int = DEFAULT_CAP,
     budget: int = DEFAULT_BUDGET,
-    family_builder=None,
     kept: KeptBases | None = None,
     draws: tuple[ModPPoly, ...] | None = None,
 ) -> VerificationRecord:
     """Run one case: first at the pure-power point, then at random
     points, retrying with fresh seeds on mismatch.
 
-    With the default builder the first attempt is `pure_power_family` at
-    spec.seed: m-th powers of x_1^d, ..., x_min(k,n)^d and of the other
-    draws. It lies in the family of m-th powers of degree-d forms, so the
-    sandwich certifies it like any other point, and its pure powers are
-    divided out in closed form (`macaulay`); for k <= n nothing is left to
-    eliminate. If it attains, the record is Verified with seeds_tried
-    (spec.seed,). Otherwise, or if it meets the budget, it is discarded
-    and the random trials run as if it had not been tried, so a
-    NotAttained record never depends on it. A given family_builder (for
-    example `degenerate_family`) skips it.
+    The first attempt is `pure_power_family` at spec.seed: m-th powers of
+    x_1^d, ..., x_min(k,n)^d and of the other draws. It lies in the family
+    of m-th powers of degree-d forms, so the sandwich certifies it like
+    any other point, and its pure powers are divided out in closed form
+    (`macaulay`); for k <= n nothing is left to eliminate. If it attains,
+    the record is Verified with seeds_tried (spec.seed,). Otherwise, or if
+    it meets the budget, it is discarded and the random trials run as if
+    it had not been tried, so a NotAttained record never depends on it.
 
     One exception: if it meets the budget at a degree below which the
     conjectured series has no zero, ResourceLimit is raised with no
@@ -311,32 +301,24 @@ def verify_case(
     which its own bases replace (see `_at_pure_powers`). The draws are
     the same forms and rank does not depend on the seed, so the record
     is the same with or without them. Called alone, verify_case keeps
-    nothing. A given family_builder takes neither.
+    nothing.
     """
     start = time.perf_counter()
     trunc = resolve_truncation(spec, cap)
     conjectured = conjectured_series(spec.degree_list, trunc)
 
-    seeds = []
-    computed = None
-    stats = ()
-    verdict = NOT_ATTAINED
-    attained = None
-    if family_builder is None:
-        if draws is None:
-            draws = powered_draws(spec, spec.seed)
-        attained = _at_pure_powers(spec, trunc, conjectured, budget, kept, draws)
+    if draws is None:
+        draws = powered_draws(spec, spec.seed)
+    attained = _at_pure_powers(spec, trunc, conjectured, budget, kept, draws)
     if attained is not None:
         computed, stats = attained
         seeds, verdict = [spec.seed], VERIFIED
     else:
+        seeds, verdict = [], NOT_ATTAINED
         for trial in range(spec.trials):
             seed_t = spec.seed + trial
             seeds.append(seed_t)
-            if family_builder is not None:
-                family = family_builder(spec, seed_t)
-            else:
-                family = default_family(spec, seed_t, None if trial else draws)
+            family = default_family(spec, seed_t, None if trial else draws)
             computed, stat_list = quotient_series_with_stats(family, trunc, budget=budget)
             stats = tuple(stat_list)
             if lex_compare(computed, conjectured) is Ordering.EQUAL:
@@ -370,7 +352,6 @@ class IntervalWitness:
     record_low: VerificationRecord
     record_high: VerificationRecord
     deduced: tuple[int, ...]
-    verdict: str = VERIFIED
 
 
 def _pin_intermediate(n, md, k, conjectured_k, e_surj, high_stats):

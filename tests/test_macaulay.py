@@ -458,8 +458,11 @@ def test_forms_reject_prime_above_2_31():
 def reference_dimension(family, e):
     """Rank of the whole degree-e Macaulay matrix, every row of every
     form over every column, pure powers included."""
-    blocks = [macaulay_rows(f, e) for f in family.forms if f.degree <= e]
-    return modp.rank(np.vstack(blocks), family.prime) if blocks else 0
+    reducer = modp.RowReducer(monomial_count(family.n, e), family.prime)
+    for f in family.forms:
+        if f.degree <= e:
+            reducer.add_rows(macaulay_rows(f, e))
+    return reducer.rank
 
 
 def reference_eliminated_shape(family, e):

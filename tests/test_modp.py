@@ -14,11 +14,17 @@ from genforms.modp import (
     RowReducer,
     is_prime,
     matmul_mod,
-    rank,
 )
 
 # smallest prime above 2^32: accepted by is_prime, outside the kernel's range
 BIG_PRIME = 4294967311
+
+
+def rank(matrix, p=DEFAULT_PRIME):
+    """Rank over Z/p of a matrix fed to one `RowReducer`."""
+    reducer = RowReducer(np.shape(matrix)[1], p)
+    reducer.add_rows(matrix)
+    return reducer.rank
 
 
 def streamed_rank(blocks, cols, p=DEFAULT_PRIME):

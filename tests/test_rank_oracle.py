@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genforms.modp import BASE, CHUNK, RowReducer, rank
+from genforms import modp
+from genforms.modp import BASE, CHUNK, DEFAULT_PRIME, RowReducer
 
 PRIMES = (2, 3, 101, 65537, 1048573, 2**31 - 1)
 SHORT = (0, 1, BASE - 1, BASE, BASE + 1, 2 * BASE + 1)
@@ -24,6 +25,13 @@ FEED = (CHUNK - 1, CHUNK, CHUNK + 1)
 # pure-Python reference stays fast at feed-chunk heights.
 SHORT_MAX = 4 * BASE + 2
 TALL_COLS = 12
+
+
+def rank(matrix, p=DEFAULT_PRIME):
+    """Rank over Z/p of a matrix fed to one `RowReducer`."""
+    reducer = RowReducer(np.shape(matrix)[1], p)
+    reducer.add_rows(matrix)
+    return reducer.rank
 
 
 def reference_rank(rows, p):
@@ -237,3 +245,37 @@ def test_seed_narrower_than_the_reducer_is_rejected():
     seed.add_rows(np.eye(3, dtype=np.int64))
     with pytest.raises(ValueError, match="3 columns, not 4"):
         RowReducer(4, 101, seed.echelon)
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 1024])
+def test_a_basis_taller_than_a_tall_chunk(monkeypatch, chunk):
+    """Rank 2100 planted as U [I | X] mod p, with U the rows of a unit
+    lower-triangular 2100 x 2100 block and of 50 random rows, shuffled
+    so that each chunk's new pivots back-reduce the basis: U has full
+    column rank and [I | X] full row rank. At 1024-row chunks the third
+    merges into a basis of 2048 rows. add_rows and add_blocks (blocks of
+    1, 699, 1200, 100 and 150 rows) both find the planted rank, as they
+    do at CHUNK rows."""
+    p, r, cols = DEFAULT_PRIME, 2100, 2150
+    rng = np.random.default_rng(chunk)
+    u = rng.permutation(np.vstack([
+        np.tril(rng.integers(0, p, size=(r, r)), -1) + np.eye(r, dtype=np.int64),
+        rng.integers(0, p, size=(cols - r, r)),
+    ]))
+    x = rng.integers(0, p, size=(r, cols - r))
+    # exact in float64: r (p - 1)^2 < 2^53
+    m = np.hstack([u, (u.astype(np.float64) @ x).astype(np.int64) % p])
+    monkeypatch.setattr(modp, "CHUNK", chunk)
+    real_merge, bases = modp._merge, []
+
+    def merge(echelon, block, p):
+        bases.append(echelon[0].size)
+        return real_merge(echelon, block, p)
+
+    monkeypatch.setattr(modp, "_merge", merge)
+    reducer = RowReducer(cols, p)
+    assert reducer.add_rows(m) == r
+    assert max(bases) > chunk
+    cuts = [0, 1, 700, 1900, 2000, len(m)]
+    streamed = RowReducer(cols, p)
+    assert streamed.add_blocks(m[lo:hi] for lo, hi in zip(cuts, cuts[1:])) == r

@@ -20,6 +20,7 @@ from genforms.macaulay import (
     FormFamily,
     KeptBases,
     ResourceLimit,
+    power,
     pure_powers,
     quotient_series_with_stats,
 )
@@ -33,7 +34,6 @@ from genforms.verifier import (
     VerificationRecord,
     certified_ks,
     default_family,
-    degenerate_family,
     plan_sweep,
     pure_power_family,
     resolve_truncation,
@@ -41,6 +41,20 @@ from genforms.verifier import (
     verify_case,
     verify_interval,
 )
+
+
+def degenerate_family(spec, seed, draws=None):
+    """k copies of one powered form: a point that is never generic, so no
+    case run at it may be Verified."""
+    (f,) = power(FormFamily.random(spec.n, spec.d, 1, seed, spec.prime), spec.m).forms
+    return FormFamily(spec.n, (f,) * spec.k, spec.prime, seed)
+
+
+def at_degenerate_points(monkeypatch):
+    """Make `verify_case` try `degenerate_family` at the pure-power point
+    and at every random trial."""
+    monkeypatch.setattr(verifier, "pure_power_family", degenerate_family)
+    monkeypatch.setattr(verifier, "default_family", degenerate_family)
 
 
 def test_verify_plain_forms_case():
@@ -64,13 +78,14 @@ def test_verify_complete_intersection_of_powers():
     assert record.computed.coeffs == (1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1)
 
 
-def test_degenerate_family_never_verifies():
-    record = verify_case(CaseSpec(3, 2, 1, 6, trials=3), family_builder=degenerate_family)
+def test_degenerate_family_never_verifies(monkeypatch):
+    at_degenerate_points(monkeypatch)
+    record = verify_case(CaseSpec(3, 2, 1, 6, trials=3))
     assert record.verdict == NOT_ATTAINED
     assert record.seeds_tried == (0, 1, 2)
 
 
-def test_record_reads_back_and_refuses_ranks_its_series_does_not_imply():
+def test_record_reads_back_and_refuses_ranks_its_series_does_not_imply(monkeypatch):
     spec = CaseSpec(3, 2, 2, 5)
     record = verify_case(spec)
     rec = record.to_dict()
@@ -78,14 +93,16 @@ def test_record_reads_back_and_refuses_ranks_its_series_does_not_imply():
     rec["ranks"][-1][3] -= 1
     with pytest.raises(ValueError, match="ranks"):
         VerificationRecord.from_dict(rec, spec)
-    bad = verify_case(CaseSpec(3, 2, 1, 6, trials=1), family_builder=degenerate_family)
+    at_degenerate_points(monkeypatch)
+    bad = verify_case(CaseSpec(3, 2, 1, 6, trials=1))
     rec = bad.to_dict()
     rec["ranks"][-1][3] -= 1  # a NotAttained record is never deduced from
     assert VerificationRecord.from_dict(rec, bad.spec).verdict == NOT_ATTAINED
 
 
-def test_record_read_back_refuses_a_not_attained_record_of_fewer_seeds():
-    bad = verify_case(CaseSpec(3, 2, 1, 6, trials=2), family_builder=degenerate_family)
+def test_record_read_back_refuses_a_not_attained_record_of_fewer_seeds(monkeypatch):
+    at_degenerate_points(monkeypatch)
+    bad = verify_case(CaseSpec(3, 2, 1, 6, trials=2))
     rec = bad.to_dict()
     assert VerificationRecord.from_dict(rec, bad.spec).seeds_tried == (0, 1)
     with pytest.raises(ValueError, match="2 of 3 seeds"):
@@ -209,9 +226,10 @@ def test_interval_small_case():
     assert w.e_surj == 5
 
 
-def test_interval_rejects_unverified_endpoint():
-    bad = verify_case(CaseSpec(3, 2, 1, 6, trials=1), family_builder=degenerate_family)
+def test_interval_rejects_unverified_endpoint(monkeypatch):
     good = verify_case(CaseSpec(3, 2, 1, 4))
+    at_degenerate_points(monkeypatch)
+    bad = verify_case(CaseSpec(3, 2, 1, 6, trials=1))
     with pytest.raises(DeductionInapplicable, match="endpoint"):
         verify_interval(good, bad)
 
@@ -540,25 +558,17 @@ def test_complete_intersections_certify_as_the_monomial_sieve(n, d, m, k):
     assert record.computed == quotient_hilbert_function(ideal, record.trunc)
 
 
-def test_a_family_builder_skips_the_pure_power_point(monkeypatch):
-    def refuse(spec, seed):
-        raise AssertionError("the pure-power point was tried")
-
-    monkeypatch.setattr(verifier, "pure_power_family", refuse)
-    record = verify_case(CaseSpec(3, 2, 2, 4, seed=5), family_builder=default_family)
-    assert record.verdict == VERIFIED and record.seeds_tried == (5,)
-
-
 def test_a_first_attempt_over_budget_falls_through_to_the_random_trials(monkeypatch):
     """(3,2,1,4) at the degenerate point does not terminate at degree 3,
     and its degree-4 matrix (24x15) is over a budget of 200 entries; the
-    random trials stop at degree 3 (12x10) and certify."""
-    monkeypatch.setattr(verifier, "pure_power_family",
-                        lambda spec, seed, draws: degenerate_family(spec, seed))
+    random trials stop at degree 3 (12x10) and certify. Random trials at
+    the degenerate point too meet the budget at degree 4 and raise."""
+    monkeypatch.setattr(verifier, "pure_power_family", degenerate_family)
     record = verify_case(CaseSpec(3, 2, 1, 4), budget=200)
     assert record.verdict == VERIFIED and record.seeds_tried == (0,)
+    at_degenerate_points(monkeypatch)
     with pytest.raises(ResourceLimit):
-        verify_case(CaseSpec(3, 2, 1, 4), budget=200, family_builder=degenerate_family)
+        verify_case(CaseSpec(3, 2, 1, 4), budget=200)
 
 
 def test_no_random_family_is_built_after_a_limit_no_later_than_the_first_zero(monkeypatch):
@@ -612,7 +622,8 @@ def test_case_spec_rejects_prime_above_2_31():
 
 # Plants an over-reported rank, an ideal dimension above the row count, a
 # seed basis narrower than the degree below, and a Verified verdict with
-# computed != conjectured; each must raise even with assertions stripped.
+# computed != conjectured at a degenerate pure-power point (the real one
+# of (3,2,1,2) attains); each must raise even with assertions stripped.
 _PLANTED = """
 import sys
 from genforms import macaulay, modp, verifier
@@ -654,12 +665,11 @@ try:
 except SoundnessError:
     pass
 
+twice = macaulay.FormFamily(3, family.forms[:1] * 2, family.prime, 0)
+verifier.pure_power_family = lambda spec, seed, draws: twice
 verifier.lex_compare = lambda a, b: verifier.Ordering.EQUAL
 try:
-    verifier.verify_case(
-        verifier.CaseSpec(3, 2, 1, 2, trunc=4, trials=1),
-        family_builder=verifier.degenerate_family,
-    )
+    verifier.verify_case(verifier.CaseSpec(3, 2, 1, 2, trunc=4, trials=1))
     failures.append("verified mismatch")
 except SoundnessError:
     pass
@@ -688,6 +698,42 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Definitions that nothing in the package or its scripts references, and
+# why they stay: argparse calls `_Parser.error`, and `corollary1_range`
+# waits for a caller in the certifier (a ledger of what it proves).
+UNREFERENCED = {"cli._Parser.error", "constructions.corollary1_range"}
+
+
+def test_no_definition_only_tests_call():
+    """Every top-level function and class of the package and of
+    `scripts/`, and every method but the dunders, is referenced by some
+    Name or Attribute there. The check goes by name: a definition whose
+    name is also a used attribute slips through, as `modp.rank` did by
+    sharing its name with `RowReducer.rank`. An exempt definition that
+    gains a reference fails too, so no exemption outlives its reason."""
+    package = Path(genforms.__file__).resolve().parent
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    referenced, defined = set(), {}
+    for path in sorted(package.glob("*.py")) + sorted(scripts.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (*functions, ast.ClassDef)):
+                defined[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, functions) and not (
+                        method.name.startswith("__") and method.name.endswith("__")
+                    ):
+                        defined[f"{path.stem}.{node.name}.{method.name}"] = method.name
+    assert {key for key, name in defined.items() if name not in referenced} == UNREFERENCED
 
 
 # Endpoint records that bound no interval: of another (n, d, m), even one
