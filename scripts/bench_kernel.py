@@ -8,24 +8,28 @@ random degree-d forms in n variables, default prime). The script times
 checks the matrix shape and the rank. The chain eliminates consecutive
 degrees of one case as the quotient series does, each seeded with x_n
 times the basis of the degree below, and checks every rank. Assembly
-times two things: a cold build of every scatter table that the five
-`ci-deep` cases of perfbench use (caches cleared before each run, every
-table's shape checked), and the build of one powered family at
-p = 2^31 - 1 by `default_family` (the draw, the forms and the batched
-powering), checked against a pinned checksum of its coefficients. The
-plan field times cold `plan_sweep` calls over the whole k range of four
-cells (median of 5 runs, caches cleared before each), each checked
+times two things: a cold build of every scatter table that the
+pure-power points of the five `ci-deep` cases of perfbench use (caches
+cleared before each run, every table's shape checked), and the build of
+one powered family at p = 2^31 - 1 by `default_family` (the draw, the
+forms and the batched powering), checked against a pinned checksum of
+its coefficients. The plan field times cold `plan_sweep` calls over the
+whole k range of four cells (median of 5 runs, caches cleared before
+each), each checked
 against its count of cases and intervals. The sweep field times one
 cold `plan_sweep` and `run_sweep` of the whole k range of three cells
 (caches cleared first), each checked against its count of direct cases
 and intervals, with every k covered and none skipped. The frontier field
-times one cold `verify_case` (caches cleared first) of each of six
-large cases, with its verdict.
+times one cold elimination (caches cleared first) of each of six large
+k = n+1 cases at its pure-power point: the truncation, the conjectured
+series, the draws and their powering, and `quotient_series_with_stats`,
+which is what `verify_case` ran on them before it settled k = n+1 by
+theorem.
 The script prints one JSON line with the timings and the numpy version,
 the BLAS library and the core count. It exits 1 with an `error:` line
 if a shape, a rank, the checksum, a plan's counts or a sweep's
-coverage are off, or if a frontier case is not Verified (also when its matrix is over the default
-budget).
+coverage are off, or if a frontier case's series is not the
+conjectured one (also when its matrix is over the default budget).
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_kernel.py
@@ -41,17 +45,24 @@ import time
 import numpy as np
 
 from genforms import macaulay
-from genforms.macaulay import ResourceLimit, ideal_dimension_at_degree, macaulay_shape
+from genforms.macaulay import (
+    ResourceLimit,
+    ideal_dimension_at_degree,
+    macaulay_shape,
+    quotient_series_with_stats,
+)
 from genforms.monomials import enumerate_monomials, monomial_count
+from genforms.series import conjectured_series
 from genforms.verifier import (
-    VERIFIED,
+    DEFAULT_BUDGET,
     CaseSpec,
     case_truncation,
     certified_ks,
     default_family,
     plan_sweep,
+    pure_power_family,
+    resolve_truncation,
     run_sweep,
-    verify_case,
 )
 
 SEED = 0
@@ -66,10 +77,11 @@ CASES = (
 CHAIN = (4, 2, 4, 5, 15, (600, 815, 1060, 1330))
 
 # (n, source degree, degree, xn_free, bounds) of every scatter table that
-# verify_case builds for (4,2,2,5) (4,2,3,5) (4,3,2,5) (5,2,2,6) (4,2,4,5):
-# the powering products (bounds None), then the one random form's Macaulay
-# rows at the pure-power point, over the monomials standard for
-# x_1^{md}, ..., x_n^{md} (bounds (md,) * n).
+# the pure-power points of (4,2,2,5) (4,2,3,5) (4,3,2,5) (5,2,2,6) (4,2,4,5)
+# build: the powering products (bounds None), then the one random form's
+# Macaulay rows, over the monomials standard for x_1^{md}, ..., x_n^{md}
+# (bounds (md,) * n). verify_case settles these k = n+1 cases by theorem
+# and builds none of them.
 _B4, _B6, _B8 = (4,) * 4, (6,) * 4, (8,) * 4
 TABLES = (
     (4, 2, 4, False, None), (4, 3, 6, False, None), (4, 4, 6, False, None),
@@ -79,7 +91,7 @@ TABLES = (
     (4, 8, 8, False, _B8), *((4, 8, e, True, _B8) for e in range(9, 19)),
     (5, 4, 4, False, (4,) * 5), *((5, 4, e, True, (4,) * 5) for e in range(5, 11)),
 )
-# (n, d, m, k) of the frontier cases, each verified cold by verify_case
+# (n, d, m, k) of the frontier cases, each eliminated cold at its pure-power point
 FRONTIER = ((4, 3, 3, 5), (4, 2, 5, 5), (5, 2, 3, 6), (6, 2, 2, 7), (7, 2, 2, 8), (5, 2, 4, 6))
 # (n, d, m, top k, cases, intervals) of each planned cell: k = 1..top k
 PLANS = ((4, 2, 8, 969, 33, 11), (5, 3, 3, 715, 29, 9), (6, 2, 3, 462, 26, 8),
@@ -171,22 +183,25 @@ def time_tables(tables=TABLES, repeats=REPEATS) -> float:
 
 
 def time_frontier(cases=FRONTIER) -> list:
-    """Seconds and verdict of one cold verify_case per frontier case.
-    Raises WrongResult unless every case is Verified; a case over the
-    matrix budget is missed too."""
+    """Seconds of one cold elimination per frontier case at its
+    pure-power point. Raises WrongResult unless every series is the
+    conjectured one; a case over the matrix budget is missed too."""
     results = []
     for case in cases:
         _clear_caches()
+        spec = CaseSpec(*case, seed=SEED)
         start = time.perf_counter()
+        trunc = resolve_truncation(spec)
+        conjectured = conjectured_series(spec.degree_list, trunc)
+        family = pure_power_family(spec, SEED)
         try:
-            verdict = verify_case(CaseSpec(*case, seed=SEED)).verdict
+            series, _ = quotient_series_with_stats(family, trunc, budget=DEFAULT_BUDGET)
         except ResourceLimit as exc:
-            raise WrongResult(f"frontier case {list(case)} not Verified: {exc}") from exc
+            raise WrongResult(f"frontier case {list(case)} not attained: {exc}") from exc
         seconds = time.perf_counter() - start
-        results.append({"case": list(case), "cold_s": seconds, "verdict": verdict})
-    missed = [r["case"] for r in results if r["verdict"] != VERIFIED]
-    if missed:
-        raise WrongResult(f"frontier cases not Verified: {missed}")
+        if series != conjectured:
+            raise WrongResult(f"frontier case {list(case)} not attained: {series.coeffs}")
+        results.append({"case": list(case), "cold_s": seconds})
     return results
 
 

@@ -41,12 +41,13 @@ x_n-free standard rows.
 Why x_n and not x_1: the reduced echelon basis puts its pivots on the
 earliest lex columns, which have the highest x_1-exponents, so x_1
 would kill the very columns that carry pivots, while the monomials that
-x_n kills come last in lex order. At the pure-power point x_1 would move
-594 basis rows off the seed on the five `ci-deep` cases of perfbench,
-x_n moves 113; on (7,2,2) k=8 it is 2098 against 744. For (4,2,4) k=5
-at degree 18 with no pure powers no row is fed again and 330 of the
-1430 rows are. So a seeded degree costs little, and every rank reported
-is computed.
+x_n kills come last in lex order. At the pure-power points of the five
+`ci-deep` cases of perfbench x_1 would move 594 basis rows off the seed,
+x_n moves 113; on (7,2,2) k=8 it is 2098 against 744. (All are k = n+1,
+which `verifier.verify_case` settles by theorem; these are the counts of
+their elimination.) For (4,2,4) k=5 at degree 18 with no pure powers no
+row is fed again and 330 of the 1430 rows are. So a seeded degree costs
+little, and every rank reported is computed.
 
 Families that extend one another share work too. When the forms of one
 family are a prefix of another's and both have the same pure powers,
@@ -59,8 +60,9 @@ next larger k, whose family extends it. Each degree takes whichever
 seed, x_n's or the kept one, has more rows, so fewer pivots are left to
 find; the other is dropped before any row is fed. On (3,7,2)
 k = 4..120, a slice of the perfbench `sweep-n3` workload, the pivot
-loop finds 1130 pivots, against 2377 with the x_n seed alone; on
-(5,2,3) k = 1..210, 4472 against 9819; on (5,2,4) k = 1..495, 17390.
+loop finds 1023 pivots, against 2268 with the x_n seed alone; on
+(5,2,3) k = 1..210, 3756 against 9089; on (5,2,4) k = 1..495, 15059
+(k = n+1, settled by theorem, eliminating nothing).
 
 Why a random prime-field point says anything about generic forms: the
 rank of the Macaulay matrix at any specialization is at most the generic

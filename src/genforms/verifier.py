@@ -8,7 +8,23 @@ the pure-power one, x_i^d for i <= min(k, n) and random forms after
 them, whose powers x_i^{md} the quotient divides out in closed form;
 then random points. A mismatch is never a disproof: the point may be
 non-generic mod p, so failed trials are retried with fresh seeds and the
-final verdict is NotAttained, not false.
+final verdict is NotAttained, not false. A record's `method` says how it
+was reached: "theorem", "pure-power", or "random" (also for every
+NotAttained record).
+
+k = n+1 is settled by a theorem, with no point computed. Let D = md and
+l = x_1 + ... + x_n. In characteristic 0, A = K[x]/(x_1^D, ..., x_n^D)
+has the strong Lefschetz property with l as a Lefschetz element
+(Stanley, SIAM J. Algebraic Discrete Methods 1, 1980; Reid, Roberts and
+Roitman, Canad. Math. Bull. 34, 1991): multiplication by l^D has maximal
+rank in every degree. So the family x_1^D, ..., x_n^D, l^D, the m-th
+powers of x_1^d, ..., x_n^d, l^d, has the series max(0, a_e - a_{e-D}),
+a the coefficients of ((1 - t^D)/(1 - t))^n, which is the conjectured
+series [(1 - t^D)^{n+1}/(1 - t)^n]_+ of n+1 forms. That point lies in
+the family of m-th powers of degree-d forms over Q, so the sandwich
+certifies the generic case as it does for a point computed mod p. The
+claim is about characteristic 0, so it holds at every prime a record is
+computed at; the record's prime only keys it.
 
 The interval engine replays the sandwich deduction from two records of
 one (n, d, m): a verified low endpoint makes the ideal surjective from
@@ -21,8 +37,9 @@ certified without any new linear algebra.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 from . import __version__, modp
 from .macaulay import (
@@ -104,10 +121,11 @@ class VerificationRecord:
     seeds_tried: tuple[int, ...]
     millis: float
     version: str = __version__
+    method: str | None = None  # None for a record written before methods
 
     def to_dict(self) -> dict:
         s = self.spec
-        return {
+        out = {
             "n": s.n,
             "d": s.d,
             "m": s.m,
@@ -123,6 +141,9 @@ class VerificationRecord:
             "millis": self.millis,
             "version": self.version,
         }
+        if self.method is not None:
+            out["method"] = self.method
+        return out
 
     @classmethod
     def from_dict(cls, rec: dict, spec: CaseSpec) -> "VerificationRecord":
@@ -131,7 +152,10 @@ class VerificationRecord:
         truncation. A Verified record must have computed exactly that
         series, with the ranks it implies, since interval deduction reads
         them; a NotAttained record must have tried at least spec.trials
-        seeds. ValueError for any other record."""
+        seeds. A "theorem" record must be a Verified record of k = n+1
+        with no seed tried. A record with no method, written before
+        records had one, is read as any other. ValueError for any other
+        record."""
 
         def series(coeffs):
             return TruncatedSeries(tuple(coeffs), terminated=coeffs[-1] == 0)
@@ -139,8 +163,17 @@ class VerificationRecord:
         record = cls(
             spec, rec["trunc"], series(rec["conjectured"]), series(rec["computed"]),
             rec["verdict"], tuple(DegreeStat(*row) for row in rec["ranks"]),
-            tuple(rec["seeds_tried"]), rec["millis"], rec["version"],
+            tuple(rec["seeds_tried"]), rec["millis"], rec["version"], rec.get("method"),
         )
+        if record.method not in (None, "theorem", "pure-power", "random"):
+            raise ValueError(f"record of unknown method {record.method!r}")
+        if record.method == "theorem" and (
+            spec.k != spec.n + 1 or record.seeds_tried or record.verdict != VERIFIED
+        ):
+            raise ValueError(
+                f"{record.verdict} theorem record of k={spec.k} (n+1 = {spec.n + 1}) "
+                f"after {len(record.seeds_tried)} seeds"
+            )
         conjectured = conjectured_series(spec.degree_list, record.trunc).coeffs
         if record.conjectured.coeffs != conjectured:
             raise ValueError("record of another conjectured series")
@@ -238,8 +271,9 @@ def resolve_truncation(spec: CaseSpec, cap: int = DEFAULT_CAP) -> int:
 
 
 def _at_pure_powers(spec, trunc, conjectured, budget, kept, draws):
-    """(computed, stats) at `pure_power_family(spec, spec.seed, draws)`
-    if its series is the conjectured one, else None.
+    """(computed, stats) at `pure_power_family(spec, spec.seed, draws())`
+    if its series is the conjectured one, else None. draws is called
+    only for k > n, the one case in which the point has random forms.
 
     Over the budget at degree e, it raises ResourceLimit again when the
     conjectured series has no zero below e: a trial that attains it must
@@ -251,7 +285,7 @@ def _at_pure_powers(spec, trunc, conjectured, budget, kept, draws):
     kept, for k >= n only, seeds each degree with the basis a smaller k
     of the same draws left there, and keeps this k's bases in its place
     (`pure_power_family`)."""
-    family = pure_power_family(spec, spec.seed, draws)
+    family = pure_power_family(spec, spec.seed, draws() if spec.k > spec.n else None)
     kept = kept if spec.k >= spec.n else None
     try:
         computed, stats = quotient_series_with_stats(family, trunc, budget, kept)
@@ -269,19 +303,26 @@ def verify_case(
     cap: int = DEFAULT_CAP,
     budget: int = DEFAULT_BUDGET,
     kept: KeptBases | None = None,
-    draws: tuple[ModPPoly, ...] | None = None,
+    draws: Callable[[], tuple[ModPPoly, ...]] | None = None,
 ) -> VerificationRecord:
-    """Run one case: first at the pure-power point, then at random
-    points, retrying with fresh seeds on mismatch.
+    """Run one case: k = n+1 by theorem, any other k first at the
+    pure-power point, then at random points, retrying with fresh seeds
+    on mismatch.
 
-    The first attempt is `pure_power_family` at spec.seed: m-th powers of
-    x_1^d, ..., x_min(k,n)^d and of the other draws. It lies in the family
-    of m-th powers of degree-d forms, so the sandwich certifies it like
-    any other point, and its pure powers are divided out in closed form
-    (`macaulay`); for k <= n nothing is left to eliminate. If it attains,
-    the record is Verified with seeds_tried (spec.seed,). Otherwise, or if
-    it meets the budget, it is discarded and the random trials run as if
-    it had not been tried, so a NotAttained record never depends on it.
+    k = n+1 is Verified by Stanley's theorem (module docstring) before any
+    form is drawn or eliminated: the record has method "theorem", the
+    conjectured series as computed, the ranks that series implies, and no
+    seed tried.
+
+    For any other k the first attempt is `pure_power_family` at
+    spec.seed: m-th powers of x_1^d, ..., x_min(k,n)^d and of the other
+    draws. It lies in the family of m-th powers of degree-d forms, so the
+    sandwich certifies it like any other point, and its pure powers are
+    divided out in closed form (`macaulay`); for k <= n nothing is left
+    to eliminate. If it attains, the record is Verified with method
+    "pure-power" and seeds_tried (spec.seed,). Otherwise, or if it meets
+    the budget, it is discarded and the random trials run as if it had
+    not been tried, so a NotAttained record never depends on it.
 
     One exception: if it meets the budget at a degree below which the
     conjectured series has no zero, ResourceLimit is raised with no
@@ -291,34 +332,39 @@ def verify_case(
     where it could have ended NotAttained.
 
     A random specialization can be unlucky; only after `trials` failures
-    is the verdict NotAttained, with every seed recorded.
+    is the verdict NotAttained, with every seed recorded. A record of the
+    random trials, Verified or not, has method "random".
 
-    draws are the `powered_draws` of spec.seed for some k' >= k, of
-    which the pure-power point and the first trial take a prefix; if
-    None they are drawn here, once, for k. kept and draws are
-    `run_sweep`'s: kept holds the bases that the pure-power point of a
-    smaller k of the same draws left, which seed this one's degrees and
-    which its own bases replace (see `_at_pure_powers`). The draws are
-    the same forms and rank does not depend on the seed, so the record
-    is the same with or without them. Called alone, verify_case keeps
-    nothing.
+    draws returns the `powered_draws` of spec.seed for some k' >= k, of
+    which the pure-power point of k > n and the first trial take a
+    prefix; it is called only by those, and if None the draws of k are
+    powered here on that first use. kept and draws are `run_sweep`'s:
+    kept holds the bases that the pure-power point of a smaller k of the
+    same draws left, which seed this one's degrees and which its own
+    bases replace (see `_at_pure_powers`). The draws are the same forms
+    and rank does not depend on the seed, so the record is the same with
+    or without them. Called alone, verify_case keeps nothing.
     """
     start = time.perf_counter()
     trunc = resolve_truncation(spec, cap)
     conjectured = conjectured_series(spec.degree_list, trunc)
 
     if draws is None:
-        draws = powered_draws(spec, spec.seed)
-    attained = _at_pure_powers(spec, trunc, conjectured, budget, kept, draws)
-    if attained is not None:
+        draws = cache(partial(powered_draws, spec, spec.seed))
+    if spec.k == spec.n + 1:
+        computed, stats = conjectured, _implied_stats(spec, conjectured.coeffs)
+        seeds, verdict, method = [], VERIFIED, "theorem"
+    elif (
+        attained := _at_pure_powers(spec, trunc, conjectured, budget, kept, draws)
+    ) is not None:
         computed, stats = attained
-        seeds, verdict = [spec.seed], VERIFIED
+        seeds, verdict, method = [spec.seed], VERIFIED, "pure-power"
     else:
-        seeds, verdict = [], NOT_ATTAINED
+        seeds, verdict, method = [], NOT_ATTAINED, "random"
         for trial in range(spec.trials):
             seed_t = spec.seed + trial
             seeds.append(seed_t)
-            family = default_family(spec, seed_t, None if trial else draws)
+            family = default_family(spec, seed_t, None if trial else draws())
             computed, stat_list = quotient_series_with_stats(family, trunc, budget=budget)
             stats = tuple(stat_list)
             if lex_compare(computed, conjectured) is Ordering.EQUAL:
@@ -331,7 +377,8 @@ def verify_case(
             f"!= conjectured {conjectured.coeffs}"
         )
     return VerificationRecord(
-        spec, trunc, conjectured, computed, verdict, stats, tuple(seeds), millis
+        spec, trunc, conjectured, computed, verdict, stats, tuple(seeds), millis,
+        method=method,
     )
 
 
@@ -500,15 +547,18 @@ def run_sweep(
 
     The plan's cases must share (n, d, m, seed, prime), as every plan of
     `plan_sweep` does (ValueError otherwise). The forms of the largest k
-    left to compute are drawn and powered once, and every case takes a
-    prefix of them (`pure_power_family`). The cases then run from the
-    smallest k up, and each hands the next the reduced echelon bases of
-    its pure-power point in a `KeptBases`: for k >= n the family of k is
-    a prefix of the family of every larger k, so its row space in each
-    degree lies in theirs and seeds their elimination. The draws and the
-    bases live only in this call, the bases one per degree. Records and
-    skipped cases are returned in plan order, as if each case had run
-    alone.
+    left to compute are drawn and powered once, when a case first uses
+    them (a pure-power point of k > n+1, or a random trial), and every
+    case takes a prefix of them (`pure_power_family`); a sweep of only
+    k <= n+1 powers none. The cases then run from the smallest k up, and
+    each hands the next the reduced echelon bases of its pure-power point
+    in a `KeptBases`: for k >= n the family of k is a prefix of the
+    family of every larger k, so its row space in each degree lies in
+    theirs and seeds their elimination. k = n+1, settled by theorem, is
+    an endpoint like any other but keeps no bases: k = n+2 takes those of
+    k = n, if the sweep ran it. The draws and the bases live only in this
+    call, the bases one per degree. Records and skipped cases are returned in plan order,
+    as if each case had run alone.
 
     Returns (records, witnesses, failures, skipped). A case that raises
     ResourceLimit (a matrix over the budget) has no record and is skipped
@@ -520,7 +570,7 @@ def run_sweep(
     found = dict(served or {})
     limits = {}
     todo = sorted((s for s in plan.cases if s.k not in found), key=lambda s: s.k)
-    draws = powered_draws(todo[-1], todo[-1].seed) if todo else None
+    draws = cache(partial(powered_draws, todo[-1], todo[-1].seed)) if todo else None
     kept = KeptBases()
     for spec in todo:
         try:

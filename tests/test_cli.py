@@ -70,11 +70,15 @@ def test_series_rejects_bad_generators(capsys, argv):
     assert err.startswith("error: ")
 
 
+# k = n+1, Verified by theorem, and k = n+2, which eliminates at its
+# pure-power point
+VERIFY_342 = ("verify", "--n", "3", "--d", "2", "--k", "4")
+VERIFY_352 = ("verify", "--n", "3", "--d", "2", "--k", "5")
+
+
 def test_verify_and_cache_round_trip(tmp_path, capsys):
     cache = str(tmp_path / "records.jsonl")
-    code, out, _ = run(
-        capsys, "--cache", cache, "verify", "--n", "3", "--d", "2", "--k", "4"
-    )
+    code, out, _ = run(capsys, "--cache", cache, *VERIFY_352)
     assert code == EXIT_OK
     first = json.loads(out)
     assert first["verdict"] == "Verified"
@@ -86,9 +90,7 @@ def test_verify_and_cache_round_trip(tmp_path, capsys):
     for key, value in stored.items():
         assert first[key] == value
 
-    code, out, _ = run(
-        capsys, "--cache", cache, "verify", "--n", "3", "--d", "2", "--k", "4"
-    )
+    code, out, _ = run(capsys, "--cache", cache, *VERIFY_352)
     assert code == EXIT_OK
     second = json.loads(out)
     assert second["cached"] is True
@@ -96,7 +98,14 @@ def test_verify_and_cache_round_trip(tmp_path, capsys):
     assert second["computed"] == first["computed"]
 
 
-VERIFY_342 = ("verify", "--n", "3", "--d", "2", "--k", "4")
+def test_verify_n_plus_one_forms_by_theorem_at_the_default_budget(capsys):
+    """(8,2,2) k=9, whose pure-power point meets the default budget at
+    degree 13, is Verified by theorem with no elimination."""
+    code, out, _ = run(capsys, "verify", "--n", "8", "--d", "2", "--m", "2", "--k", "9")
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert (rec["verdict"], rec["method"], rec["rank_calls"]) == ("Verified", "theorem", 0)
+    assert rec["seeds_tried"] == [] and rec["computed"] == rec["conjectured"]
 
 
 def test_cache_line_of_another_prime_is_served_only_at_that_prime(tmp_path, capsys):
@@ -113,11 +122,11 @@ def test_cache_line_of_another_prime_is_served_only_at_that_prime(tmp_path, caps
     assert code == EXIT_OK and json.loads(out)["cached"] is True
 
 
-def cached_record(tmp_path, capsys):
-    """A cache holding the real record of (3, 2, 1, 4); returns its path
-    and the record."""
+def cached_record(tmp_path, capsys, verify=VERIFY_342):
+    """A cache holding the real record of verify, (3, 2, 1, 4) by
+    default; returns its path and the record."""
     cache = tmp_path / "records.jsonl"
-    code, _, _ = run(capsys, "--cache", str(cache), *VERIFY_342)
+    code, _, _ = run(capsys, "--cache", str(cache), *verify)
     assert code == EXIT_OK
     return cache, json.loads(cache.read_text())
 
@@ -143,34 +152,35 @@ def test_torn_cache_line_is_a_miss(tmp_path, capsys):
 @pytest.mark.parametrize(
     "verdict, conjectured, computed",
     [
-        ("Verified", [1, 3, 2, 0, 0], [1, 3, 3, 0, 0]),  # computed != conjectured
-        ("Verified", [1, 3, 3, 0, 0], [1, 3, 3, 0, 0]),  # not this case's series
-        ("NotAttained", [1, 3, 3, 0, 0], [1, 3, 4, 0, 0]),  # not this case's series
+        ("Verified", [1, 3, 1, 0, 0], [1, 3, 2, 0, 0]),  # computed != conjectured
+        ("Verified", [1, 3, 2, 0, 0], [1, 3, 2, 0, 0]),  # not this case's series
+        ("NotAttained", [1, 3, 2, 0, 0], [1, 3, 3, 0, 0]),  # not this case's series
     ],
 )
 def test_inconsistent_cache_hit_is_recomputed(
     tmp_path, capsys, verdict, conjectured, computed
 ):
-    cache, rec = cached_record(tmp_path, capsys)
+    cache, rec = cached_record(tmp_path, capsys, VERIFY_352)
     rec.update(
         verdict=verdict, conjectured=conjectured, computed=computed, seeds_tried=[0, 1, 2]
     )
     cache.write_text(json.dumps(rec) + "\n")
-    code, out, _ = run(capsys, "--cache", str(cache), *VERIFY_342)
+    code, out, _ = run(capsys, "--cache", str(cache), *VERIFY_352)
     assert code == EXIT_OK
     out = json.loads(out)
     assert out["cached"] is False and out["rank_calls"] > 0
-    assert out["computed"] == out["conjectured"] == [1, 3, 2, 0, 0]
+    assert out["computed"] == out["conjectured"] == [1, 3, 1, 0, 0]
 
 
 def test_short_not_attained_hit_is_recomputed(tmp_path, capsys):
-    cache, rec = cached_record(tmp_path, capsys)
-    rec.update(verdict="NotAttained", computed=[1, 3, 3, 0, 0], seeds_tried=[0])
+    cache, rec = cached_record(tmp_path, capsys, VERIFY_352)
+    rec.update(verdict="NotAttained", computed=[1, 3, 2, 0, 0], seeds_tried=[0],
+               method="random")
     cache.write_text(json.dumps(rec) + "\n")
-    code, out, _ = run(capsys, "--cache", str(cache), "--trials", "1", *VERIFY_342)
+    code, out, _ = run(capsys, "--cache", str(cache), "--trials", "1", *VERIFY_352)
     assert code == EXIT_NOT_ATTAINED
     assert json.loads(out)["cached"] is True
-    code, out, _ = run(capsys, "--cache", str(cache), "--trials", "5", *VERIFY_342)
+    code, out, _ = run(capsys, "--cache", str(cache), "--trials", "5", *VERIFY_352)
     assert code == EXIT_OK
     out = json.loads(out)
     assert out["cached"] is False and out["verdict"] == "Verified"
@@ -269,10 +279,11 @@ def test_sweep_recomputes_a_record_with_wrong_ranks(tmp_path, capsys):
 @pytest.mark.parametrize(
     "case, calls",
     [
-        # forms of degree 14: degrees 14..27, the series' first zero at 27
-        (("--n", "3", "--d", "7", "--m", "2", "--k", "4"), 14),
-        # forms of degree 4: degrees 4..10, the series' first zero at 10
-        (("--n", "5", "--d", "2", "--m", "2", "--k", "6"), 7),
+        # k = n+2, as k = n+1 eliminates nothing: forms of degree 14,
+        # degrees 14..24, the series' first zero at 24
+        (("--n", "3", "--d", "7", "--m", "2", "--k", "5"), 11),
+        # forms of degree 4: degrees 4..9, the series' first zero at 9
+        (("--n", "5", "--d", "2", "--m", "2", "--k", "7"), 6),
     ],
 )
 def test_verify_eliminates_each_nonempty_degree_once_up_to_the_first_zero(
@@ -290,13 +301,14 @@ def test_verify_eliminates_each_nonempty_degree_once_up_to_the_first_zero(
 
 def test_sweep_counts_only_certified_k_as_covered(capsys):
     # at p = 2 with one trial most cases miss: k = 1, 2, 3 are Verified
-    # (k <= n in closed form, at the pure-power point), the rest
-    # NotAttained and both intervals rejected
+    # (k <= n in closed form, at the pure-power point) and k = 4 by
+    # theorem, which holds in characteristic 0 whatever the prime; the
+    # rest are NotAttained and both intervals rejected
     code, _, err = run(capsys, "--prime", "2", "--trials", "1",
                        "sweep", "--n", "3", "--d", "2", "--m", "2", "--k-range", "1..15")
     assert code == EXIT_NOT_ATTAINED
-    assert "3/9 direct cases verified, 0 intervals deduced, 2 rejected" in err
-    assert "covered 3/15 values of k" in err
+    assert "4/9 direct cases verified, 0 intervals deduced, 2 rejected" in err
+    assert "covered 4/15 values of k" in err
 
 
 def test_sweep_plans_no_interval_with_an_endpoint_over_budget(capsys):
@@ -315,20 +327,21 @@ def test_sweep_over_budget_prints_its_records_and_skips(capsys):
     """At p = 2 with one trial most pure-power points miss, and the random
     trial then meets the budget at a degree the pure-power point never
     reached: each such case is a Skipped line, not an exit 3, and the
-    record that did finish is still printed."""
+    records that did finish are still printed, k = 4 Verified by theorem
+    with no matrix."""
     code, out, err = run(capsys, "--prime", "2", "--trials", "1", "--matrix-budget", "1000",
                          *SWEEP_322)
     assert code == EXIT_NOT_ATTAINED
     lines = [json.loads(line) for line in out.splitlines()]
     assert [(rec["k"], rec["verdict"]) for rec in lines] == [
-        (15, "NotAttained"), (4, "Skipped"), (5, "Skipped"), (6, "Skipped"),
+        (4, "Verified"), (15, "NotAttained"), (5, "Skipped"), (6, "Skipped"),
         (7, "Skipped"), (14, "Skipped"),
     ]
     assert lines[2]["reason"] == (
         "degree-7 Macaulay matrix has 50x36 = 1800 entries, over budget 1000"
     )
-    assert "0/1 direct cases verified, 0 intervals deduced, 0 rejected, 5 skipped" in err
-    assert "covered 0/12 values of k" in err
+    assert "1/2 direct cases verified, 0 intervals deduced, 0 rejected, 4 skipped" in err
+    assert "covered 1/12 values of k" in err
 
 
 @pytest.mark.parametrize("where", ["a directory", "in a missing directory"])

@@ -136,6 +136,41 @@ def test_record_read_back_refuses_an_unknown_verdict():
         VerificationRecord.from_dict(rec, spec)
 
 
+@pytest.mark.parametrize(
+    "k, edit, message",
+    [
+        (5, {"method": "theorem", "seeds_tried": []}, "Verified theorem record of k=5 "),
+        (4, {"seeds_tried": [0]}, "theorem record of k=4 .* after 1 seeds"),
+        (4, {"verdict": NOT_ATTAINED}, "NotAttained theorem record"),
+        (5, {"method": "lemma"}, "unknown method 'lemma'"),
+    ],
+    ids=["theorem-of-another-k", "theorem-with-a-seed", "theorem-not-verified",
+         "unknown-method"],
+)
+def test_record_read_back_refuses_a_record_its_method_rules_out(k, edit, message):
+    """A "theorem" record is a Verified one of k = n+1 with no seed
+    tried; (3,2,2) k=4 is one, k=5 a "pure-power" record."""
+    spec = CaseSpec(3, 2, 2, k)
+    rec = verify_case(spec).to_dict()
+    served = VerificationRecord.from_dict(rec, spec)
+    assert served.method == ("theorem" if k == 4 else "pure-power")
+    rec.update(edit)
+    with pytest.raises(ValueError, match=message):
+        VerificationRecord.from_dict(rec, spec)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_record_read_back_serves_a_record_with_no_method(k):
+    """A record written before records had a method, as the one verify
+    computed at the first seed, is served, and written back as it was."""
+    spec = CaseSpec(3, 2, 2, k)
+    rec = verify_case(spec).to_dict()
+    del rec["method"]
+    rec["seeds_tried"] = [0]
+    served = VerificationRecord.from_dict(rec, spec)
+    assert served.method is None and served.to_dict() == rec
+
+
 def test_replay_determinism():
     spec = CaseSpec(3, 2, 2, 8, seed=42)
     a = verify_case(spec)
@@ -172,9 +207,23 @@ def test_default_family_replays_its_coefficients():
 
 @pytest.mark.parametrize("pinned", _OLD_PRIME_RECORDS, ids=lambda r: str(r["k"]))
 def test_old_default_prime_replays_its_records(pinned):
+    """Each pinned record, which has no method, is served from a cache as
+    it stands, and verify_case replays it bit for bit. (4,2,2,5) is now
+    Verified by theorem with no seed tried, so its elimination is
+    replayed at the pure-power point directly."""
     spec = CaseSpec(*(pinned[f] for f in ("n", "d", "m", "k")), prime=2**31 - 1)
-    record = verify_case(spec).to_dict()
-    del record["millis"]
+    served = VerificationRecord.from_dict({**pinned, "millis": 0.0}, spec)
+    assert served.method is None and _without_millis(served) == pinned
+    record = _without_millis(verify_case(spec))
+    method = record.pop("method")
+    if spec.k == spec.n + 1:
+        assert (method, record["seeds_tried"]) == ("theorem", [])
+        series, stats = quotient_series_with_stats(pure_power_family(spec, 0), pinned["trunc"])
+        assert list(series.coeffs) == pinned["computed"]
+        assert [[st.e, st.rows, st.cols, st.rank] for st in stats] == pinned["ranks"]
+        record["seeds_tried"] = [0]
+    else:
+        assert method == "random"
     assert record == pinned
 
 
@@ -204,10 +253,10 @@ def test_case_spec_validation():
 
 
 def test_resource_limit_propagates():
-    # the pure-power point eliminates at most 1x3 and 3x1 entries, the
-    # random trial 4x6 at degree 2
-    with pytest.raises(ResourceLimit):
-        verify_case(CaseSpec(3, 2, 1, 4), budget=2)
+    # the pure-power point of k = n+2 meets the budget at degree 2 (2x3
+    # standard entries), below the first zero of the conjectured series
+    with pytest.raises(ResourceLimit, match="^degree-2 .* 2x3"):
+        verify_case(CaseSpec(3, 2, 1, 5), budget=2)
 
 
 def test_trivial_interval():
@@ -399,13 +448,13 @@ def _watch_seeds(monkeypatch):
 def test_sweep_takes_both_seeds_and_finds_fewer_pivots(monkeypatch):
     """(3,7,2) k = 4..120, a slice of the perfbench sweep-n3 workload:
     some degrees take the kept basis of a smaller k, others x_n times
-    the degree below, and the pivot loop finds 1130 pivots, where the
-    x_n seed alone finds 2377."""
+    the degree below, and the pivot loop finds 1023 pivots, where the
+    x_n seed alone finds 2268 (k=4, by theorem, eliminates nothing)."""
     counts = _watch_seeds(monkeypatch)
     records, _, _, skipped = run_sweep(plan_sweep(3, 7, 2, 4, 120))
     assert skipped == [] and all(r.verdict == VERIFIED for r in records)
     assert counts["kept"] >= 1 and counts["xn"] >= 1
-    assert counts["pivots"] <= 1200
+    assert counts["pivots"] <= 1100
 
 
 def test_run_sweep_keeps_no_basis_after_it_returns(monkeypatch):
@@ -504,30 +553,34 @@ def test_a_sweep_powers_its_draws_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n, d, m, k", [(4, 2, 2, 5), (4, 2, 3, 5), (4, 3, 2, 5),
-                                        (5, 2, 2, 6), (4, 2, 4, 5)])
+                                        (5, 2, 2, 6), (4, 2, 4, 5), (4, 2, 2, 4),
+                                        (4, 2, 2, 6), (5, 2, 2, 7)])
 def test_verify_case_alone_powers_its_draws_once(monkeypatch, n, d, m, k):
-    """The five ci-deep cases of perfbench: the pure-power point takes
-    draws n+1..k of the one powered family of k forms."""
+    """The five ci-deep cases of perfbench, all k = n+1, are Verified by
+    theorem and power no draws, as k <= n powers none at its pure-power
+    point; above n+1 the pure-power point takes draws n+1..k of the one
+    powered family of k forms."""
     calls = _count_powers(monkeypatch)
-    assert verify_case(CaseSpec(n, d, m, k)).seeds_tried == (0,)
-    assert calls == [k]
+    assert verify_case(CaseSpec(n, d, m, k)).seeds_tried == (() if k == n + 1 else (0,))
+    assert calls == ([] if k <= n + 1 else [k])
 
 
 def test_a_missed_pure_power_point_does_not_power_the_top_draws_again(monkeypatch):
-    """k=4 of (3,7,2) k = 4..120 with its pure-power point and its first
-    trial forced to miss: the first trial takes the sweep's draws, the
-    second draws and powers seed 1 for its 4 forms, and no later case
-    powers the draws of k=120 again."""
+    """k=5 of (3,7,2) k = 4..120 with its pure-power point and its first
+    trial forced to miss: k=4, by theorem, powers nothing, the first
+    trial of k=5 powers the sweep's draws, the second draws and powers
+    seed 1 for its 5 forms, and no later case powers the draws of k=120
+    again."""
     plan = plan_sweep(3, 7, 2, 4, 120)
     real_at, real_default = verifier._at_pure_powers, verifier.default_family
 
     def at_pure_powers(spec, *args):
-        return None if spec.k == 4 else real_at(spec, *args)
+        return None if spec.k == 5 else real_at(spec, *args)
 
     def default_family(spec, seed, draws=None):
-        if spec.k == 4 and seed == 0:
+        if spec.k == 5 and seed == 0:
             assert draws is not None and len(draws) == 120
-            return FormFamily(spec.n, (draws[0],) * 4, spec.prime, seed)
+            return FormFamily(spec.n, (draws[0],) * 5, spec.prime, seed)
         return real_default(spec, seed, draws)
 
     monkeypatch.setattr(verifier, "_at_pure_powers", at_pure_powers)
@@ -535,14 +588,22 @@ def test_a_missed_pure_power_point_does_not_power_the_top_draws_again(monkeypatc
     calls = _count_powers(monkeypatch)
     records, _, _, skipped = run_sweep(plan)
     assert skipped == [] and all(r.verdict == VERIFIED for r in records)
-    assert records[0].spec.k == 4 and records[0].seeds_tried == (0, 1)
-    assert calls == [120, 4]
+    assert [(r.spec.k, r.seeds_tried) for r in records[:2]] == [(4, ()), (5, (0, 1))]
+    assert calls == [120, 5]
+
+
+def test_a_sweep_of_k_up_to_n_plus_one_powers_no_draws(monkeypatch):
+    calls = _count_powers(monkeypatch)
+    records, _, _, skipped = run_sweep(plan_sweep(4, 2, 2, 1, 5))
+    assert skipped == [] and [r.verdict for r in records] == [VERIFIED] * 5
+    assert calls == []
 
 
 def test_verify_case_certifies_at_the_pure_power_point():
-    spec = CaseSpec(3, 2, 2, 4, seed=5)
+    spec = CaseSpec(3, 2, 2, 5, seed=5)
     record = verify_case(spec)
     assert record.verdict == VERIFIED and record.seeds_tried == (5,)
+    assert record.method == "pure-power"
     series, stats = quotient_series_with_stats(pure_power_family(spec, 5), record.trunc)
     assert record.computed == series and record.degree_stats == tuple(stats)
     assert VerificationRecord.from_dict(record.to_dict(), spec) == record
@@ -559,16 +620,17 @@ def test_complete_intersections_certify_as_the_monomial_sieve(n, d, m, k):
 
 
 def test_a_first_attempt_over_budget_falls_through_to_the_random_trials(monkeypatch):
-    """(3,2,1,4) at the degenerate point does not terminate at degree 3,
-    and its degree-4 matrix (24x15) is over a budget of 200 entries; the
-    random trials stop at degree 3 (12x10) and certify. Random trials at
+    """(3,2,1,5) at the degenerate point does not terminate at degree 3,
+    and its degree-4 matrix (30x15) is over a budget of 200 entries; the
+    random trials stop at degree 3 (15x10) and certify. Random trials at
     the degenerate point too meet the budget at degree 4 and raise."""
     monkeypatch.setattr(verifier, "pure_power_family", degenerate_family)
-    record = verify_case(CaseSpec(3, 2, 1, 4), budget=200)
+    record = verify_case(CaseSpec(3, 2, 1, 5), budget=200)
     assert record.verdict == VERIFIED and record.seeds_tried == (0,)
+    assert record.method == "random"
     at_degenerate_points(monkeypatch)
-    with pytest.raises(ResourceLimit):
-        verify_case(CaseSpec(3, 2, 1, 4), budget=200)
+    with pytest.raises(ResourceLimit, match="^degree-4 .* 30x15"):
+        verify_case(CaseSpec(3, 2, 1, 5), budget=200)
 
 
 def test_no_random_family_is_built_after_a_limit_no_later_than_the_first_zero(monkeypatch):
@@ -589,16 +651,16 @@ def test_no_random_family_is_built_after_a_limit_no_later_than_the_first_zero(mo
     assert exc.value.degree == 5
 
 
-# The pure-power point certifies (4,2,2,5) at the first seed; it fails on
+# The pure-power point certifies (4,2,2,6) at the first seed; it fails on
 # the four Alexander-Hirschowitz sporadic cases, which must end
 # NotAttained after every random trial, also with assertions stripped.
 _PURE_POWER_POINT = """
 import sys
 from genforms.verifier import CaseSpec, verify_case
 assert False, "assertions must be off"
-record = verify_case(CaseSpec(4, 2, 2, 5))
-if (record.verdict, record.seeds_tried) != ("Verified", (0,)):
-    sys.exit(f"(4,2,2,5): {record.verdict} after {record.seeds_tried}")
+record = verify_case(CaseSpec(4, 2, 2, 6))
+if (record.verdict, record.seeds_tried, record.method) != ("Verified", (0,), "pure-power"):
+    sys.exit(f"(4,2,2,6): {record.verdict} after {record.seeds_tried}")
 for case in ((3, 1, 3, 5), (4, 1, 3, 9), (5, 1, 3, 14), (5, 1, 2, 7)):
     record = verify_case(CaseSpec(*case))
     if (record.verdict, record.seeds_tried) != ("NotAttained", (0, 1, 2)):
