@@ -61,7 +61,6 @@ from genforms.verifier import (
     default_family,
     plan_sweep,
     pure_power_family,
-    resolve_truncation,
     run_sweep,
 )
 
@@ -191,7 +190,7 @@ def time_frontier(cases=FRONTIER) -> list:
         _clear_caches()
         spec = CaseSpec(*case, seed=SEED)
         start = time.perf_counter()
-        trunc = resolve_truncation(spec)
+        trunc = spec.trunc
         conjectured = conjectured_series(spec.degree_list, trunc)
         family = pure_power_family(spec, SEED)
         try:

@@ -31,8 +31,6 @@ from .constructions import (
 from .macaulay import ResourceLimit, SoundnessError
 from .monomials import monomial_count, monomial_to_str
 from .series import (
-    DEFAULT_CAP,
-    CapExceeded,
     DegreeList,
     TruncatedSeries,
     conjectured_series,
@@ -57,13 +55,12 @@ EXIT_ERROR = 3
 class Config:
     prime: int = modp.DEFAULT_PRIME
     seed: int = 0
-    cap: int = DEFAULT_CAP
     trials: int = verifier.DEFAULT_TRIALS
     budget: int = verifier.DEFAULT_BUDGET
     cache_path: str | None = None
 
     def validate(self):
-        if min(self.prime, self.cap, self.trials, self.budget) < 1:
+        if min(self.prime, self.trials, self.budget) < 1:
             raise ValueError("all configuration values must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
@@ -155,10 +152,10 @@ def check_appendable(path):
             pass
 
 
-def _cache_hit(cache, spec, trunc):
-    """The cached record of spec at this truncation, if
-    `VerificationRecord.from_dict` accepts it for serving, else None."""
-    key = _cache_key(spec.n, spec.d, spec.m, spec.k, spec.prime, spec.seed, trunc)
+def _cache_hit(cache, spec):
+    """The cached record of spec, if `VerificationRecord.from_dict`
+    accepts it for serving, else None."""
+    key = _cache_key(spec.n, spec.d, spec.m, spec.k, spec.prime, spec.seed, spec.trunc)
     try:
         return verifier.VerificationRecord.from_dict(cache[key], spec)
     except (LookupError, TypeError, ValueError):
@@ -178,7 +175,7 @@ def cmd_series(args, cfg):
         print("error: provide --deg or both --d and --k", file=sys.stderr)
         return EXIT_ERROR
     spec = DegreeList(args.n, degrees)
-    trunc = args.trunc if args.trunc is not None else default_truncation(spec, cfg.cap)
+    trunc = args.trunc if args.trunc is not None else default_truncation(spec)
     series = conjectured_series(spec, trunc)
     print(format_series(series))
     print(json.dumps(list(series.coeffs)))
@@ -186,12 +183,17 @@ def cmd_series(args, cfg):
 
 
 def cmd_verify(args, cfg):
+    """Verify one case, or serve its record from --cache. --trunc is only
+    a check: any value but the case's own truncation is refused before
+    any work."""
     spec = CaseSpec(
-        args.n, args.d, args.m, args.k,
-        trunc=args.trunc, seed=cfg.seed, prime=cfg.prime, trials=cfg.trials,
+        args.n, args.d, args.m, args.k, seed=cfg.seed, prime=cfg.prime, trials=cfg.trials,
     )
-    trunc = verifier.resolve_truncation(spec, cfg.cap)
-    hit = _cache_hit(load_cache(cfg.cache_path), spec, trunc)
+    if args.trunc is not None and args.trunc != spec.trunc:
+        raise ValueError(
+            f"--trunc {args.trunc} is not the truncation {spec.trunc} of this case"
+        )
+    hit = _cache_hit(load_cache(cfg.cache_path), spec)
     modp.reset_telemetry()
     if hit is not None:
         out = hit.to_dict()
@@ -200,7 +202,7 @@ def cmd_verify(args, cfg):
         print(json.dumps(out))
         return EXIT_OK if hit.verdict == verifier.VERIFIED else EXIT_NOT_ATTAINED
     check_appendable(cfg.cache_path)
-    record = verify_case(spec, cap=cfg.cap, budget=cfg.budget)
+    record = verify_case(spec, budget=cfg.budget)
     out = record.to_dict()
     append_cache(cfg.cache_path, out)
     out["cached"] = False
@@ -217,19 +219,15 @@ def sweep_cell(n, d, m, lo, hi, cfg, cache):
     to cache, and print the summary line to stderr. Returns (served,
     records, witnesses, failures, skipped): the k served from the cache,
     then `run_sweep`'s."""
-    plan = plan_sweep(
-        n, d, m, lo, hi, seed=cfg.seed, prime=cfg.prime, trials=cfg.trials, cap=cfg.cap,
-    )
+    plan = plan_sweep(n, d, m, lo, hi, seed=cfg.seed, prime=cfg.prime, trials=cfg.trials)
     served = {}
     for spec in plan.cases:
-        hit = _cache_hit(cache, spec, spec.trunc)
+        hit = _cache_hit(cache, spec)
         if hit is not None:
             served[spec.k] = hit
     if len(served) < len(plan.cases):
         check_appendable(cfg.cache_path)
-    records, witnesses, failures, skipped = run_sweep(
-        plan, cap=cfg.cap, budget=cfg.budget, served=served
-    )
+    records, witnesses, failures, skipped = run_sweep(plan, budget=cfg.budget, served=served)
     for rec in records:
         if rec.spec.k not in served:
             out = rec.to_dict()
@@ -296,8 +294,15 @@ def cmd_search(args, cfg):
         coeffs = tuple(int(c) for c in args.target.split(","))
         target = TruncatedSeries(coeffs, terminated=coeffs[-1] == 0)
     else:
+        # For k <= n the target stops at degree k(d - 1) + 1, and the
+        # search finds what it would find over more degrees. If two of
+        # k >= 2 monomials share a variable, their lcm has degree at most
+        # 2d - 1 <= k(d - 1) + 1, where the ideal has fewer monomials than
+        # a complete intersection, whose first syzygies are in degree 2d:
+        # the series already differ. Pairwise coprime monomials are a
+        # regular sequence, so they match the target in every degree.
         spec = DegreeList(args.n, (args.d,) * args.k)
-        target = conjectured_series(spec, default_truncation(spec, cfg.cap))
+        target = conjectured_series(spec, default_truncation(spec))
     ideal = exhaustive_monomial_search(
         args.n, args.d, args.k, target,
         budget=args.search_budget, prune=not args.unpruned,
@@ -353,7 +358,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"genforms {__version__}")
     parser.add_argument("--prime", type=int, default=modp.DEFAULT_PRIME, help="prime modulus")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--cap", type=int, default=DEFAULT_CAP, help="truncation cap")
     parser.add_argument("--trials", type=int, default=verifier.DEFAULT_TRIALS)
     parser.add_argument(
         "--matrix-budget", type=int, default=verifier.DEFAULT_BUDGET,
@@ -376,7 +380,7 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trunc", type=int)
+    p.add_argument("--trunc", type=int, help="refuse the case unless this is its truncation")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="plan and run a k range")
@@ -410,7 +414,7 @@ def build_parser() -> _Parser:
 
 def config_from_args(args) -> Config:
     cfg = Config(
-        prime=args.prime, seed=args.seed, cap=args.cap, trials=args.trials,
+        prime=args.prime, seed=args.seed, trials=args.trials,
         budget=args.matrix_budget, cache_path=args.cache,
     )
     cfg.validate()
@@ -424,7 +428,7 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
         return args.func(args, cfg)
     except (
-        ResourceLimit, CapExceeded, HypothesisFailed, SoundnessError, BudgetExceeded,
+        ResourceLimit, HypothesisFailed, SoundnessError, BudgetExceeded,
         ValueError, OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,15 +19,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+# The largest truncation of a complete intersection (k <= n), and the
+# first window of `default_truncation` for k > n: the series is expanded
+# through this degree, then through twice as far until it holds the first
+# nonpositive coefficient.
 DEFAULT_CAP = 64
 
 
 class IncomparableTruncation(ValueError):
     """Two series over different ranges with no zero-extension available."""
-
-
-class CapExceeded(RuntimeError):
-    """The series did not terminate below the truncation cap."""
 
 
 @dataclass(frozen=True)
@@ -185,25 +185,33 @@ def lex_compare(f: TruncatedSeries, g: TruncatedSeries) -> Ordering:
     return Ordering.EQUAL
 
 
-def default_truncation(spec: DegreeList, cap: int = DEFAULT_CAP) -> int:
-    """Truncation degree that safely covers the conjectured series.
+def default_truncation(spec: DegreeList) -> int:
+    """Truncation degree of the conjectured series of spec: the one rule
+    for how far a computed series is checked against it.
 
-    For k > n the conjectured series terminates; return one past the first
-    zero ceiling coefficient (bounded by cap). The coefficients are
-    expanded one at a time and no further than that first nonpositive
-    one. For k <= n (complete intersection) return cap.
+    For k > n it is one past the first nonpositive coefficient. There
+    always is one, at degree at most sum(d_i) - n: the series is the
+    polynomial (1 - t)^(k-n) * prod(1 + t + ... + t^(d_i - 1)) of that
+    degree, which vanishes at t = 1, so its coefficients are not all
+    positive. The coefficients are expanded one at a time, and no
+    further than that first nonpositive one, through degree DEFAULT_CAP,
+    then 2 DEFAULT_CAP, 4 DEFAULT_CAP, ... until a window holds it; a
+    series that has it by degree DEFAULT_CAP is expanded once.
+
+    For k <= n (a complete intersection) the series is
+    prod(1 + t + ... + t^(d_i - 1)) / (1 - t)^(n-k): positive through
+    its numerator degree sum(d_i - 1), and zero after it only if k = n.
+    The check stops one past that degree, or at DEFAULT_CAP if that
+    comes first.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     if spec.k <= spec.n:
-        return cap
-    for e, a in enumerate(_expansion(spec, cap)):
-        if a <= 0:
-            return min(e + 1, cap)
-    raise CapExceeded(
-        f"conjectured series for n={spec.n}, degrees={spec.degrees} "
-        f"still positive at degree {cap}"
-    )
+        return min(DEFAULT_CAP, sum(spec.degrees) - spec.k + 1)
+    window = DEFAULT_CAP
+    while True:
+        for e, a in enumerate(_expansion(spec, window)):
+            if a <= 0:
+                return e + 1
+        window *= 2
 
 
 def format_series(series: TruncatedSeries) -> str:

@@ -54,7 +54,6 @@ from .macaulay import (
 )
 from .monomials import monomial_count
 from .series import (
-    DEFAULT_CAP,
     DegreeList,
     Ordering,
     TruncatedSeries,
@@ -79,11 +78,15 @@ class DeductionInapplicable(RuntimeError):
 
 @dataclass(frozen=True)
 class CaseSpec:
+    """One case (n, d, m, k): k m-th powers of degree-d forms in n
+    variables, drawn from seed mod prime, with up to `trials` random
+    points. Its truncation `trunc` is no field: it follows from the
+    degree list alone."""
+
     n: int
     d: int
     m: int
     k: int
-    trunc: int | None = None
     seed: int = 0
     prime: int = modp.DEFAULT_PRIME
     trials: int = DEFAULT_TRIALS
@@ -108,6 +111,11 @@ class CaseSpec:
     @property
     def degree_list(self) -> DegreeList:
         return DegreeList(self.n, (self.effective_degree,) * self.k)
+
+    @property
+    def trunc(self) -> int:
+        """The truncation degree of the case, `case_truncation`."""
+        return case_truncation(self.n, self.effective_degree, self.k)
 
 
 @dataclass(frozen=True)
@@ -148,8 +156,8 @@ class VerificationRecord:
     @classmethod
     def from_dict(cls, rec: dict, spec: CaseSpec) -> "VerificationRecord":
         """The record `to_dict` wrote for spec, read back: the one check
-        of a stored record. Its conjectured series must be spec's at its
-        truncation. A Verified record must have computed exactly that
+        of a stored record. Its conjectured series must be spec's,
+        through spec's truncation. A Verified record must have computed exactly that
         series, with the ranks it implies, since interval deduction reads
         them; a NotAttained record must have tried at least spec.trials
         seeds. A "theorem" record must be a Verified record of k = n+1
@@ -174,7 +182,7 @@ class VerificationRecord:
                 f"{record.verdict} theorem record of k={spec.k} (n+1 = {spec.n + 1}) "
                 f"after {len(record.seeds_tried)} seeds"
             )
-        conjectured = conjectured_series(spec.degree_list, record.trunc).coeffs
+        conjectured = conjectured_series(spec.degree_list, spec.trunc).coeffs
         if record.conjectured.coeffs != conjectured:
             raise ValueError("record of another conjectured series")
         if record.verdict == VERIFIED:
@@ -251,23 +259,11 @@ def pure_power_family(spec: CaseSpec, seed: int, draws=None) -> FormFamily:
 
 
 @lru_cache(maxsize=None)
-def case_truncation(n: int, md: int, k: int, cap: int = DEFAULT_CAP) -> int:
-    """Truncation degree of k forms of degree md in n variables.
-
-    Above n it is one past the first zero of the conjectured series
-    (`default_truncation`). A complete intersection (k <= n) never
-    terminates by a zero coefficient, so its check range stops at its
-    numerator degree k(md - 1), plus one, instead of burning the full cap.
-    """
-    if k <= n:
-        return min(cap, k * (md - 1) + 1)
-    return default_truncation(DegreeList(n, (md,) * k), cap)
-
-
-def resolve_truncation(spec: CaseSpec, cap: int = DEFAULT_CAP) -> int:
-    if spec.trunc is not None:
-        return spec.trunc
-    return case_truncation(spec.n, spec.effective_degree, spec.k, cap)
+def case_truncation(n: int, md: int, k: int) -> int:
+    """`default_truncation` of k forms of degree md in n variables,
+    memoized: a sweep asks for it per k while planning, per case and per
+    deduced k."""
+    return default_truncation(DegreeList(n, (md,) * k))
 
 
 def _at_pure_powers(spec, trunc, conjectured, budget, kept, draws):
@@ -300,7 +296,6 @@ def _at_pure_powers(spec, trunc, conjectured, budget, kept, draws):
 
 def verify_case(
     spec: CaseSpec,
-    cap: int = DEFAULT_CAP,
     budget: int = DEFAULT_BUDGET,
     kept: KeptBases | None = None,
     draws: Callable[[], tuple[ModPPoly, ...]] | None = None,
@@ -346,7 +341,7 @@ def verify_case(
     or without them. Called alone, verify_case keeps nothing.
     """
     start = time.perf_counter()
-    trunc = resolve_truncation(spec, cap)
+    trunc = spec.trunc
     conjectured = conjectured_series(spec.degree_list, trunc)
 
     if draws is None:
@@ -430,7 +425,6 @@ def _pin_intermediate(n, md, k, conjectured_k, e_surj, high_stats):
 def verify_interval(
     record_low: VerificationRecord,
     record_high: VerificationRecord,
-    cap: int = DEFAULT_CAP,
 ) -> IntervalWitness:
     """Certify every k between the two records' k from those records alone.
 
@@ -466,7 +460,7 @@ def verify_interval(
 
     deduced = []
     for k in range(k_low + 1, k_high):
-        trunc_k = case_truncation(n, md, k, cap)
+        trunc_k = case_truncation(n, md, k)
         conjectured_k = conjectured_series(DegreeList(n, (md,) * k), trunc_k)
         _pin_intermediate(n, md, k, conjectured_k, e_surj, high_stats)
         deduced.append(k)
@@ -500,7 +494,6 @@ def plan_sweep(
     seed: int = 0,
     prime: int = modp.DEFAULT_PRIME,
     trials: int = DEFAULT_TRIALS,
-    cap: int = DEFAULT_CAP,
 ) -> SweepPlan:
     """Endpoint cases plus intervals covering [k_lo, k_hi].
 
@@ -514,14 +507,13 @@ def plan_sweep(
         raise ValueError(f"k range must lie within [1, {top}]")
 
     def make(k):
-        trunc = case_truncation(n, md, k, cap)
-        return CaseSpec(n, d, m, k, trunc=trunc, seed=seed, prime=prime, trials=trials)
+        return CaseSpec(n, d, m, k, seed=seed, prime=prime, trials=trials)
 
     cases = [make(k) for k in range(k_lo, min(n, k_hi) + 1)]
     intervals = []
     runs = []  # (termination degree, lo, hi)
     for k in range(max(k_lo, n + 1), k_hi + 1):
-        term = case_truncation(n, md, k, cap) - 1
+        term = case_truncation(n, md, k) - 1
         if runs and runs[-1][0] == term:
             runs[-1] = (term, runs[-1][1], k)
         else:
@@ -537,7 +529,6 @@ def plan_sweep(
 
 def run_sweep(
     plan: SweepPlan,
-    cap=DEFAULT_CAP,
     budget=DEFAULT_BUDGET,
     served: dict[int, VerificationRecord] | None = None,
 ):
@@ -574,7 +565,7 @@ def run_sweep(
     kept = KeptBases()
     for spec in todo:
         try:
-            found[spec.k] = verify_case(spec, cap, budget, kept=kept, draws=draws)
+            found[spec.k] = verify_case(spec, budget, kept=kept, draws=draws)
         except ResourceLimit as exc:
             limits[spec.k] = str(exc)
     records = {s.k: found[s.k] for s in plan.cases if s.k in found}
@@ -585,7 +576,7 @@ def run_sweep(
         if lo not in records or hi not in records:
             continue
         try:
-            witnesses.append(verify_interval(records[lo], records[hi], cap))
+            witnesses.append(verify_interval(records[lo], records[hi]))
         except DeductionInapplicable as exc:
             failures.append(((lo, hi), str(exc)))
     return list(records.values()), witnesses, failures, skipped

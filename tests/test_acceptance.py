@@ -104,13 +104,14 @@ def test_acceptance_3_no_monomial_ideal_attains_1_4t_5t2():
     report("unpruned 252-candidate search agrees", start, 60.0)
 
 
-# Per (n, d, m): k just above the complete intersections, a planned
-# interval endpoint near mid-range, and the largest useful k.
+# Per (n, d, m): k = n+2, the first k that eliminates (k = n+1 is settled
+# by theorem), a planned interval endpoint near mid-range, and the largest
+# useful k.
 TABLE_SLICE = {
-    (4, 2, 2): (5, 14, 35),
-    (4, 2, 3): (5, 30, 84),
-    (4, 3, 2): (5, 30, 84),
-    (5, 2, 2): (6, 26, 70),
+    (4, 2, 2): (6, 14, 35),
+    (4, 2, 3): (6, 30, 84),
+    (4, 3, 2): (6, 30, 84),
+    (5, 2, 2): (7, 26, 70),
 }
 
 

@@ -240,11 +240,63 @@ VERIFY_CI = ("verify", "--n", "4", "--d", "2", "--m", "2", "--k", "3")
 
 def test_verify_complete_intersection_uses_the_sweep_truncation(capsys):
     # k <= n: checked up to the numerator degree k(md - 1) + 1 = 10, as a
-    # sweep does, not up to the full cap
+    # sweep does
     code, out, _ = run(capsys, *VERIFY_CI)
     assert code == EXIT_OK
     rec = json.loads(out)
     assert rec["trunc"] == 10 and rec["verdict"] == "Verified"
+
+
+# (4,2,2) k=7: its truncation, one past the first zero at degree 7, is 8
+VERIFY_4227 = ("verify", "--n", "4", "--d", "2", "--m", "2", "--k", "7")
+
+
+@pytest.mark.parametrize("trunc", ["3", "9"])
+def test_verify_refuses_a_truncation_other_than_the_cases_own(tmp_path, capsys, trunc):
+    """--trunc is only a check: any other value exits 3 before any work,
+    with no record printed and no cache line appended."""
+    cache = tmp_path / "c.jsonl"
+    run(capsys, "--cache", str(cache), *VERIFY_4227)
+    lines = cache.read_text()
+    modp.reset_telemetry()
+    code, out, err = run(capsys, "--cache", str(cache), *VERIFY_4227, "--trunc", trunc)
+    assert code == EXIT_ERROR
+    assert out == "" and modp.ELIMINATION_CALLS == 0
+    assert err == f"error: --trunc {trunc} is not the truncation 8 of this case\n"
+    assert cache.read_text() == lines
+
+
+def test_verify_serves_its_own_truncation_from_the_cache(tmp_path, capsys):
+    """--trunc equal to the case's truncation, as a resumed run sends it,
+    is a cache hit that prints the record a run with no --trunc wrote."""
+    cache = str(tmp_path / "c.jsonl")
+    code, out, _ = run(capsys, "--cache", cache, *VERIFY_4227)
+    assert code == EXIT_OK
+    first = json.loads(out)
+    assert first["trunc"] == 8 and first["cached"] is False
+    code, out, _ = run(capsys, "--cache", cache, *VERIFY_4227, "--trunc", "8")
+    assert code == EXIT_OK
+    second = json.loads(out)
+    assert second.pop("cached") is True and second.pop("rank_calls") == 0
+    assert second == {key: first[key] for key in second}
+    assert len(second) == len(first) - 2
+
+
+def test_cap_option_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cap", "10", "table"])
+    assert exc.value.code == EXIT_ERROR
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_runs_a_case_deeper_than_64_degrees(capsys):
+    """(3,2,20) k=4: forms of degree 40, first zero of the series at
+    degree 79."""
+    code, out, _ = run(capsys, "verify", "--n", "3", "--d", "2", "--m", "20", "--k", "4")
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert (rec["verdict"], rec["trunc"]) == ("Verified", 80)
+    assert rec["computed"][78:] == [40, 0, 0]
 
 
 def test_verify_serves_a_complete_intersection_a_sweep_cached(tmp_path, capsys):
@@ -378,6 +430,14 @@ def test_search_found_and_not_found(capsys):
     )
     assert code == EXIT_NOT_ATTAINED
     assert out.startswith("none")
+
+
+def test_search_finds_a_complete_intersection(capsys):
+    """k <= n: the target stops at degree k(d - 1) + 1 = 4, and the
+    first monomial ideal that matches it is three pure squares."""
+    code, out, _ = run(capsys, "search", "--n", "4", "--d", "2", "--k", "3")
+    assert code == EXIT_OK
+    assert sorted(out.splitlines()) == ["x1^2", "x2^2", "x3^2"]
 
 
 @pytest.mark.parametrize("flags", [(), ("--unpruned",)], ids=["pruned", "unpruned"])

@@ -733,7 +733,7 @@ def test_the_pure_power_point_feeds_few_basis_rows_again(monkeypatch):
     the reducers take the 256 Macaulay rows built and 40 basis rows whose
     pivot x_n killed (x_1, which kills the columns that carry the
     pivots, would move 241)."""
-    from genforms.verifier import CaseSpec, pure_power_family, resolve_truncation
+    from genforms.verifier import CaseSpec, pure_power_family
 
     spec = CaseSpec(4, 2, 4, 5)
     family = pure_power_family(spec, 0)
@@ -751,7 +751,7 @@ def test_the_pure_power_point_feeds_few_basis_rows_again(monkeypatch):
 
     monkeypatch.setattr(modp.RowReducer, "add_rows", adding)
     monkeypatch.setattr(macaulay, "macaulay_rows", building)
-    series = quotient_series_with_stats(family, resolve_truncation(spec))[0]
+    series = quotient_series_with_stats(family, spec.trunc)[0]
     assert series.coeffs[-1] == 0
     assert (sum(built), sum(fed) - sum(built)) == (256, 40)
 

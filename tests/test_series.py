@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from genforms.monomials import monomial_count
 from genforms.series import (
     DEFAULT_CAP,
-    CapExceeded,
     DegreeList,
     IncomparableTruncation,
     Ordering,
@@ -118,12 +117,35 @@ def test_expand_rational_matches_one_factor_per_degree(n, runs, trunc, rnd):
 def test_case_truncation_is_one_past_the_first_nonpositive_reference_coefficient(n, d, m):
     md = d * m
     for k in range(1, monomial_count(n, md) + 1):
+        got = case_truncation(n, md, k)
         if k <= n:
-            want = min(DEFAULT_CAP, k * (md - 1) + 1)
+            assert got == min(DEFAULT_CAP, k * (md - 1) + 1), k
         else:
-            raw = one_factor_per_degree(n, (md,) * k, DEFAULT_CAP)
-            want = min(DEFAULT_CAP, next(e for e, a in enumerate(raw) if a <= 0) + 1)
-        assert case_truncation(n, md, k) == want, k
+            assert_one_past_the_first_nonpositive(n, (md,) * k, got)
+
+
+def assert_one_past_the_first_nonpositive(n, degrees, trunc):
+    """The reference expansion, through degree trunc - 1 however far that
+    is, is positive before trunc - 1 and nonpositive there."""
+    raw = one_factor_per_degree(n, degrees, trunc - 1)
+    assert all(a > 0 for a in raw[:-1]) and raw[-1] <= 0, (n, degrees, trunc)
+
+
+above_n = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, 40), min_size=n + 1, max_size=n + 8))
+)
+
+
+@settings(deadline=None)
+@given(above_n)
+def test_default_truncation_above_n_is_one_past_the_first_nonpositive_coefficient(case):
+    """For k > n, the reference coefficients before the truncation are
+    positive and the one at truncation - 1 is not, which happens by
+    degree sum(d_i) - n, the degree of the series as a polynomial."""
+    n, degrees = case
+    trunc = default_truncation(DegreeList(n, tuple(degrees)))
+    assert trunc <= sum(degrees) - n + 1
+    assert_one_past_the_first_nonpositive(n, degrees, trunc)
 
 
 @given(n=st.integers(1, 6), trunc=st.integers(0, 20))
@@ -248,21 +270,23 @@ def test_lex_compare_transitive(f, g, h):
 
 
 def test_default_truncation_degree14_forms():
-    assert default_truncation(DegreeList(3, (14,) * 26), cap=64) == 17
+    assert default_truncation(DegreeList(3, (14,) * 26)) == 17
 
 
 def test_default_truncation_complete_intersection_hits_cap():
-    assert default_truncation(DegreeList(2, (3,)), cap=10) == 10
+    # one past the numerator degree sum(d_i - 1), at most DEFAULT_CAP
+    assert default_truncation(DegreeList(2, (3,))) == 3
+    assert default_truncation(DegreeList(3, (40, 40))) == DEFAULT_CAP == 64
 
 
 def test_default_truncation_five_quadrics():
-    assert default_truncation(DegreeList(4, (2,) * 5), cap=64) == 4
+    assert default_truncation(DegreeList(4, (2,) * 5)) == 4
 
 
-def test_default_truncation_cap_exceeded():
-    # four degree-10 forms in n=3 cannot terminate by degree 5
-    with pytest.raises(CapExceeded):
-        default_truncation(DegreeList(3, (10,) * 4), cap=5)
+def test_default_truncation_past_the_first_window():
+    # four degree-40 forms in n=3: the first nonpositive coefficient is
+    # at degree 79, beyond the first window of DEFAULT_CAP degrees
+    assert default_truncation(DegreeList(3, (40,) * 4)) == 80
 
 
 def test_format_series():

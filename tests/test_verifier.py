@@ -36,7 +36,6 @@ from genforms.verifier import (
     default_family,
     plan_sweep,
     pure_power_family,
-    resolve_truncation,
     run_sweep,
     verify_case,
     verify_interval,
@@ -72,10 +71,10 @@ def test_verify_power_case():
 
 
 def test_verify_complete_intersection_of_powers():
-    record = verify_case(CaseSpec(2, 3, 2, 2, trunc=10))
+    record = verify_case(CaseSpec(2, 3, 2, 2))
     assert record.verdict == VERIFIED
-    # (1 + t + ... + t^5)^2
-    assert record.computed.coeffs == (1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1)
+    # (1 + t + ... + t^5)^2, through one past its degree 10
+    assert record.computed.coeffs == (1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1, 0)
 
 
 def test_degenerate_family_never_verifies(monkeypatch):
@@ -107,6 +106,20 @@ def test_record_read_back_refuses_a_not_attained_record_of_fewer_seeds(monkeypat
     assert VerificationRecord.from_dict(rec, bad.spec).seeds_tried == (0, 1)
     with pytest.raises(ValueError, match="2 of 3 seeds"):
         VerificationRecord.from_dict(rec, dataclasses.replace(bad.spec, trials=3))
+
+
+def test_record_read_back_refuses_a_record_cut_short_of_the_cases_truncation():
+    """(4,2,2) k=7 truncates at 8. Its record cut at degree 3, as a run
+    that checked only degrees 0-3 would write it, is consistent in
+    itself, and still refused: none of those degrees holds a form."""
+    spec = CaseSpec(4, 2, 2, 7)
+    rec = verify_case(spec).to_dict()
+    assert rec["trunc"] == spec.trunc == 8
+    for key in ("conjectured", "computed", "ranks"):
+        rec[key] = rec[key][:4]
+    rec["trunc"] = 3
+    with pytest.raises(ValueError, match="conjectured series"):
+        VerificationRecord.from_dict(rec, spec)
 
 
 def test_record_read_back_refuses_another_conjectured_series():
@@ -231,7 +244,8 @@ def test_monotone_surjectivity():
     low = verify_case(CaseSpec(3, 2, 1, 4, seed=3))
     assert low.verdict == VERIFIED
     last_nonzero = max(e for e, c in enumerate(low.computed.coeffs) if c)
-    high = verify_case(CaseSpec(3, 2, 1, 5, seed=3, trunc=low.trunc))
+    high = verify_case(CaseSpec(3, 2, 1, 5, seed=3))
+    assert high.trunc == low.trunc
     assert all(c == 0 for c in high.computed.coeffs[last_nonzero + 1 :])
 
 
@@ -319,14 +333,13 @@ def test_plan_sweep_complete_intersections_no_intervals():
     plan = plan_sweep(3, 2, 1, 1, 3)
     assert [c.k for c in plan.cases] == [1, 2, 3]
     assert plan.intervals == ()
-    assert all(c.trunc is not None for c in plan.cases)
+    assert [c.trunc for c in plan.cases] == [2, 3, 4]
 
 
 def test_verify_and_sweep_share_the_complete_intersection_truncation():
     # k <= n stops at the numerator degree k(md - 1) + 1, in both paths
-    assert resolve_truncation(CaseSpec(4, 2, 2, 3)) == 10
+    assert CaseSpec(4, 2, 2, 3).trunc == 10
     assert [c.trunc for c in plan_sweep(4, 2, 2, 3, 3).cases] == [10]
-    assert resolve_truncation(CaseSpec(4, 2, 2, 3, trunc=7)) == 7
 
 
 def test_run_sweep_deduces_no_interval_across_a_skipped_endpoint():
@@ -639,7 +652,7 @@ def test_no_random_family_is_built_after_a_limit_no_later_than_the_first_zero(mo
     ResourceLimit is raised with no random draw, and the trial's own
     limit (degree 4, 14x15) is never reached."""
     spec = CaseSpec(3, 2, 2, 14)
-    conjectured = conjectured_series(spec.degree_list, resolve_truncation(spec))
+    conjectured = conjectured_series(spec.degree_list, spec.trunc)
     assert conjectured.coeffs.index(0) == 5
 
     def refuse(spec, seed):
@@ -731,7 +744,7 @@ twice = macaulay.FormFamily(3, family.forms[:1] * 2, family.prime, 0)
 verifier.pure_power_family = lambda spec, seed, draws: twice
 verifier.lex_compare = lambda a, b: verifier.Ordering.EQUAL
 try:
-    verifier.verify_case(verifier.CaseSpec(3, 2, 1, 2, trunc=4, trials=1))
+    verifier.verify_case(verifier.CaseSpec(3, 2, 1, 2, trials=1))
     failures.append("verified mismatch")
 except SoundnessError:
     pass
