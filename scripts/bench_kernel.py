@@ -22,9 +22,8 @@ cold `plan_sweep` and `run_sweep` of the whole k range of three cells
 and intervals, with every k covered and none skipped. The frontier field
 times one cold elimination (caches cleared first) of each of six large
 k = n+1 cases at its pure-power point: the truncation, the conjectured
-series, the draws and their powering, and `quotient_series_with_stats`,
-which is what `verify_case` ran on them before it settled k = n+1 by
-theorem.
+series, the draws and their powering, and `quotient_series`, which is
+what `verify_case` ran on them before it settled k = n+1 by theorem.
 The script prints one JSON line with the timings and the numpy version,
 the BLAS library and the core count. It exits 1 with an `error:` line
 if a shape, a rank, the checksum, a plan's counts or a sweep's
@@ -49,7 +48,7 @@ from genforms.macaulay import (
     ResourceLimit,
     ideal_dimension_at_degree,
     macaulay_shape,
-    quotient_series_with_stats,
+    quotient_series,
 )
 from genforms.monomials import enumerate_monomials, monomial_count
 from genforms.series import conjectured_series
@@ -194,7 +193,7 @@ def time_frontier(cases=FRONTIER) -> list:
         conjectured = conjectured_series(spec.degree_list, trunc)
         family = pure_power_family(spec, SEED)
         try:
-            series, _ = quotient_series_with_stats(family, trunc, budget=DEFAULT_BUDGET)
+            series = quotient_series(family, trunc, budget=DEFAULT_BUDGET)
         except ResourceLimit as exc:
             raise WrongResult(f"frontier case {list(case)} not attained: {exc}") from exc
         seconds = time.perf_counter() - start

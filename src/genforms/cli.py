@@ -103,28 +103,23 @@ def parse_range(text: str) -> tuple[int, int]:
 
 # ---------------------------------------------------------------- cache
 
-_KEY_FIELDS = ("n", "d", "m", "k", "prime", "seed", "trunc")
-
-
-def _cache_key(n, d, m, k, prime, seed, trunc):
-    return (n, d, m, k, prime, seed, trunc)
-
-
-def _record_key(rec):
-    return _cache_key(*(rec[f] for f in _KEY_FIELDS))
+def _cache_key(case):
+    """The key of a record or of a case, given as a dict of its fields:
+    the case, (n, d, m, k, prime, seed)."""
+    return tuple(case[f] for f in ("n", "d", "m", "k", "prime", "seed"))
 
 
 def load_cache(path):
     """Records by key, the last line for a key winning. A line that is not
-    a record, such as the torn tail of an interrupted append, is skipped:
-    its case is a miss and gets recomputed."""
+    a record, such as the torn tail of an interrupted append or bytes that
+    are not UTF-8, is skipped: its case is a miss and gets recomputed."""
     cache = {}
     if path and os.path.exists(path):
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             for line in fh:
                 try:
                     rec = json.loads(line)
-                    cache[_record_key(rec)] = rec
+                    cache[_cache_key(rec)] = rec
                 except (ValueError, KeyError, TypeError):
                     continue
     return cache
@@ -155,9 +150,9 @@ def check_appendable(path):
 def _cache_hit(cache, spec):
     """The cached record of spec, if `VerificationRecord.from_dict`
     accepts it for serving, else None."""
-    key = _cache_key(spec.n, spec.d, spec.m, spec.k, spec.prime, spec.seed, spec.trunc)
     try:
-        return verifier.VerificationRecord.from_dict(cache[key], spec)
+        rec = cache[_cache_key(vars(spec))]
+        return verifier.VerificationRecord.from_dict(rec, spec)
     except (LookupError, TypeError, ValueError):
         return None  # a miss, not a whole record, or not servable: recomputed
 
@@ -232,7 +227,7 @@ def sweep_cell(n, d, m, lo, hi, cfg, cache):
         if rec.spec.k not in served:
             out = rec.to_dict()
             append_cache(cfg.cache_path, out)
-            cache[_record_key(out)] = out
+            cache[_cache_key(out)] = out
     verdicts = [r.verdict for r in records]
     covered = verifier.certified_ks(records, witnesses)
     print(

@@ -9,7 +9,7 @@ multiples, computed over Z/p. Forms are multiplied only to be powered:
 `power` squares a whole family at once, each product one batched
 `_products` call through the same scatter tables as the Macaulay rows.
 The first-order bound, coefficient >= cols - rows of that degree's
-`DegreeStat`, holds at every specialization and is checked per degree.
+Macaulay matrix, holds at every specialization and is checked per degree.
 
 Pure powers are divided out in closed form. Let a_i be the least a such
 that some c*x_i^a (c != 0) is in the family, J the monomial ideal of
@@ -582,18 +582,8 @@ def ideal_dimension_at_degree(
     return dim
 
 
-@dataclass(frozen=True)
-class DegreeStat:
-    """Matrix size and rank at one degree."""
-
-    e: int
-    rows: int
-    cols: int
-    rank: int
-
-
-def quotient_series_with_stats(family, max_deg, budget=None, kept=None):
-    """Hilbert series of R/(family) up to max_deg plus per-degree stats.
+def quotient_series(family, max_deg, budget=None, kept=None) -> TruncatedSeries:
+    """Hilbert series of R/(family) up to max_deg.
 
     Coefficient e = C(n+e-1, e) - dim I_e, each dim I_e eliminated in
     degree order. Once a coefficient is zero the ideal contains that power
@@ -605,10 +595,8 @@ def quotient_series_with_stats(family, max_deg, budget=None, kept=None):
     this family's bases in return (see `ideal_dimension_at_degree`).
     budget caps the entry count of the matrix eliminated at each degree,
     checked as the degree is reached (see `ideal_dimension_at_degree`).
-    The stats give the shape of the whole Macaulay matrix.
     """
     coeffs = []
-    stats = []
     chain = {}  # the last eliminated degree -> its basis
     for e in range(max_deg + 1):
         rows, cols = macaulay_shape(family, e)
@@ -621,9 +609,7 @@ def quotient_series_with_stats(family, max_deg, budget=None, kept=None):
                 f"bound {cols - rows}"
             )
         coeffs.append(coeff)
-        stats.append(DegreeStat(e, rows, cols, dim))
         if coeff == 0:
             coeffs.extend([0] * (max_deg - e))
             break
-    terminated = coeffs[-1] == 0
-    return TruncatedSeries(tuple(coeffs), terminated=terminated), stats
+    return TruncatedSeries(tuple(coeffs), terminated=coeffs[-1] == 0)

@@ -39,18 +39,17 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 
 from . import __version__, modp
 from .macaulay import (
-    DegreeStat,
     FormFamily,
     KeptBases,
     ModPPoly,
     ResourceLimit,
     SoundnessError,
     power,
-    quotient_series_with_stats,
+    quotient_series,
 )
 from .monomials import monomial_count
 from .series import (
@@ -119,17 +118,43 @@ class CaseSpec:
 
 
 @dataclass(frozen=True)
+class DegreeStat:
+    """Matrix size and rank at one degree."""
+
+    e: int
+    rows: int
+    cols: int
+    rank: int
+
+
+@dataclass(frozen=True)
 class VerificationRecord:
+    """What `verify_case` found for spec: the series computed at the last
+    point tried, the verdict, the seeds tried, the time and how it was
+    reached. The rest of a record is derived, never stored: its
+    truncation is spec's, its conjectured series that of spec's degrees
+    through it, and its per-degree ranks those its computed series
+    implies (`_implied_stats`)."""
+
     spec: CaseSpec
-    trunc: int
-    conjectured: TruncatedSeries
     computed: TruncatedSeries
     verdict: str
-    degree_stats: tuple[DegreeStat, ...]
     seeds_tried: tuple[int, ...]
     millis: float
     version: str = __version__
     method: str | None = None  # None for a record written before methods
+
+    @property
+    def trunc(self) -> int:
+        return self.spec.trunc
+
+    @cached_property
+    def conjectured(self) -> TruncatedSeries:
+        return conjectured_series(self.spec.degree_list, self.trunc)
+
+    @property
+    def degree_stats(self) -> tuple[DegreeStat, ...]:
+        return _implied_stats(self.spec, self.computed.coeffs)
 
     def to_dict(self) -> dict:
         s = self.spec
@@ -156,23 +181,26 @@ class VerificationRecord:
     @classmethod
     def from_dict(cls, rec: dict, spec: CaseSpec) -> "VerificationRecord":
         """The record `to_dict` wrote for spec, read back: the one check
-        of a stored record. Its conjectured series must be spec's,
-        through spec's truncation. A Verified record must have computed exactly that
-        series, with the ranks it implies, since interval deduction reads
-        them; a NotAttained record must have tried at least spec.trials
-        seeds. A "theorem" record must be a Verified record of k = n+1
-        with no seed tried. A record with no method, written before
-        records had one, is read as any other. ValueError for any other
-        record."""
-
-        def series(coeffs):
-            return TruncatedSeries(tuple(coeffs), terminated=coeffs[-1] == 0)
-
+        of a stored record, the same for every verdict. Its computed
+        series must run through spec's truncation, and the record rebuilt
+        from spec and that series must write the same trunc, conjectured,
+        computed and ranks. A Verified record must have computed the
+        conjectured series; a NotAttained record must have tried at least
+        spec.trials seeds. A "theorem" record must be a Verified record
+        of k = n+1 with no seed tried. A record with no method, written
+        before records had one, is read as any other. ValueError for any
+        other record."""
+        coeffs = tuple(rec["computed"])
+        if len(coeffs) != spec.trunc + 1:
+            raise ValueError(f"record of {len(coeffs)} coefficients, not {spec.trunc + 1}")
         record = cls(
-            spec, rec["trunc"], series(rec["conjectured"]), series(rec["computed"]),
-            rec["verdict"], tuple(DegreeStat(*row) for row in rec["ranks"]),
+            spec, TruncatedSeries(coeffs, terminated=coeffs[-1] == 0), rec["verdict"],
             tuple(rec["seeds_tried"]), rec["millis"], rec["version"], rec.get("method"),
         )
+        derived = record.to_dict()
+        for key in ("trunc", "conjectured", "computed", "ranks"):
+            if rec[key] != derived[key]:
+                raise ValueError(f"record with a stored {key} other than the derived one")
         if record.method not in (None, "theorem", "pure-power", "random"):
             raise ValueError(f"record of unknown method {record.method!r}")
         if record.method == "theorem" and (
@@ -182,14 +210,9 @@ class VerificationRecord:
                 f"{record.verdict} theorem record of k={spec.k} (n+1 = {spec.n + 1}) "
                 f"after {len(record.seeds_tried)} seeds"
             )
-        conjectured = conjectured_series(spec.degree_list, spec.trunc).coeffs
-        if record.conjectured.coeffs != conjectured:
-            raise ValueError("record of another conjectured series")
         if record.verdict == VERIFIED:
-            if record.computed.coeffs != conjectured:
+            if record.computed.coeffs != record.conjectured.coeffs:
                 raise ValueError("Verified record that computed another series")
-            if record.degree_stats != _implied_stats(spec, conjectured):
-                raise ValueError("Verified record with ranks its series does not imply")
         elif record.verdict != NOT_ATTAINED or len(record.seeds_tried) < spec.trials:
             raise ValueError(
                 f"{record.verdict} record after {len(record.seeds_tried)} of "
@@ -205,7 +228,8 @@ def _rows(n, md, k, e) -> int:
 
 def _implied_stats(spec: CaseSpec, coeffs) -> tuple[DegreeStat, ...]:
     """The stats of a computation that found coeffs: rank = cols -
-    coefficient, up to the first zero coefficient."""
+    coefficient, up to the first zero coefficient. The one place a
+    record's ranks are built."""
     stats = []
     for e, coeff in enumerate(coeffs):
         cols = monomial_count(spec.n, e)
@@ -267,9 +291,9 @@ def case_truncation(n: int, md: int, k: int) -> int:
 
 
 def _at_pure_powers(spec, trunc, conjectured, budget, kept, draws):
-    """(computed, stats) at `pure_power_family(spec, spec.seed, draws())`
-    if its series is the conjectured one, else None. draws is called
-    only for k > n, the one case in which the point has random forms.
+    """The series at `pure_power_family(spec, spec.seed, draws())` if it
+    is the conjectured one, else None. draws is called only for k > n,
+    the one case in which the point has random forms.
 
     Over the budget at degree e, it raises ResourceLimit again when the
     conjectured series has no zero below e: a trial that attains it must
@@ -284,14 +308,14 @@ def _at_pure_powers(spec, trunc, conjectured, budget, kept, draws):
     family = pure_power_family(spec, spec.seed, draws() if spec.k > spec.n else None)
     kept = kept if spec.k >= spec.n else None
     try:
-        computed, stats = quotient_series_with_stats(family, trunc, budget, kept)
+        computed = quotient_series(family, trunc, budget, kept)
     except ResourceLimit as exc:
         if 0 not in conjectured.coeffs[: exc.degree]:
             raise
         return None
     if lex_compare(computed, conjectured) is not Ordering.EQUAL:
         return None
-    return computed, tuple(stats)
+    return computed
 
 
 def verify_case(
@@ -306,8 +330,7 @@ def verify_case(
 
     k = n+1 is Verified by Stanley's theorem (module docstring) before any
     form is drawn or eliminated: the record has method "theorem", the
-    conjectured series as computed, the ranks that series implies, and no
-    seed tried.
+    conjectured series as computed, and no seed tried.
 
     For any other k the first attempt is `pure_power_family` at
     spec.seed: m-th powers of x_1^d, ..., x_min(k,n)^d and of the other
@@ -347,12 +370,11 @@ def verify_case(
     if draws is None:
         draws = cache(partial(powered_draws, spec, spec.seed))
     if spec.k == spec.n + 1:
-        computed, stats = conjectured, _implied_stats(spec, conjectured.coeffs)
+        computed = conjectured
         seeds, verdict, method = [], VERIFIED, "theorem"
     elif (
-        attained := _at_pure_powers(spec, trunc, conjectured, budget, kept, draws)
+        computed := _at_pure_powers(spec, trunc, conjectured, budget, kept, draws)
     ) is not None:
-        computed, stats = attained
         seeds, verdict, method = [spec.seed], VERIFIED, "pure-power"
     else:
         seeds, verdict, method = [], NOT_ATTAINED, "random"
@@ -360,8 +382,7 @@ def verify_case(
             seed_t = spec.seed + trial
             seeds.append(seed_t)
             family = default_family(spec, seed_t, None if trial else draws())
-            computed, stat_list = quotient_series_with_stats(family, trunc, budget=budget)
-            stats = tuple(stat_list)
+            computed = quotient_series(family, trunc, budget=budget)
             if lex_compare(computed, conjectured) is Ordering.EQUAL:
                 verdict = VERIFIED
                 break
@@ -371,10 +392,7 @@ def verify_case(
             f"Verified verdict for {spec} but computed {computed.coeffs} "
             f"!= conjectured {conjectured.coeffs}"
         )
-    return VerificationRecord(
-        spec, trunc, conjectured, computed, verdict, stats, tuple(seeds), millis,
-        method=method,
-    )
+    return VerificationRecord(spec, computed, verdict, tuple(seeds), millis, method=method)
 
 
 @dataclass(frozen=True)
@@ -391,8 +409,6 @@ class IntervalWitness:
     k_high: int
     e_surj: int
     e_ind: int
-    record_low: VerificationRecord
-    record_high: VerificationRecord
     deduced: tuple[int, ...]
 
 
@@ -453,7 +469,7 @@ def verify_interval(
         )
     high_stats = {st.e: st for st in record_high.degree_stats}
     e_ind = max(
-        (st.e for st in record_high.degree_stats
+        (st.e for st in high_stats.values()
          if st.rank == st.rows and 0 < st.rows <= st.cols),
         default=0,
     )
@@ -465,9 +481,7 @@ def verify_interval(
         _pin_intermediate(n, md, k, conjectured_k, e_surj, high_stats)
         deduced.append(k)
 
-    return IntervalWitness(
-        k_low, k_high, e_surj, e_ind, record_low, record_high, tuple(deduced)
-    )
+    return IntervalWitness(k_low, k_high, e_surj, e_ind, tuple(deduced))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ from genforms.constructions import (
 from genforms.macaulay import (
     FormFamily,
     ideal_dimension_at_degree,
+    macaulay_shape,
     power,
-    quotient_series_with_stats,
+    quotient_series,
     random_form,
 )
 from genforms.modp import DEFAULT_PRIME, RowReducer
@@ -128,11 +129,10 @@ def test_acceptance_4_power_conjecture_table_slice(cell):
 
 def test_acceptance_5_interval_deduction():
     start = time.perf_counter()
-    witness = verify_interval(
-        verify_case(CaseSpec(3, 2, 7, 26)), verify_case(CaseSpec(3, 2, 7, 45))
-    )
-    assert witness.record_low.verdict == VERIFIED
-    assert witness.record_high.verdict == VERIFIED
+    low, high = verify_case(CaseSpec(3, 2, 7, 26)), verify_case(CaseSpec(3, 2, 7, 45))
+    witness = verify_interval(low, high)
+    assert low.verdict == VERIFIED
+    assert high.verdict == VERIFIED
     covered = {26, 45} | set(witness.deduced)
     assert covered == set(range(26, 46))
     report("interval 26..45 covered from two endpoint verifications", start, 300.0)
@@ -170,11 +170,12 @@ def test_acceptance_6_property_suites():
         seed = rnd.randrange(10**6)
         rng = np.random.default_rng(seed)
         fam = FormFamily(n, tuple(random_form(n, d, rng) for d in degrees), seed=seed)
-        series, stats = quotient_series_with_stats(fam, rnd.randint(0, 10))
-        for st in stats:
-            assert st.rank <= min(st.rows, st.cols)
-            assert st.cols - st.rows <= series.coeffs[st.e]  # the first-order bound
-            assert series.coeffs[st.e] <= binomial(n + st.e - 1, st.e)
+        series = quotient_series(fam, rnd.randint(0, 10))
+        for e, coeff in enumerate(series.coeffs):
+            rows, cols = macaulay_shape(fam, e)
+            assert cols - coeff <= min(rows, cols)
+            assert cols - rows <= coeff  # the first-order bound
+            assert coeff <= binomial(n + e - 1, e)
 
     # incremental elimination agrees with batch elimination
     rng = np.random.default_rng(6)

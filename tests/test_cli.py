@@ -149,6 +149,49 @@ def test_torn_cache_line_is_a_miss(tmp_path, capsys):
     assert served["computed"] == rec["computed"]
 
 
+# (3,2,1) k=5 truncates at 4. The ranks a computed [1, 3, 2, 0, 0] implies
+# there: rows 5 of 6 columns at degree 2, 15 of 10 at degree 3.
+RANKS_13200 = [[0, 0, 1, 0], [1, 0, 3, 0], [2, 5, 6, 4], [3, 15, 10, 10]]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"verdict": "NotAttained", "computed": [1, 3, 2], "ranks": RANKS_13200[:3]},
+        {"verdict": "NotAttained", "computed": [1, 3, 2, 0, 0], "ranks": [[0, 0, 1, 0]]},
+        {"trunc": 2},
+    ],
+    ids=["computed-cut-short", "ranks-of-another-series", "stale-trunc"],
+)
+def test_line_the_read_back_refuses_is_recomputed(tmp_path, capsys, edit):
+    """Three lines for (3,2,1) k=5, a Verified case of truncation 4, that
+    the read-back refuses whatever their verdict: each is recomputed."""
+    cache, rec = cached_record(tmp_path, capsys, VERIFY_352)
+    rec.update(seeds_tried=[0, 1, 2], method="random", **edit)
+    cache.write_text(json.dumps(rec) + "\n")
+    code, out, _ = run(capsys, "--cache", str(cache), *VERIFY_352)
+    assert code == EXIT_OK
+    out = json.loads(out)
+    assert (out["verdict"], out["cached"], out["trunc"]) == ("Verified", False, 4)
+
+
+def test_cache_line_that_is_not_text_is_skipped(tmp_path, capsys):
+    """A line of bytes that are not UTF-8 is skipped like a torn line:
+    verify and sweep still serve the record on the line before it."""
+    cache, rec = cached_record(tmp_path, capsys)
+    with open(cache, "ab") as fh:
+        fh.write(b"\xff\xfe garbage\n")
+    code, out, _ = run(capsys, "--cache", str(cache), *VERIFY_342)
+    assert code == EXIT_OK
+    served = json.loads(out)
+    assert served["cached"] is True and served["computed"] == rec["computed"]
+    code, out, _ = run(capsys, "--cache", str(cache),
+                       "sweep", "--n", "3", "--d", "2", "--k-range", "4..4")
+    assert code == EXIT_OK
+    (served,) = [json.loads(line) for line in out.splitlines()]
+    assert served["cached"] is True and served["computed"] == rec["computed"]
+
+
 @pytest.mark.parametrize(
     "verdict, conjectured, computed",
     [
@@ -175,7 +218,7 @@ def test_inconsistent_cache_hit_is_recomputed(
 def test_short_not_attained_hit_is_recomputed(tmp_path, capsys):
     cache, rec = cached_record(tmp_path, capsys, VERIFY_352)
     rec.update(verdict="NotAttained", computed=[1, 3, 2, 0, 0], seeds_tried=[0],
-               method="random")
+               method="random", ranks=RANKS_13200)
     cache.write_text(json.dumps(rec) + "\n")
     code, out, _ = run(capsys, "--cache", str(cache), "--trials", "1", *VERIFY_352)
     assert code == EXIT_NOT_ATTAINED

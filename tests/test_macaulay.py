@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 import genforms
 from genforms import macaulay
 from genforms.macaulay import (
-    DegreeStat,
     FormFamily,
     KeptBases,
     ModPPoly,
@@ -26,7 +25,7 @@ from genforms.macaulay import (
     macaulay_shape,
     power,
     pure_powers,
-    quotient_series_with_stats,
+    quotient_series,
     random_form,
 )
 from genforms import modp
@@ -372,20 +371,20 @@ def test_macaulay_shape():
 
 
 def test_quotient_complete_intersection_of_squares():
-    series = quotient_series_with_stats(pure_power_family(2, 2), 3)[0]
+    series = quotient_series(pure_power_family(2, 2), 3)
     assert series.coeffs == (1, 2, 1, 0)
     assert series.terminated
 
 
 def test_quotient_four_random_quadrics():
     fam = FormFamily.random(3, 2, 4, seed=5)
-    series = quotient_series_with_stats(fam, 3)[0]
+    series = quotient_series(fam, 3)
     assert series.coeffs == (1, 3, 2, 0)
 
 
 def test_quotient_empty_family():
     fam = FormFamily(3, ())
-    assert quotient_series_with_stats(fam, 2)[0].coeffs == (1, 3, 6)
+    assert quotient_series(fam, 2).coeffs == (1, 3, 6)
 
 
 def test_specialization_and_first_order_bounds():
@@ -398,36 +397,37 @@ def test_specialization_and_first_order_bounds():
         rng = np.random.default_rng(seed)
         fam = FormFamily(n, tuple(random_form(n, d, rng) for d in degrees), seed=seed)
         max_deg = rnd.randint(0, 8)
-        series, stats = quotient_series_with_stats(fam, max_deg)
-        for st in stats:
-            assert st.rank <= min(st.rows, st.cols)
+        series = quotient_series(fam, max_deg)
+        for e, coeff in enumerate(series.coeffs):
+            rows, cols = macaulay_shape(fam, e)
+            assert cols - coeff <= min(rows, cols)
             # the first-order bound: C(n+e-1, e) - sum_g C(n+e-deg g-1, e-deg g)
-            first_order = binomial(n + st.e - 1, st.e) - sum(
-                binomial(n + st.e - dg - 1, st.e - dg) for dg in degrees if dg <= st.e
+            first_order = binomial(n + e - 1, e) - sum(
+                binomial(n + e - dg - 1, e - dg) for dg in degrees if dg <= e
             )
-            assert st.cols - st.rows == first_order
-            assert series.coeffs[st.e] >= st.cols - st.rows
-            assert series.coeffs[st.e] <= binomial(n + st.e - 1, st.e)
+            assert cols - rows == first_order
+            assert coeff >= cols - rows
+            assert coeff <= binomial(n + e - 1, e)
 
 
 def test_adding_a_form_never_raises_coefficients():
     base = FormFamily.random(3, 2, 3, seed=8)
     bigger = FormFamily.random(3, 2, 4, seed=8)
-    a = quotient_series_with_stats(base, 5)[0]
-    b = quotient_series_with_stats(bigger, 5)[0]
+    a = quotient_series(base, 5)
+    b = quotient_series(bigger, 5)
     assert all(x >= y for x, y in zip(a.coeffs, b.coeffs))
 
 
 def test_replay_determinism():
-    a = quotient_series_with_stats(FormFamily.random(3, 3, 4, seed=21), 6)[0]
-    b = quotient_series_with_stats(FormFamily.random(3, 3, 4, seed=21), 6)[0]
+    a = quotient_series(FormFamily.random(3, 3, 4, seed=21), 6)
+    b = quotient_series(FormFamily.random(3, 3, 4, seed=21), 6)
     assert a == b
 
 
 def test_resource_limit():
     fam = FormFamily.random(3, 2, 4, seed=0)
     with pytest.raises(ResourceLimit):
-        quotient_series_with_stats(fam, 3, budget=10)
+        quotient_series(fam, 3, budget=10)
 
 
 def test_budget_counts_the_matrix_left_after_pure_powers():
@@ -438,16 +438,16 @@ def test_budget_counts_the_matrix_left_after_pure_powers():
     degree 5 (315 entries)."""
     quartics = FormFamily.random(3, 4, 2, seed=3).forms
     family = FormFamily(3, tuple(pure_power(3, i, 4) for i in range(3)) + quartics)
-    series, stats = quotient_series_with_stats(family, 10, budget=200)
-    assert (series, stats) == quotient_series_with_stats(family, 10)
+    series = quotient_series(family, 10, budget=200)
+    assert series == quotient_series(family, 10)
     assert series.coeffs == (1, 3, 6, 10, 10, 6, 0, 0, 0, 0, 0)
-    assert max(st.rows * st.cols for st in stats) == 840
+    assert max(np.prod(macaulay_shape(family, e)) for e in range(7)) == 840
     assert max(np.prod(reference_eliminated_shape(family, e)) for e in range(7)) == 120
     with pytest.raises(ResourceLimit, match="^degree-6 Macaulay matrix has 12x10 = 120 "):
-        quotient_series_with_stats(family, 10, budget=119)
+        quotient_series(family, 10, budget=119)
     random_family = FormFamily.random(3, 4, 5, seed=3)
     with pytest.raises(ResourceLimit, match="^degree-5 Macaulay matrix has 15x21 = 315 "):
-        quotient_series_with_stats(random_family, 10, budget=200)
+        quotient_series(random_family, 10, budget=200)
 
 
 def test_forms_reject_prime_above_2_31():
@@ -499,9 +499,8 @@ def reference_eliminated_shape(family, e):
 def reference_quotient_series(family, max_deg, budget=None):
     """Every degree's whole Macaulay matrix eliminated from scratch, in
     degree order, the budget checked on `reference_eliminated_shape`: the
-    slow reference for `quotient_series_with_stats`."""
+    slow reference for `quotient_series`."""
     coeffs = []
-    stats = []
     for e in range(max_deg + 1):
         rows, cols = reference_eliminated_shape(family, e)
         if budget is not None and rows * cols > budget:
@@ -509,14 +508,12 @@ def reference_quotient_series(family, max_deg, budget=None):
                 f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} "
                 f"entries, over budget {budget}", e
             )
-        rows, cols = macaulay_shape(family, e)
-        dim = reference_dimension(family, e)
-        coeffs.append(cols - dim)
-        stats.append(DegreeStat(e, rows, cols, dim))
+        cols = monomial_count(family.n, e)
+        coeffs.append(cols - reference_dimension(family, e))
         if coeffs[-1] == 0:
             coeffs.extend([0] * (max_deg - e))
             break
-    return TruncatedSeries(tuple(coeffs), terminated=coeffs[-1] == 0), stats
+    return TruncatedSeries(tuple(coeffs), terminated=coeffs[-1] == 0)
 
 
 @st.composite
@@ -558,7 +555,7 @@ def test_quotient_series_matches_per_degree_reference(data, family, max_deg):
         e = data.draw(st.integers(0, max_deg))
         rows, cols = reference_eliminated_shape(family, e)
         budget = max(0, rows * cols - data.draw(st.sampled_from((0, 1))))
-    assert _outcome(quotient_series_with_stats, family, max_deg, budget) == _outcome(
+    assert _outcome(quotient_series, family, max_deg, budget) == _outcome(
         reference_quotient_series, family, max_deg, budget
     )
 
@@ -751,7 +748,7 @@ def test_the_pure_power_point_feeds_few_basis_rows_again(monkeypatch):
 
     monkeypatch.setattr(modp.RowReducer, "add_rows", adding)
     monkeypatch.setattr(macaulay, "macaulay_rows", building)
-    series = quotient_series_with_stats(family, spec.trunc)[0]
+    series = quotient_series(family, spec.trunc)
     assert series.coeffs[-1] == 0
     assert (sum(built), sum(fed) - sum(built)) == (256, 40)
 
@@ -768,11 +765,11 @@ def growing_families(family):
 
 def assert_kept_seeds_match_scratch(family, max_deg):
     """Every growing family of family, in order, sharing one KeptBases:
-    the same series and stats as each computed alone."""
+    the same series as each computed alone."""
     kept = KeptBases()
     for grown in growing_families(family):
-        assert (quotient_series_with_stats(grown, max_deg, kept=kept)
-                == quotient_series_with_stats(grown, max_deg))
+        assert (quotient_series(grown, max_deg, kept=kept)
+                == quotient_series(grown, max_deg))
 
 
 @settings(max_examples=150, deadline=None)
@@ -897,8 +894,8 @@ def test_pure_power_complete_intersection_matches_the_sieve(n, a, k):
     monomial ideal's, by the divisibility sieve."""
     family = FormFamily(n, tuple(pure_power(n, i, a, c=i + 7) for i in range(k)))
     max_deg = k * (a - 1) + 1
-    series, stats = quotient_series_with_stats(family, max_deg)
+    series = quotient_series(family, max_deg)
     ideal = MonomialIdeal.from_generators(n, [tuple(a * (j == i) for j in range(n))
                                               for i in range(k)])
     assert series == quotient_hilbert_function(ideal, max_deg)
-    assert (series, stats) == reference_quotient_series(family, max_deg)
+    assert series == reference_quotient_series(family, max_deg)

@@ -11,26 +11,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import genforms
 
 from genforms import macaulay, modp, verifier
 from genforms.macaulay import (
-    DegreeStat,
     FormFamily,
     KeptBases,
     ResourceLimit,
+    macaulay_shape,
     power,
     pure_powers,
-    quotient_series_with_stats,
+    quotient_series,
 )
-from genforms.monomials import MonomialIdeal, quotient_hilbert_function
+from genforms.monomials import MonomialIdeal, monomial_count, quotient_hilbert_function
 from genforms.series import DegreeList, conjectured_series
 from genforms.verifier import (
     NOT_ATTAINED,
     VERIFIED,
     CaseSpec,
     DeductionInapplicable,
+    DegreeStat,
     VerificationRecord,
     certified_ks,
     default_family,
@@ -90,13 +92,15 @@ def test_record_reads_back_and_refuses_ranks_its_series_does_not_imply(monkeypat
     rec = record.to_dict()
     assert VerificationRecord.from_dict(rec, spec) == record
     rec["ranks"][-1][3] -= 1
-    with pytest.raises(ValueError, match="ranks"):
+    with pytest.raises(ValueError, match="stored ranks"):
         VerificationRecord.from_dict(rec, spec)
     at_degenerate_points(monkeypatch)
     bad = verify_case(CaseSpec(3, 2, 1, 6, trials=1))
     rec = bad.to_dict()
-    rec["ranks"][-1][3] -= 1  # a NotAttained record is never deduced from
-    assert VerificationRecord.from_dict(rec, bad.spec).verdict == NOT_ATTAINED
+    assert VerificationRecord.from_dict(rec, bad.spec) == bad
+    rec["ranks"][-1][3] -= 1  # checked for every verdict
+    with pytest.raises(ValueError, match="stored ranks"):
+        VerificationRecord.from_dict(rec, bad.spec)
 
 
 def test_record_read_back_refuses_a_not_attained_record_of_fewer_seeds(monkeypatch):
@@ -118,17 +122,17 @@ def test_record_read_back_refuses_a_record_cut_short_of_the_cases_truncation():
     for key in ("conjectured", "computed", "ranks"):
         rec[key] = rec[key][:4]
     rec["trunc"] = 3
-    with pytest.raises(ValueError, match="conjectured series"):
+    with pytest.raises(ValueError, match="record of 4 coefficients, not 9"):
         VerificationRecord.from_dict(rec, spec)
 
 
 def test_record_read_back_refuses_another_conjectured_series():
     spec = CaseSpec(3, 2, 2, 5)
     rec = verify_case(spec).to_dict()
-    with pytest.raises(ValueError, match="conjectured series"):
+    with pytest.raises(ValueError, match="stored conjectured "):
         VerificationRecord.from_dict(rec, dataclasses.replace(spec, k=6))
     rec["conjectured"][2] += 1
-    with pytest.raises(ValueError, match="conjectured series"):
+    with pytest.raises(ValueError, match="stored conjectured "):
         VerificationRecord.from_dict(rec, spec)
 
 
@@ -170,6 +174,41 @@ def test_record_read_back_refuses_a_record_its_method_rules_out(k, edit, message
     rec.update(edit)
     with pytest.raises(ValueError, match=message):
         VerificationRecord.from_dict(rec, spec)
+
+
+def _corruptions(rec, data):
+    """Copies of rec, each with one stored fact changed: its truncation,
+    one conjectured coefficient or rank entry, or its computed series
+    without its last coefficient."""
+    trunc = dict(rec, trunc=rec["trunc"] + data.draw(st.sampled_from((-1, 1))))
+    conjectured = list(rec["conjectured"])
+    conjectured[data.draw(st.integers(0, len(conjectured) - 1))] += 1
+    ranks = [list(row) for row in rec["ranks"]]
+    ranks[data.draw(st.integers(0, len(ranks) - 1))][data.draw(st.integers(0, 3))] += 1
+    short = dict(rec, computed=rec["computed"][:-1])
+    return trunc, dict(rec, conjectured=conjectured), dict(rec, ranks=ranks), short
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), d=st.integers(1, 2), m=st.integers(1, 2),
+       degenerate=st.booleans())
+def test_record_read_back_refuses_any_stored_fact_its_case_does_not_give(
+    data, n, d, m, degenerate
+):
+    """A record of a small case, at the degenerate point or not, reads
+    back as itself, and is refused with one stored fact changed,
+    whatever its verdict."""
+    k = data.draw(st.integers(1, min(monomial_count(n, d * m), 8)))
+    spec = CaseSpec(n, d, m, k, trials=1)
+    with pytest.MonkeyPatch.context() as patch:
+        if degenerate:
+            at_degenerate_points(patch)
+        record = verify_case(spec)
+    rec = record.to_dict()
+    assert VerificationRecord.from_dict(rec, spec) == record
+    for corrupt in _corruptions(rec, data):
+        with pytest.raises(ValueError, match="stored|coefficients"):
+            VerificationRecord.from_dict(corrupt, spec)
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -231,9 +270,8 @@ def test_old_default_prime_replays_its_records(pinned):
     method = record.pop("method")
     if spec.k == spec.n + 1:
         assert (method, record["seeds_tried"]) == ("theorem", [])
-        series, stats = quotient_series_with_stats(pure_power_family(spec, 0), pinned["trunc"])
+        series = quotient_series(pure_power_family(spec, 0), pinned["trunc"])
         assert list(series.coeffs) == pinned["computed"]
-        assert [[st.e, st.rows, st.cols, st.rank] for st in stats] == pinned["ranks"]
         record["seeds_tried"] = [0]
     else:
         assert method == "random"
@@ -278,7 +316,7 @@ def test_trivial_interval():
     w = verify_interval(r4, r4)
     assert w.k_low == w.k_high == 4
     assert w.deduced == ()
-    assert w.record_low.verdict == VERIFIED
+    assert r4.verdict == VERIFIED
 
 
 def test_interval_small_case():
@@ -298,17 +336,20 @@ def test_interval_rejects_unverified_endpoint(monkeypatch):
 
 
 def test_interval_rejects_unpinned_degree():
+    """k=8 between the (3,2,2) endpoints k=7 and k=14 is pinned by their
+    stats, and not once the degree-4 rank of k=14 is degraded: rule (b)
+    no longer applies there, and k=8's conjectured coefficient at degree
+    4 is positive."""
     low = verify_case(CaseSpec(3, 2, 2, 7))
     high = verify_case(CaseSpec(3, 2, 2, 14))
-    # degrade the degree-4 rank: rule (b) no longer applies there and the
-    # intermediate conjectured coefficients at degree 4 are positive
-    stats = tuple(
-        DegreeStat(s.e, s.rows, s.cols, s.rank - 1) if s.e == 4 else s
-        for s in high.degree_stats
-    )
-    tampered = dataclasses.replace(high, degree_stats=stats)
+    e_surj = low.conjectured.coeffs.index(0)
+    k8 = CaseSpec(3, 2, 2, 8)
+    conjectured = conjectured_series(k8.degree_list, k8.trunc)
+    stats = {s.e: s for s in high.degree_stats}
+    verifier._pin_intermediate(3, 4, 8, conjectured, e_surj, stats)
+    stats[4] = DegreeStat(4, stats[4].rows, stats[4].cols, stats[4].rank - 1)
     with pytest.raises(DeductionInapplicable) as err:
-        verify_interval(low, tampered)
+        verifier._pin_intermediate(3, 4, 8, conjectured, e_surj, stats)
     assert err.value.degree == 4
 
 
@@ -617,8 +658,11 @@ def test_verify_case_certifies_at_the_pure_power_point():
     record = verify_case(spec)
     assert record.verdict == VERIFIED and record.seeds_tried == (5,)
     assert record.method == "pure-power"
-    series, stats = quotient_series_with_stats(pure_power_family(spec, 5), record.trunc)
-    assert record.computed == series and record.degree_stats == tuple(stats)
+    family = pure_power_family(spec, 5)
+    assert record.computed == quotient_series(family, record.trunc)
+    for st in record.degree_stats:
+        assert (st.rows, st.cols) == macaulay_shape(family, st.e)
+        assert st.rank == st.cols - record.computed.coeffs[st.e]
     assert VerificationRecord.from_dict(record.to_dict(), spec) == record
 
 
@@ -724,7 +768,7 @@ modp.RowReducer = reducer
 real = macaulay.ideal_dimension_at_degree
 macaulay.ideal_dimension_at_degree = lambda fam, e, *_: real(fam, e) + 100
 try:
-    macaulay.quotient_series_with_stats(family, 4)
+    macaulay.quotient_series(family, 4)
     failures.append("first-order bound")
 except SoundnessError:
     pass
