@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache, partial
 
 from . import __version__, modp
@@ -116,6 +116,12 @@ class CaseSpec:
         """The truncation degree of the case, `case_truncation`."""
         return case_truncation(self.n, self.effective_degree, self.k)
 
+    @cached_property
+    def conjectured(self) -> TruncatedSeries:
+        """The conjectured series of the case through its truncation,
+        expanded once per spec: `verify_case` and its record share it."""
+        return conjectured_series(self.degree_list, self.trunc)
+
 
 @dataclass(frozen=True)
 class DegreeStat:
@@ -132,9 +138,8 @@ class VerificationRecord:
     """What `verify_case` found for spec: the series computed at the last
     point tried, the verdict, the seeds tried, the time and how it was
     reached. The rest of a record is derived, never stored: its
-    truncation is spec's, its conjectured series that of spec's degrees
-    through it, and its per-degree ranks those its computed series
-    implies (`_implied_stats`)."""
+    truncation and conjectured series are spec's, and its per-degree
+    ranks those its computed series implies (`_implied_stats`)."""
 
     spec: CaseSpec
     computed: TruncatedSeries
@@ -148,11 +153,11 @@ class VerificationRecord:
     def trunc(self) -> int:
         return self.spec.trunc
 
-    @cached_property
-    def conjectured(self) -> TruncatedSeries:
-        return conjectured_series(self.spec.degree_list, self.trunc)
-
     @property
+    def conjectured(self) -> TruncatedSeries:
+        return self.spec.conjectured
+
+    @cached_property
     def degree_stats(self) -> tuple[DegreeStat, ...]:
         return _implied_stats(self.spec, self.computed.coeffs)
 
@@ -290,7 +295,7 @@ def case_truncation(n: int, md: int, k: int) -> int:
     return default_truncation(DegreeList(n, (md,) * k))
 
 
-def _at_pure_powers(spec, trunc, conjectured, budget, kept, draws):
+def _at_pure_powers(spec, budget, kept, draws):
     """The series at `pure_power_family(spec, spec.seed, draws())` if it
     is the conjectured one, else None. draws is called only for k > n,
     the one case in which the point has random forms.
@@ -308,12 +313,12 @@ def _at_pure_powers(spec, trunc, conjectured, budget, kept, draws):
     family = pure_power_family(spec, spec.seed, draws() if spec.k > spec.n else None)
     kept = kept if spec.k >= spec.n else None
     try:
-        computed = quotient_series(family, trunc, budget, kept)
+        computed = quotient_series(family, spec.trunc, budget, kept)
     except ResourceLimit as exc:
-        if 0 not in conjectured.coeffs[: exc.degree]:
+        if 0 not in spec.conjectured.coeffs[: exc.degree]:
             raise
         return None
-    if lex_compare(computed, conjectured) is not Ordering.EQUAL:
+    if lex_compare(computed, spec.conjectured) is not Ordering.EQUAL:
         return None
     return computed
 
@@ -364,17 +369,14 @@ def verify_case(
     or without them. Called alone, verify_case keeps nothing.
     """
     start = time.perf_counter()
-    trunc = spec.trunc
-    conjectured = conjectured_series(spec.degree_list, trunc)
+    trunc, conjectured = spec.trunc, spec.conjectured
 
     if draws is None:
         draws = cache(partial(powered_draws, spec, spec.seed))
     if spec.k == spec.n + 1:
         computed = conjectured
         seeds, verdict, method = [], VERIFIED, "theorem"
-    elif (
-        computed := _at_pure_powers(spec, trunc, conjectured, budget, kept, draws)
-    ) is not None:
+    elif (computed := _at_pure_powers(spec, budget, kept, draws)) is not None:
         seeds, verdict, method = [spec.seed], VERIFIED, "pure-power"
     else:
         seeds, verdict, method = [], NOT_ATTAINED, "random"
@@ -476,9 +478,7 @@ def verify_interval(
 
     deduced = []
     for k in range(k_low + 1, k_high):
-        trunc_k = case_truncation(n, md, k)
-        conjectured_k = conjectured_series(DegreeList(n, (md,) * k), trunc_k)
-        _pin_intermediate(n, md, k, conjectured_k, e_surj, high_stats)
+        _pin_intermediate(n, md, k, replace(low, k=k).conjectured, e_surj, high_stats)
         deduced.append(k)
 
     return IntervalWitness(k_low, k_high, e_surj, e_ind, tuple(deduced))
