@@ -40,6 +40,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache, partial
+from typing import NamedTuple
 
 from . import __version__, modp
 from .macaulay import (
@@ -123,8 +124,7 @@ class CaseSpec:
         return conjectured_series(self.degree_list, self.trunc)
 
 
-@dataclass(frozen=True)
-class DegreeStat:
+class DegreeStat(NamedTuple):
     """Matrix size and rank at one degree."""
 
     e: int
@@ -174,7 +174,7 @@ class VerificationRecord:
             "conjectured": list(self.conjectured.coeffs),
             "computed": list(self.computed.coeffs),
             "verdict": self.verdict,
-            "ranks": [[st.e, st.rows, st.cols, st.rank] for st in self.degree_stats],
+            "ranks": [list(st) for st in self.degree_stats],
             "seeds_tried": list(self.seeds_tried),
             "millis": self.millis,
             "version": self.version,
