@@ -471,7 +471,7 @@ def verify_interval(
         )
     high_stats = {st.e: st for st in record_high.degree_stats}
     e_ind = max(
-        (st.e for st in high_stats.values()
+        (st.e for st in record_high.degree_stats
          if st.rank == st.rows and 0 < st.rows <= st.cols),
         default=0,
     )
