@@ -51,11 +51,10 @@ from genforms.macaulay import (
     quotient_series,
 )
 from genforms.monomials import enumerate_monomials, monomial_count
-from genforms.series import conjectured_series
 from genforms.verifier import (
     DEFAULT_BUDGET,
     CaseSpec,
-    case_truncation,
+    case_series,
     certified_ks,
     default_family,
     plan_sweep,
@@ -150,7 +149,7 @@ def _clear_caches():
     """Empty the lru_caches, as in a fresh process."""
     for cached in (macaulay._scatter_table, macaulay._standard, macaulay._standard_exponents,
                    macaulay._xn_shift, macaulay._exponents, macaulay.enumerate_monomials,
-                   case_truncation):
+                   case_series):
         cached.cache_clear()
 
 
@@ -189,8 +188,8 @@ def time_frontier(cases=FRONTIER) -> list:
         _clear_caches()
         spec = CaseSpec(*case, seed=SEED)
         start = time.perf_counter()
-        trunc = spec.trunc
-        conjectured = conjectured_series(spec.degree_list, trunc)
+        conjectured = spec.conjectured
+        trunc = conjectured.trunc
         family = pure_power_family(spec, SEED)
         try:
             series = quotient_series(family, trunc, budget=DEFAULT_BUDGET)

@@ -34,7 +34,6 @@ from .series import (
     DegreeList,
     TruncatedSeries,
     conjectured_series,
-    default_truncation,
     format_series,
 )
 from . import verifier
@@ -103,20 +102,40 @@ def parse_range(text: str) -> tuple[int, int]:
 
 # ---------------------------------------------------------------- cache
 
+_KEY_FIELDS = ("n", "d", "m", "k", "prime", "seed")
+
+
 def _cache_key(case):
     """The key of a record or of a case, given as a dict of its fields:
     the case, (n, d, m, k, prime, seed)."""
-    return tuple(case[f] for f in ("n", "d", "m", "k", "prime", "seed"))
+    return tuple(case[f] for f in _KEY_FIELDS)
 
 
-def load_cache(path):
+def _line_prefix(case) -> bytes:
+    """The first bytes of every line `append_cache` writes for the case,
+    given as a dict of its fields: a record's dict starts with the key
+    fields, in `_cache_key`'s order, e.g.
+    b'{"n": 3, "d": 7, "m": 2, "k": 5, "prime": 1048573, "seed": 0, '."""
+    return json.dumps({f: case[f] for f in _KEY_FIELDS})[:-1].encode() + b", "
+
+
+def load_cache(path, case=None):
     """Records by key, the last line for a key winning. A line that is not
     a record, such as the torn tail of an interrupted append or bytes that
-    are not UTF-8, is skipped: its case is a miss and gets recomputed."""
+    are not UTF-8, is skipped: its case is a miss and gets recomputed.
+
+    Given a case (a dict of its fields, such as `vars(spec)`), only the
+    lines that begin as `append_cache` writes that case's key
+    (`_line_prefix`) are parsed, so `verify` parses its own lines and no
+    other. A line of the case serialized some other way, with its keys
+    in another order or other spacing, is then a miss too."""
+    prefix = b"" if case is None else _line_prefix(case)
     cache = {}
     if path and os.path.exists(path):
         with open(path, "rb") as fh:
             for line in fh:
+                if not line.startswith(prefix):
+                    continue
                 try:
                     rec = json.loads(line)
                     cache[_cache_key(rec)] = rec
@@ -169,9 +188,7 @@ def cmd_series(args, cfg):
     else:
         print("error: provide --deg or both --d and --k", file=sys.stderr)
         return EXIT_ERROR
-    spec = DegreeList(args.n, degrees)
-    trunc = args.trunc if args.trunc is not None else default_truncation(spec)
-    series = conjectured_series(spec, trunc)
+    series = conjectured_series(DegreeList(args.n, degrees), args.trunc)
     print(format_series(series))
     print(json.dumps(list(series.coeffs)))
     return EXIT_OK
@@ -188,7 +205,7 @@ def cmd_verify(args, cfg):
         raise ValueError(
             f"--trunc {args.trunc} is not the truncation {spec.trunc} of this case"
         )
-    hit = _cache_hit(load_cache(cfg.cache_path), spec)
+    hit = _cache_hit(load_cache(cfg.cache_path, vars(spec)), spec)
     modp.reset_telemetry()
     if hit is not None:
         out = hit.to_dict()
@@ -296,8 +313,7 @@ def cmd_search(args, cfg):
         # a complete intersection, whose first syzygies are in degree 2d:
         # the series already differ. Pairwise coprime monomials are a
         # regular sequence, so they match the target in every degree.
-        spec = DegreeList(args.n, (args.d,) * args.k)
-        target = conjectured_series(spec, default_truncation(spec))
+        target = conjectured_series(DegreeList(args.n, (args.d,) * args.k))
     ideal = exhaustive_monomial_search(
         args.n, args.d, args.k, target,
         budget=args.search_budget, prune=not args.unpruned,

@@ -478,6 +478,11 @@ class KeptBases:
         """Keep basis for degree e in place of the one kept before."""
         self.bases[e] = (others, bounds, basis)
 
+    def drop_from(self, e: int) -> None:
+        """Drop the bases of degree e and above."""
+        for degree in [d for d in self.bases if d >= e]:
+            del self.bases[degree]
+
 
 def macaulay_shape(family: FormFamily, e: int) -> tuple[int, int]:
     """(rows, cols) of the degree-e Macaulay matrix, without building it."""

@@ -40,7 +40,7 @@ class DegreeList:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one variable")
-        if any(d < 1 for d in self.degrees):
+        if min(self.degrees, default=1) < 1:
             raise ValueError("generator degrees must be positive")
         object.__setattr__(self, "degrees", tuple(self.degrees))
 
@@ -100,15 +100,6 @@ class Ordering(enum.Enum):
     GREATER = 1
 
 
-def _inverse_power_coeffs(n: int, trunc: int) -> list[int]:
-    """Coefficients of 1/(1-t)^n, i.e. C(n+e-1, e), by the multiplicative
-    recurrence c_{e+1} = c_e * (n+e) // (e+1)."""
-    coeffs = [1]
-    for e in range(trunc):
-        coeffs.append(coeffs[-1] * (n + e) // (e + 1))
-    return coeffs
-
-
 def _numerator_terms(degrees, trunc: int) -> list[tuple[int, int]]:
     """(i, a_i) for the nonzero coefficients a_i, i <= trunc, of
     prod(1 - t^d) over degrees, in increasing i: one binomial expansion
@@ -131,10 +122,15 @@ def _numerator_terms(degrees, trunc: int) -> list[tuple[int, int]]:
 
 def _expansion(spec: DegreeList, trunc: int):
     """Taylor coefficients 0..trunc of prod(1 - t^d_i) / (1 - t)^n, one
-    at a time, each the numerator's terms against C(n - 1 + e - i, e - i)."""
+    at a time, each the numerator's terms against the coefficients
+    C(n - 1 + j, j) of 1/(1 - t)^n, j = e - i. Those are built only as
+    far as the coefficients taken, by the recurrence
+    c_j = c_{j-1} * (n - 1 + j) // j."""
     numerator = _numerator_terms(spec.degrees, trunc)
-    inverse = _inverse_power_coeffs(spec.n, trunc)
+    inverse = [1]
     for e in range(trunc + 1):
+        if e:
+            inverse.append(inverse[-1] * (spec.n - 1 + e) // e)
         yield sum(a * inverse[e - i] for i, a in numerator if i <= e)
 
 
@@ -164,9 +160,19 @@ def ceiling(series: SignedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out), terminated=not alive)
 
 
-def conjectured_series(spec: DegreeList, trunc: int) -> TruncatedSeries:
+def conjectured_series(spec: DegreeList, trunc: int | None = None) -> TruncatedSeries:
     """ceiling(prod(1 - t^d_i) / (1 - t)^n): the conjectured Hilbert series
-    of a quotient by generic forms with the given degrees."""
+    of a quotient by generic forms with the given degrees, through degree
+    trunc, or with trunc None through `default_truncation(spec)`, found in
+    the same pass. For k > n that pass is `_positive_prefix`: it stops at
+    the first nonpositive coefficient, and the series is the positive
+    coefficients before it and two zeros, at that degree and one past
+    it. For k <= n the truncation is known up front and the series is
+    expanded through it."""
+    if trunc is None:
+        if spec.k > spec.n:
+            return TruncatedSeries((*_positive_prefix(spec), 0, 0), terminated=True)
+        trunc = default_truncation(spec)
     return ceiling(expand_rational(spec, trunc))
 
 
@@ -193,10 +199,9 @@ def default_truncation(spec: DegreeList) -> int:
     always is one, at degree at most sum(d_i) - n: the series is the
     polynomial (1 - t)^(k-n) * prod(1 + t + ... + t^(d_i - 1)) of that
     degree, which vanishes at t = 1, so its coefficients are not all
-    positive. The coefficients are expanded one at a time, and no
-    further than that first nonpositive one, through degree DEFAULT_CAP,
-    then 2 DEFAULT_CAP, 4 DEFAULT_CAP, ... until a window holds it; a
-    series that has it by degree DEFAULT_CAP is expanded once.
+    positive. It is found by `_positive_prefix`, which expands no
+    further than that first nonpositive coefficient; `conjectured_series`
+    with no trunc takes the series from the same pass.
 
     For k <= n (a complete intersection) the series is
     prod(1 + t + ... + t^(d_i - 1)) / (1 - t)^(n-k): positive through
@@ -206,11 +211,23 @@ def default_truncation(spec: DegreeList) -> int:
     """
     if spec.k <= spec.n:
         return min(DEFAULT_CAP, sum(spec.degrees) - spec.k + 1)
+    return len(_positive_prefix(spec)) + 1
+
+
+def _positive_prefix(spec: DegreeList) -> list[int]:
+    """The coefficients of prod(1 - t^d_i) / (1 - t)^n before its first
+    nonpositive one, which exists for k > n (`default_truncation`). They
+    are expanded one at a time through degree DEFAULT_CAP, then
+    2 DEFAULT_CAP, 4 DEFAULT_CAP, ... until a window holds that
+    coefficient; a series that has it by degree DEFAULT_CAP is expanded
+    once."""
     window = DEFAULT_CAP
     while True:
-        for e, a in enumerate(_expansion(spec, window)):
+        prefix = []
+        for a in _expansion(spec, window):
             if a <= 0:
-                return e + 1
+                return prefix
+            prefix.append(a)
         window *= 2
 
 

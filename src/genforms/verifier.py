@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 from typing import NamedTuple
 
@@ -53,12 +53,14 @@ from .macaulay import (
     quotient_series,
 )
 from .monomials import monomial_count
+# perfbench/tracing.py wraps conjectured_series, default_truncation and
+# lex_compare where this module looks them up, so all three stay imported
 from .series import (
     DegreeList,
     Ordering,
     TruncatedSeries,
     conjectured_series,
-    default_truncation,
+    default_truncation,  # noqa: F401
     lex_compare,
 )
 
@@ -67,6 +69,7 @@ DEFAULT_BUDGET = 40_000_000
 
 VERIFIED = "Verified"
 NOT_ATTAINED = "NotAttained"
+METHODS = ("theorem", "pure-power", "random")
 
 
 class DeductionInapplicable(RuntimeError):
@@ -76,12 +79,24 @@ class DeductionInapplicable(RuntimeError):
         self.degree = degree
 
 
+@lru_cache(maxsize=None)
+def case_series(n: int, md: int, k: int) -> TruncatedSeries:
+    """The conjectured series of k forms of degree md in n variables
+    through its truncation, `default_truncation`, both from one
+    expansion (`conjectured_series` with no trunc), memoized: a process
+    asks for it per planned k, per case, per deduced k and per record
+    read back, and expands it once. The series are immutable, so every
+    caller may share one."""
+    return conjectured_series(DegreeList(n, (md,) * k))
+
+
 @dataclass(frozen=True)
 class CaseSpec:
     """One case (n, d, m, k): k m-th powers of degree-d forms in n
     variables, drawn from seed mod prime, with up to `trials` random
-    points. Its truncation `trunc` is no field: it follows from the
-    degree list alone."""
+    points. Its conjectured series `conjectured` and its truncation
+    `trunc` are no fields: they follow from (n, md, k) alone, and both
+    are read from `case_series`, which expands them once per process."""
 
     n: int
     d: int
@@ -109,19 +124,12 @@ class CaseSpec:
         return self.m * self.d
 
     @property
-    def degree_list(self) -> DegreeList:
-        return DegreeList(self.n, (self.effective_degree,) * self.k)
+    def trunc(self) -> int:
+        return self.conjectured.trunc
 
     @property
-    def trunc(self) -> int:
-        """The truncation degree of the case, `case_truncation`."""
-        return case_truncation(self.n, self.effective_degree, self.k)
-
-    @cached_property
     def conjectured(self) -> TruncatedSeries:
-        """The conjectured series of the case through its truncation,
-        expanded once per spec: `verify_case` and its record share it."""
-        return conjectured_series(self.degree_list, self.trunc)
+        return case_series(self.n, self.effective_degree, self.k)
 
 
 class DegreeStat(NamedTuple):
@@ -188,42 +196,63 @@ class VerificationRecord:
         """The record `to_dict` wrote for spec, read back: the one check
         of a stored record, the same for every verdict. Its computed
         series must run through spec's truncation, and the record rebuilt
-        from spec and that series must write the same trunc, conjectured,
-        computed and ranks. A Verified record must have computed the
-        conjectured series; a NotAttained record must have tried at least
-        spec.trials seeds. A "theorem" record must be a Verified record
-        of k = n+1 with no seed tried. A record with no method, written
-        before records had one, is read as any other. ValueError for any
-        other record."""
+        from spec, that series and as many seeds as it lists, taken
+        consecutively from spec.seed as `verify_case` tries them, must
+        write the same trunc, conjectured, computed, ranks and
+        seeds_tried. Its method must allow its verdict and that many
+        seeds (`_tried_fits`); a record with no method, written before
+        records had one, must fit one of the methods. A Verified record
+        must have computed the conjectured series. A NotAttained record
+        must have computed a series lexicographically above it, as every
+        point that misses does: the computed series is coefficientwise at
+        or above the generic one, which is at or above the conjectured
+        one. ValueError for any other record."""
         coeffs = tuple(rec["computed"])
         if len(coeffs) != spec.trunc + 1:
             raise ValueError(f"record of {len(coeffs)} coefficients, not {spec.trunc + 1}")
+        seeds = range(spec.seed, spec.seed + len(rec["seeds_tried"]))
         record = cls(
             spec, TruncatedSeries(coeffs, terminated=coeffs[-1] == 0), rec["verdict"],
-            tuple(rec["seeds_tried"]), rec["millis"], rec["version"], rec.get("method"),
+            tuple(seeds), rec["millis"], rec["version"], rec.get("method"),
         )
         derived = record.to_dict()
-        for key in ("trunc", "conjectured", "computed", "ranks"):
+        for key in ("trunc", "conjectured", "computed", "ranks", "seeds_tried"):
             if rec[key] != derived[key]:
                 raise ValueError(f"record with a stored {key} other than the derived one")
-        if record.method not in (None, "theorem", "pure-power", "random"):
+        if record.method not in (None, *METHODS):
             raise ValueError(f"record of unknown method {record.method!r}")
-        if record.method == "theorem" and (
-            spec.k != spec.n + 1 or record.seeds_tried or record.verdict != VERIFIED
-        ):
+        if record.verdict not in (VERIFIED, NOT_ATTAINED):
+            raise ValueError(f"{record.verdict} record of no known verdict")
+        methods = METHODS if record.method is None else (record.method,)
+        if not any(_tried_fits(spec, method, record.verdict, len(seeds)) for method in methods):
+            if record.method == "theorem":
+                raise ValueError(
+                    f"{record.verdict} theorem record of k={spec.k} (n+1 = {spec.n + 1}) "
+                    f"after {len(seeds)} seeds"
+                )
             raise ValueError(
-                f"{record.verdict} theorem record of k={spec.k} (n+1 = {spec.n + 1}) "
-                f"after {len(record.seeds_tried)} seeds"
+                f"{record.verdict} record of method {record.method} after {len(seeds)} of "
+                f"{spec.trials} seeds"
             )
         if record.verdict == VERIFIED:
             if record.computed.coeffs != record.conjectured.coeffs:
                 raise ValueError("Verified record that computed another series")
-        elif record.verdict != NOT_ATTAINED or len(record.seeds_tried) < spec.trials:
-            raise ValueError(
-                f"{record.verdict} record after {len(record.seeds_tried)} of "
-                f"{spec.trials} seeds"
-            )
+        elif lex_compare(record.computed, record.conjectured) is not Ordering.GREATER:
+            raise ValueError("NotAttained record of a series not above the conjectured one")
         return record
+
+
+def _tried_fits(spec: CaseSpec, method: str, verdict: str, tried: int) -> bool:
+    """Whether a record of spec reached by method may have this verdict
+    after trying this many seeds, as `verify_case` tries them: "theorem"
+    none, for a Verified record of k = n+1; "pure-power" one, for a
+    Verified record; "random" exactly spec.trials for a NotAttained
+    record, and 1 to spec.trials for a Verified one."""
+    if method == "theorem":
+        return verdict == VERIFIED and spec.k == spec.n + 1 and tried == 0
+    if method == "pure-power":
+        return verdict == VERIFIED and tried == 1
+    return tried == spec.trials if verdict == NOT_ATTAINED else 1 <= tried <= spec.trials
 
 
 def _rows(n, md, k, e) -> int:
@@ -285,14 +314,6 @@ def pure_power_family(spec: CaseSpec, seed: int, draws=None) -> FormFamily:
             draws = powered_draws(spec, seed)
         forms += draws[pure : spec.k]
     return FormFamily(n, forms, spec.prime, seed)
-
-
-@lru_cache(maxsize=None)
-def case_truncation(n: int, md: int, k: int) -> int:
-    """`default_truncation` of k forms of degree md in n variables,
-    memoized: a sweep asks for it per k while planning, per case and per
-    deduced k."""
-    return default_truncation(DegreeList(n, (md,) * k))
 
 
 def _at_pure_powers(spec, budget, kept, draws):
@@ -478,7 +499,7 @@ def verify_interval(
 
     deduced = []
     for k in range(k_low + 1, k_high):
-        _pin_intermediate(n, md, k, replace(low, k=k).conjectured, e_surj, high_stats)
+        _pin_intermediate(n, md, k, case_series(n, md, k), e_surj, high_stats)
         deduced.append(k)
 
     return IntervalWitness(k_low, k_high, e_surj, e_ind, tuple(deduced))
@@ -527,7 +548,7 @@ def plan_sweep(
     intervals = []
     runs = []  # (termination degree, lo, hi)
     for k in range(max(k_lo, n + 1), k_hi + 1):
-        term = case_truncation(n, md, k) - 1
+        term = case_series(n, md, k).trunc - 1
         if runs and runs[-1][0] == term:
             runs[-1] = (term, runs[-1][1], k)
         else:
@@ -562,8 +583,9 @@ def run_sweep(
     theirs and seeds their elimination. k = n+1, settled by theorem, is
     an endpoint like any other but keeps no bases: k = n+2 takes those of
     k = n, if the sweep ran it. The draws and the bases live only in this
-    call, the bases one per degree. Records and skipped cases are returned in plan order,
-    as if each case had run alone.
+    call, the bases one per degree, and before each case those of its
+    truncation and above are dropped. Records and skipped cases are
+    returned in plan order, as if each case had run alone.
 
     Returns (records, witnesses, failures, skipped). A case that raises
     ResourceLimit (a matrix over the budget) has no record and is skipped
@@ -578,6 +600,10 @@ def run_sweep(
     draws = cache(partial(powered_draws, todo[-1], todo[-1].seed)) if todo else None
     kept = KeptBases()
     for spec in todo:
+        # a point that attains stops at degree trunc - 1, and the
+        # truncation does not grow with k, so only a missed point could
+        # use a basis of degree trunc or above
+        kept.drop_from(spec.trunc)
         try:
             found[spec.k] = verify_case(spec, budget, kept=kept, draws=draws)
         except ResourceLimit as exc:

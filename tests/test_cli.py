@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from genforms import cli, modp
+from genforms import cli, modp, verifier
 from genforms.cli import (
     EXIT_ERROR,
     EXIT_NOT_ATTAINED,
@@ -160,14 +160,21 @@ RANKS_13200 = [[0, 0, 1, 0], [1, 0, 3, 0], [2, 5, 6, 4], [3, 15, 10, 10]]
         {"verdict": "NotAttained", "computed": [1, 3, 2], "ranks": RANKS_13200[:3]},
         {"verdict": "NotAttained", "computed": [1, 3, 2, 0, 0], "ranks": [[0, 0, 1, 0]]},
         {"trunc": 2},
+        {"verdict": "NotAttained"},
+        {"verdict": "NotAttained", "computed": [1, 3, 2, 0, 0], "ranks": RANKS_13200,
+         "seeds_tried": ["a", "b", "c"]},
     ],
-    ids=["computed-cut-short", "ranks-of-another-series", "stale-trunc"],
+    ids=["computed-cut-short", "ranks-of-another-series", "stale-trunc",
+         "not-attained-that-attained", "seeds-not-tried"],
 )
 def test_line_the_read_back_refuses_is_recomputed(tmp_path, capsys, edit):
-    """Three lines for (3,2,1) k=5, a Verified case of truncation 4, that
-    the read-back refuses whatever their verdict: each is recomputed."""
+    """Lines for (3,2,1) k=5, a Verified case of truncation 4, that the
+    read-back refuses whatever their verdict, each recomputed: one whose
+    computed series is cut short, or has another series' ranks, or a
+    stale trunc; a NotAttained one that computed the conjectured series,
+    which a point that misses never does; one of seeds it never tried."""
     cache, rec = cached_record(tmp_path, capsys, VERIFY_352)
-    rec.update(seeds_tried=[0, 1, 2], method="random", **edit)
+    rec.update({"seeds_tried": [0, 1, 2], "method": "random", **edit})
     cache.write_text(json.dumps(rec) + "\n")
     code, out, _ = run(capsys, "--cache", str(cache), *VERIFY_352)
     assert code == EXIT_OK
@@ -227,6 +234,89 @@ def test_short_not_attained_hit_is_recomputed(tmp_path, capsys):
     assert code == EXIT_OK
     out = json.loads(out)
     assert out["cached"] is False and out["verdict"] == "Verified"
+
+
+def counted_json_loads(monkeypatch):
+    """Every json.loads call's argument, in order, while the test runs."""
+    parsed, real = [], json.loads
+
+    def loads(text, *args, **kwargs):
+        parsed.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", loads)
+    return parsed
+
+
+def test_verify_parses_only_the_lines_of_its_own_case(tmp_path, capsys, monkeypatch):
+    """Among 2000 lines of other cases, each another seed of the same
+    (n, d, m, k), `verify` parses the one line of its own case."""
+    cache, rec = cached_record(tmp_path, capsys, VERIFY_352)
+    others = "".join(json.dumps(dict(rec, seed=s)) + "\n" for s in range(1, 2001))
+    cache.write_text(others + json.dumps(rec) + "\n")
+    parsed = counted_json_loads(monkeypatch)
+    code, out, _ = run(capsys, "--cache", str(cache), *VERIFY_352)
+    monkeypatch.undo()
+    assert code == EXIT_OK and json.loads(out)["cached"] is True
+    assert parsed == [(json.dumps(rec) + "\n").encode()]
+
+
+def test_verify_serves_the_last_line_of_its_case_that_parses(tmp_path, capsys):
+    """Of two lines of the case the later wins; a torn line or bytes that
+    are not UTF-8 after it, each beginning as a line of the case does,
+    are skipped."""
+    cache, rec = cached_record(tmp_path, capsys, VERIFY_352)
+    prefix = cli._line_prefix(rec)
+    with open(cache, "ab") as fh:
+        fh.write(json.dumps(dict(rec, millis=12345.0)).encode() + b"\n")
+        fh.write(prefix + b'"trunc": 4, "conj\n')
+        fh.write(prefix + b"\xff\xfe\n")
+    code, out, _ = run(capsys, "--cache", str(cache), *VERIFY_352)
+    served = json.loads(out)
+    assert code == EXIT_OK and served["cached"] is True and served["millis"] == 12345.0
+
+
+def test_verify_recomputes_a_line_of_its_case_serialized_another_way(tmp_path, capsys):
+    """A record re-serialized with sorted keys does not begin as
+    `append_cache` writes its case: it is a miss, and the recomputed
+    record is appended as `append_cache` writes it, then served."""
+    cache, rec = cached_record(tmp_path, capsys, VERIFY_352)
+    cache.write_text(json.dumps(rec, sort_keys=True) + "\n")
+    code, out, _ = run(capsys, "--cache", str(cache), *VERIFY_352)
+    assert code == EXIT_OK and json.loads(out)["cached"] is False
+    lines = cache.read_bytes().splitlines()
+    assert len(lines) == 2 and lines[1].startswith(cli._line_prefix(rec))
+    code, out, _ = run(capsys, "--cache", str(cache), *VERIFY_352)
+    assert code == EXIT_OK and json.loads(out)["cached"] is True
+
+
+def test_every_appended_line_begins_with_the_lookup_prefix_of_its_case(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    run(capsys, "--cache", str(cache), *SWEEP_322)
+    run(capsys, "--cache", str(cache), "--seed", "7", *VERIFY_352)
+    lines = cache.read_bytes().splitlines()
+    assert len(lines) > 2
+    for line in lines:
+        assert line.startswith(cli._line_prefix(json.loads(line)))
+
+
+def test_a_sweep_expands_each_conjectured_series_once(monkeypatch, capsys):
+    """`sweep` of (3,7,2) k = 4..120 asks for the series of each k while
+    planning, per direct case, per deduced k and per record written, and
+    expands each once: 117 calls for 117 values of k."""
+    calls, real = [], verifier.conjectured_series
+
+    def counted(spec, trunc=None):
+        calls.append((spec.n, spec.degrees[0], spec.k))
+        return real(spec, trunc)
+
+    verifier.case_series.cache_clear()
+    monkeypatch.setattr(verifier, "conjectured_series", counted)
+    code, _, _ = run(capsys, "sweep", "--n", "3", "--d", "7", "--m", "2", "--k-range", "4..120")
+    monkeypatch.undo()
+    verifier.case_series.cache_clear()
+    assert code == EXIT_OK
+    assert sorted(calls) == [(3, 14, k) for k in range(4, 121)]
 
 
 def test_verify_exit_code_reflects_verdict(capsys):

@@ -19,7 +19,7 @@ from genforms.series import (
     format_series,
     lex_compare,
 )
-from genforms.verifier import TABLE_CELLS, case_truncation
+from genforms.verifier import TABLE_CELLS, case_series
 
 
 def sympy_expansion(n, degrees, trunc):
@@ -117,11 +117,26 @@ def test_expand_rational_matches_one_factor_per_degree(n, runs, trunc, rnd):
 def test_case_truncation_is_one_past_the_first_nonpositive_reference_coefficient(n, d, m):
     md = d * m
     for k in range(1, monomial_count(n, md) + 1):
-        got = case_truncation(n, md, k)
+        got = case_series(n, md, k).trunc
         if k <= n:
             assert got == min(DEFAULT_CAP, k * (md - 1) + 1), k
         else:
             assert_one_past_the_first_nonpositive(n, (md,) * k, got)
+
+
+def test_case_series_is_the_conjectured_series_through_the_default_truncation():
+    """One expansion, memoized per (n, md, k), gives the series that the
+    truncation rule and a second expansion through it give, also past
+    degree 64: (3,2,20) k=4 truncates at 80."""
+    case_series.cache_clear()
+    for n in range(1, 9):
+        for md in range(1, 41):
+            for k in range(1, n + 41):
+                spec = DegreeList(n, (md,) * k)
+                got = case_series(n, md, k)
+                assert got == conjectured_series(spec, default_truncation(spec)), (n, md, k)
+                assert case_series(n, md, k) is got
+    assert case_series(3, 40, 4).trunc == 80
 
 
 def assert_one_past_the_first_nonpositive(n, degrees, trunc):
@@ -143,9 +158,11 @@ def test_default_truncation_above_n_is_one_past_the_first_nonpositive_coefficien
     positive and the one at truncation - 1 is not, which happens by
     degree sum(d_i) - n, the degree of the series as a polynomial."""
     n, degrees = case
-    trunc = default_truncation(DegreeList(n, tuple(degrees)))
+    spec = DegreeList(n, tuple(degrees))
+    trunc = default_truncation(spec)
     assert trunc <= sum(degrees) - n + 1
     assert_one_past_the_first_nonpositive(n, degrees, trunc)
+    assert conjectured_series(spec) == conjectured_series(spec, trunc)
 
 
 @given(n=st.integers(1, 6), trunc=st.integers(0, 20))

@@ -176,17 +176,29 @@ def test_record_read_back_refuses_a_record_its_method_rules_out(k, edit, message
         VerificationRecord.from_dict(rec, spec)
 
 
-def _corruptions(rec, data):
+def _corruptions(rec, spec, data):
     """Copies of rec, each with one stored fact changed: its truncation,
     one conjectured coefficient or rank entry, or its computed series
-    without its last coefficient."""
+    without its last coefficient; its seeds, as ones never tried or one
+    more than its method tries; or a NotAttained verdict for the
+    conjectured series, with the seeds and ranks that verdict implies."""
     trunc = dict(rec, trunc=rec["trunc"] + data.draw(st.sampled_from((-1, 1))))
     conjectured = list(rec["conjectured"])
     conjectured[data.draw(st.integers(0, len(conjectured) - 1))] += 1
     ranks = [list(row) for row in rec["ranks"]]
     ranks[data.draw(st.integers(0, len(ranks) - 1))][data.draw(st.integers(0, 3))] += 1
     short = dict(rec, computed=rec["computed"][:-1])
-    return trunc, dict(rec, conjectured=conjectured), dict(rec, ranks=ranks), short
+    tried = rec["seeds_tried"]
+    seeds = data.draw(st.sampled_from((
+        ["a", "b", "c"][: max(1, len(tried))], tried + [spec.seed + len(tried)]
+    )))
+    attained = dict(
+        rec, verdict=NOT_ATTAINED, method="random", computed=rec["conjectured"],
+        ranks=[list(stat) for stat in verifier._implied_stats(spec, rec["conjectured"])],
+        seeds_tried=list(range(spec.seed, spec.seed + spec.trials)),
+    )
+    return (trunc, dict(rec, conjectured=conjectured), dict(rec, ranks=ranks), short,
+            dict(rec, seeds_tried=seeds), attained)
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,8 +218,8 @@ def test_record_read_back_refuses_any_stored_fact_its_case_does_not_give(
         record = verify_case(spec)
     rec = record.to_dict()
     assert VerificationRecord.from_dict(rec, spec) == record
-    for corrupt in _corruptions(rec, data):
-        with pytest.raises(ValueError, match="stored|coefficients"):
+    for corrupt in _corruptions(rec, spec, data):
+        with pytest.raises(ValueError, match="stored|coefficients|seeds|not above"):
             VerificationRecord.from_dict(corrupt, spec)
 
 
@@ -344,7 +356,7 @@ def test_interval_rejects_unpinned_degree():
     high = verify_case(CaseSpec(3, 2, 2, 14))
     e_surj = low.conjectured.coeffs.index(0)
     k8 = CaseSpec(3, 2, 2, 8)
-    conjectured = conjectured_series(k8.degree_list, k8.trunc)
+    conjectured = k8.conjectured
     stats = {s.e: s for s in high.degree_stats}
     verifier._pin_intermediate(3, 4, 8, conjectured, e_surj, stats)
     stats[4] = DegreeStat(4, stats[4].rows, stats[4].cols, stats[4].rank - 1)
@@ -544,20 +556,31 @@ def test_sweep_records_as_alone_around_a_case_skipped_by_the_budget():
 
 def test_sweep_keeps_every_degree_at_a_small_budget(monkeypatch):
     """At 50000 entries every matrix of (3,7,2) k = 4..120 is eliminated,
-    and the budget caps nothing else: the one store of the sweep keeps
-    every degree a case eliminated, and every record is as alone."""
-    stores, degrees = [], set()
-    real_keep = KeptBases.keep
+    and the budget caps nothing else: the one store of the sweep offers
+    each case no degree at or above its truncation, ends with every
+    degree kept below the truncation of its last case, and every record
+    is as alone."""
+    stores, degrees, offered = [], set(), []
+    real_keep, real_verify = KeptBases.keep, verifier.verify_case
 
     def keep(self, e, *args):
         real_keep(self, e, *args)
         stores.append(self)
         degrees.add(e)
 
+    def verify(spec, budget, kept, draws):
+        offered.append((spec.trunc, set(kept.bases)))
+        return real_verify(spec, budget, kept, draws)
+
     monkeypatch.setattr(KeptBases, "keep", keep)
-    records, _, _, skipped = run_sweep(plan_sweep(3, 7, 2, 4, 120), budget=50_000)
+    monkeypatch.setattr(verifier, "verify_case", verify)
+    plan = plan_sweep(3, 7, 2, 4, 120)
+    records, _, _, skipped = run_sweep(plan, budget=50_000)
     assert skipped == [] and len({id(store) for store in stores}) == 1
-    assert set(stores[0].bases) == degrees
+    assert all(e < trunc for trunc, kept in offered for e in kept)
+    assert any(kept for _, kept in offered)
+    last = max(plan.cases, key=lambda spec: spec.k)
+    assert set(stores[0].bases) == {e for e in degrees if e < last.trunc} != set()
     monkeypatch.undo()
     assert_each_record_as_alone(records, budget=50_000)
 
@@ -696,7 +719,7 @@ def test_no_random_family_is_built_after_a_limit_no_later_than_the_first_zero(mo
     ResourceLimit is raised with no random draw, and the trial's own
     limit (degree 4, 14x15) is never reached."""
     spec = CaseSpec(3, 2, 2, 14)
-    conjectured = conjectured_series(spec.degree_list, spec.trunc)
+    conjectured = spec.conjectured
     assert conjectured.coeffs.index(0) == 5
 
     def refuse(spec, seed):
