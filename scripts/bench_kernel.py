@@ -20,30 +20,38 @@ against its count of cases and intervals. The sweep field times one
 cold `plan_sweep` and `run_sweep` of the whole k range of three cells
 (caches cleared first), each checked against its count of direct cases
 and intervals, with every k covered and none skipped. The frontier field
-times one cold elimination (caches cleared first) of each of six large
-k = n+1 cases at its pure-power point: the truncation, the conjectured
-series, the draws and their powering, and `quotient_series`, which is
-what `verify_case` ran on them before it settled k = n+1 by theorem.
+times one cold elimination (caches cleared first) of each of five
+k = n+2 cases, each cell's costliest, at its pure-power point: the
+truncation, the conjectured series, the draws and their powering, and
+`quotient_series`, the first point `verify_case` tries on them. The
+hits field times the cache layer: the median of in-process cached
+`genforms --cache F verify` calls of each of the five `ci-deep` cases
+of perfbench, after one call that computes it (`cli.main`, which builds
+its parser on the first call of the process).
 The script prints one JSON line with the timings and the numpy version,
 the BLAS library and the core count. It exits 1 with an `error:` line
 if a shape, a rank, the checksum, a plan's counts or a sweep's
-coverage are off, or if a frontier case's series is not the
-conjectured one (also when its matrix is over the default budget).
+coverage are off, if a frontier case's series is not the
+conjectured one (also when its matrix is over the default budget), or
+if a timed cached call is not served from the cache.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_kernel.py
 """
 
 import hashlib
+import io
 import json
 import os
 import statistics
 import sys
+import tempfile
 import time
+from contextlib import redirect_stdout
 
 import numpy as np
 
-from genforms import macaulay
+from genforms import cli, macaulay
 from genforms.macaulay import (
     ResourceLimit,
     ideal_dimension_at_degree,
@@ -89,7 +97,9 @@ TABLES = (
     (5, 4, 4, False, (4,) * 5), *((5, 4, e, True, (4,) * 5) for e in range(5, 11)),
 )
 # (n, d, m, k) of the frontier cases, each eliminated cold at its pure-power point
-FRONTIER = ((4, 3, 3, 5), (4, 2, 5, 5), (5, 2, 3, 6), (6, 2, 2, 7), (7, 2, 2, 8), (5, 2, 4, 6))
+FRONTIER = ((4, 2, 8, 6), (7, 2, 2, 9), (5, 2, 4, 7), (6, 2, 3, 8), (5, 3, 3, 7))
+# (n, d, m, k) of perfbench's ci-deep cases, each computed once, then timed as cache hits
+HITS = ((4, 2, 2, 5), (4, 2, 3, 5), (4, 3, 2, 5), (5, 2, 2, 6), (4, 2, 4, 5))
 # (n, d, m, top k, cases, intervals) of each planned cell: k = 1..top k
 PLANS = ((4, 2, 8, 969, 33, 11), (5, 3, 3, 715, 29, 9), (6, 2, 3, 462, 26, 8),
          (4, 3, 3, 220, 22, 7))
@@ -202,6 +212,38 @@ def time_frontier(cases=FRONTIER) -> list:
     return results
 
 
+def time_hits(cases=HITS, repeats=REPEATS) -> list:
+    """Median seconds of `repeats` in-process cached `genforms --cache F
+    verify` calls of each case, after one call that computes it. Raises
+    WrongResult unless every timed call prints "cached": true and
+    "rank_calls": 0."""
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = os.path.join(tmp, "cache.jsonl")
+        for case in cases:
+            argv = ["--cache", cache, "verify",
+                    *(f"--{name}={value}" for name, value in zip("ndmk", case))]
+            with redirect_stdout(io.StringIO()):
+                cli.main(argv)
+            times = []
+            for _ in range(repeats):
+                out = io.StringIO()
+                start = time.perf_counter()
+                with redirect_stdout(out):
+                    cli.main(argv)
+                times.append(time.perf_counter() - start)
+                try:
+                    rec = json.loads(out.getvalue())
+                except ValueError:
+                    rec = {}
+                if (rec.get("cached"), rec.get("rank_calls")) != (True, 0):
+                    raise WrongResult(
+                        f"hit {list(case)} not served from the cache: {out.getvalue()!r}"
+                    )
+            results.append({"case": list(case), "median_s": statistics.median(times)})
+    return results
+
+
 def time_power(case=POWERED, repeats=REPEATS) -> float:
     """Median seconds of `repeats` builds of one powered family by
     `default_family` (its tables already built): the draw, the forms and
@@ -294,12 +336,14 @@ def main() -> int:
         plans = time_plans()
         sweeps = time_sweeps()
         frontier = time_frontier()
+        hits = time_hits()
     except WrongResult as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps({"seed": SEED, "repeats": REPEATS, **environment(),
                       "cases": results, "chain": chain, "assembly": assembly,
-                      "plan": plans, "sweep": sweeps, "frontier": frontier}))
+                      "plan": plans, "sweep": sweeps, "frontier": frontier,
+                      "hits": hits}))
     return 0
 
 

@@ -14,6 +14,7 @@ Exit codes: 0 all verdicts Verified, 2 a NotAttained verdict is present,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -364,7 +365,17 @@ def cmd_table(args, cfg):
 
 # --------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process, on the first `main`
+    call, and reused by every later one. Its defaults of --prime,
+    --trials and --matrix-budget are read from `modp.DEFAULT_PRIME`,
+    `verifier.DEFAULT_TRIALS` and `verifier.DEFAULT_BUDGET` when it is
+    built, so a later change of those names does not reach it. Each
+    subcommand's `func` names its `cmd_*` function; `main` runs this
+    module's binding of that name at call time. So a `cmd_*` replaced
+    before the parser is built must keep its `__name__`, as a
+    `functools.wraps` wrapper does."""
     parser = _Parser(prog="genforms", description=__doc__)
     parser.add_argument("--version", action="version", version=f"genforms {__version__}")
     parser.add_argument("--prime", type=int, default=modp.DEFAULT_PRIME, help="prime modulus")
@@ -433,11 +444,16 @@ def config_from_args(args) -> Config:
 
 
 def main(argv=None) -> int:
+    """Run one command line; returns its exit code. It may be called many
+    times in one process: the parser is built on the first call and
+    reused (`build_parser`), and the command is looked up in this module
+    when it runs, so a `cmd_*` replaced after the first call is the one
+    that runs."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        return args.func(args, cfg)
+        return globals()[args.func.__name__](args, cfg)
     except (
         ResourceLimit, HypothesisFailed, SoundnessError, BudgetExceeded,
         ValueError, OSError,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 # The largest truncation of a complete intersection (k <= n), and the
@@ -30,23 +29,38 @@ class IncomparableTruncation(ValueError):
     """Two series over different ranges with no zero-extension available."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DegreeList:
-    """Generator degrees d_1..d_k in a polynomial ring with n variables."""
+    """Generator degrees d_1..d_k in a polynomial ring with n variables,
+    held as (degree, count) pairs in increasing degree: k generators of
+    one degree are one pair, so neither building the list nor expanding
+    its series walks all k of them."""
 
     n: int
-    degrees: tuple[int, ...]
+    counts: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, degrees=(), counts=()):
+        """The degrees one by one and (degree, count) pairs counts, e.g.
+        `DegreeList(3, (2, 3))`, or `DegreeList(3, counts=[(14, 26)])`
+        for 26 forms of degree 14."""
+        if n < 1:
             raise ValueError("need at least one variable")
-        if min(self.degrees, default=1) < 1:
+        merged = {}
+        for dg in degrees:
+            merged[dg] = merged.get(dg, 0) + 1
+        for dg, count in counts:
+            if count < 0:
+                raise ValueError("generator counts must be nonnegative")
+            if count:
+                merged[dg] = merged.get(dg, 0) + count
+        if min(merged, default=1) < 1:
             raise ValueError("generator degrees must be positive")
-        object.__setattr__(self, "degrees", tuple(self.degrees))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", tuple(sorted(merged.items())))
 
     @property
     def k(self) -> int:
-        return len(self.degrees)
+        return sum(count for _, count in self.counts)
 
 
 @dataclass(frozen=True)
@@ -100,12 +114,13 @@ class Ordering(enum.Enum):
     GREATER = 1
 
 
-def _numerator_terms(degrees, trunc: int) -> list[tuple[int, int]]:
+def _numerator_terms(counts, trunc: int) -> list[tuple[int, int]]:
     """(i, a_i) for the nonzero coefficients a_i, i <= trunc, of
-    prod(1 - t^d) over degrees, in increasing i: one binomial expansion
-    per distinct degree, multiplied into the terms so far."""
+    prod(1 - t^d)^count over the (d, count) pairs of counts, in
+    increasing i: one binomial expansion per distinct degree, multiplied
+    into the terms so far."""
     terms = {0: 1}
-    for dg, count in Counter(degrees).items():
+    for dg, count in counts:
         factor = [
             (j * dg, (-1) ** j * math.comb(count, j))
             for j in range(min(count, trunc // dg) + 1)
@@ -126,7 +141,7 @@ def _expansion(spec: DegreeList, trunc: int):
     C(n - 1 + j, j) of 1/(1 - t)^n, j = e - i. Those are built only as
     far as the coefficients taken, by the recurrence
     c_j = c_{j-1} * (n - 1 + j) // j."""
-    numerator = _numerator_terms(spec.degrees, trunc)
+    numerator = _numerator_terms(spec.counts, trunc)
     inverse = [1]
     for e in range(trunc + 1):
         if e:
@@ -210,7 +225,7 @@ def default_truncation(spec: DegreeList) -> int:
     comes first.
     """
     if spec.k <= spec.n:
-        return min(DEFAULT_CAP, sum(spec.degrees) - spec.k + 1)
+        return min(DEFAULT_CAP, sum((dg - 1) * count for dg, count in spec.counts) + 1)
     return len(_positive_prefix(spec)) + 1
 
 

@@ -85,9 +85,10 @@ def case_series(n: int, md: int, k: int) -> TruncatedSeries:
     through its truncation, `default_truncation`, both from one
     expansion (`conjectured_series` with no trunc), memoized: a process
     asks for it per planned k, per case, per deduced k and per record
-    read back, and expands it once. The series are immutable, so every
-    caller may share one."""
-    return conjectured_series(DegreeList(n, (md,) * k))
+    read back, and expands it once. The k forms are one (md, k) pair of
+    the degree list, so a k costs no O(k) step. The series are immutable,
+    so every caller may share one."""
+    return conjectured_series(DegreeList(n, counts=[(md, k)]))
 
 
 @dataclass(frozen=True)

@@ -307,7 +307,7 @@ def test_a_sweep_expands_each_conjectured_series_once(monkeypatch, capsys):
     calls, real = [], verifier.conjectured_series
 
     def counted(spec, trunc=None):
-        calls.append((spec.n, spec.degrees[0], spec.k))
+        calls.append((spec.n, spec.counts))
         return real(spec, trunc)
 
     verifier.case_series.cache_clear()
@@ -316,7 +316,7 @@ def test_a_sweep_expands_each_conjectured_series_once(monkeypatch, capsys):
     monkeypatch.undo()
     verifier.case_series.cache_clear()
     assert code == EXIT_OK
-    assert sorted(calls) == [(3, 14, k) for k in range(4, 121)]
+    assert sorted(calls) == [(3, ((14, k),)) for k in range(4, 121)]
 
 
 def test_verify_exit_code_reflects_verdict(capsys):
@@ -662,3 +662,80 @@ def test_workers_option_is_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["--workers", "2", "sweep", "--n", "3", "--d", "2", "--k-range", "4..6"])
     assert exc.value.code == EXIT_ERROR
+
+
+# ------------------------------------------- many main calls, one process
+
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    """The parser and its six subcommand parsers are built on the first
+    `main` call after the memo is cleared, and never again."""
+    built, real = [], cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for argv in (VERIFY_342, ("series", "--n", "4", "--deg", "2x5"), VERIFY_342):
+        assert run(capsys, *argv)[0] == EXIT_OK
+    cli.build_parser.cache_clear()
+    assert built == ["genforms", *(f"genforms {command}" for command in (
+        "series", "verify", "sweep", "construct", "search", "table"))]
+
+
+def test_a_trunc_of_one_call_does_not_reach_the_next(capsys):
+    code, _, err = run(capsys, *VERIFY_4227, "--trunc", "3")
+    assert code == EXIT_ERROR and "--trunc 3" in err
+    code, out, err = run(capsys, *VERIFY_4227)
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["trunc"] == 8
+
+
+def test_a_cache_of_one_call_does_not_reach_the_next(tmp_path, capsys, monkeypatch):
+    """A call with no --cache after one with --cache reads and writes no
+    file: its record is computed again, and the directory holds only the
+    first call's cache, unchanged."""
+    cache = tmp_path / "a.jsonl"
+    assert run(capsys, "--cache", str(cache), *VERIFY_342)[0] == EXIT_OK
+    lines = cache.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *VERIFY_342)
+    assert code == EXIT_OK and json.loads(out)["cached"] is False
+    assert [p.name for p in tmp_path.iterdir()] == ["a.jsonl"]
+    assert cache.read_bytes() == lines
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--d", "2", "--k", "4"], EXIT_ERROR),  # missing --n
+    (["--version"], EXIT_OK),
+])
+def test_an_exiting_call_prints_the_same_twice(capsys, argv, code):
+    seen = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == code
+        out = capsys.readouterr()
+        seen.append((out.out, out.err))
+    assert seen[0] == seen[1] and any(seen[0])
+
+
+def test_a_command_replaced_after_the_first_call_is_the_one_that_runs(monkeypatch, capsys):
+    """`main` runs the module's binding of the command at call time, as
+    perfbench's tracer relies on: a spy installed after a first call runs
+    on the next, and the original again once it is put back."""
+    assert run(capsys, *VERIFY_342)[0] == EXIT_OK
+    calls = []
+
+    def spy(args, cfg):
+        calls.append((args.n, args.d, args.k, cfg.seed))
+        return EXIT_NOT_ATTAINED
+
+    monkeypatch.setattr(cli, "cmd_verify", spy)
+    assert run(capsys, "--seed", "5", *VERIFY_342) == (EXIT_NOT_ATTAINED, "", "")
+    assert calls == [(3, 2, 4, 5)]
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *VERIFY_342)
+    assert code == EXIT_OK and json.loads(out)["verdict"] == "Verified"
+    assert len(calls) == 1

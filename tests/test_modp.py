@@ -297,15 +297,15 @@ def test_bench_kernel_script_smoke():
 
 def test_bench_kernel_frontier_reports_a_case_over_budget(monkeypatch):
     """A frontier case is timed by its elimination at the pure-power
-    point, although verify_case settles k = n+1 by theorem. One over the
-    matrix budget (1x12 standard entries of (3,2,2,4) at degree 4, over
-    10) is a missed case, reported as WrongResult (exit 1 with an error
-    line), not a traceback."""
+    point, even a k = n+1 case, which verify_case settles by theorem.
+    One over the matrix budget (1x12 standard entries of (3,2,2,4) at
+    degree 4, over 10) is a missed case, reported as WrongResult (exit 1
+    with an error line), not a traceback."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "bench_kernel.py"
     spec = importlib.util.spec_from_file_location("bench_kernel", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    assert (7, 2, 2, 8) in bench.FRONTIER
+    assert (7, 2, 2, 9) in bench.FRONTIER
     (result,) = bench.time_frontier(((3, 2, 2, 4),))
     assert result["case"] == [3, 2, 2, 4] and result["cold_s"] > 0
     monkeypatch.setattr(bench, "DEFAULT_BUDGET", 10)
@@ -355,3 +355,19 @@ def test_bench_kernel_sweep_smoke():
     assert result["cell"] == [3, 2, 2] and result["cold_s"] > 0
     with pytest.raises(bench.WrongResult, match="9 direct cases, 2 intervals, 15 k covered"):
         bench.time_sweeps(((3, 2, 2, 15, 9, 3),))
+
+
+def test_bench_kernel_hits_smoke(monkeypatch):
+    """The cache-layer timings once: each ci-deep case computed, then
+    timed as a hit; a call the cache does not serve is reported."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_kernel.py"
+    spec = importlib.util.spec_from_file_location("bench_kernel", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.HITS == ((4, 2, 2, 5), (4, 2, 3, 5), (4, 3, 2, 5), (5, 2, 2, 6), (4, 2, 4, 5))
+    results = bench.time_hits(repeats=1)
+    assert [r["case"] for r in results] == [list(case) for case in bench.HITS]
+    assert all(r["median_s"] > 0 for r in results)
+    monkeypatch.setattr(bench.cli, "append_cache", lambda path, record: None)
+    with pytest.raises(bench.WrongResult, match=r"hit \[3, 2, 2, 4\] not served"):
+        bench.time_hits(((3, 2, 2, 4),), repeats=1)

@@ -139,6 +139,28 @@ def test_case_series_is_the_conjectured_series_through_the_default_truncation():
     assert case_series(3, 40, 4).trunc == 80
 
 
+@pytest.mark.parametrize("n, md, top", [(4, 16, 969), (3, 30, 496)])
+def test_case_series_of_every_k_is_the_series_of_its_k_tuple(n, md, top):
+    """(4,2,8) and (3,2,15), every k: the series `case_series` expands
+    from the one pair (md, k) is that of the degree list of k forms."""
+    case_series.cache_clear()
+    for k in range(1, top + 1):
+        assert case_series(n, md, k) == conjectured_series(DegreeList(n, (md,) * k)), k
+
+
+def test_degree_list_holds_one_pair_per_degree():
+    spec = DegreeList(3, counts=[(14, 10**9)])
+    assert spec.counts == ((14, 10**9),) and spec.k == 10**9
+    mixed = DegreeList(3, (3, 2, 3, 2, 2))
+    assert mixed == DegreeList(3, (3,), counts=[(2, 3), (3, 1)])
+    assert mixed.counts == ((2, 3), (3, 2)) and mixed.k == 5
+    assert DegreeList(2, counts=[(5, 0)]) == DegreeList(2, ())
+    for n, degrees, counts in ((0, (), [(2, 1)]), (3, (), [(0, 1)]), (3, (), [(2, -1)]),
+                               (3, (2, 0), ())):
+        with pytest.raises(ValueError):
+            DegreeList(n, degrees, counts)
+
+
 def assert_one_past_the_first_nonpositive(n, degrees, trunc):
     """The reference expansion, through degree trunc - 1 however far that
     is, is positive before trunc - 1 and nonpositive there."""
