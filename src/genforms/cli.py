@@ -76,20 +76,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def parse_degrees(text: str) -> tuple[int, ...]:
+def parse_degrees(text: str) -> tuple[tuple[int, int], ...]:
     """Degree list syntax: comma-separated entries, each "d" or "dxCOUNT",
-    e.g. "2x5" or "2,3" or "14x26". ValueError for a negative COUNT."""
-    degrees = []
+    e.g. "2x5" or "2,3" or "14x26", as (degree, count) pairs in the order
+    given, for `DegreeList(n, counts=...)`: "dxCOUNT" is one pair, however
+    large COUNT is. ValueError for a negative COUNT."""
+    counts = []
     for token in text.split(","):
         token = token.strip()
         if "x" in token:
             d, count = token.split("x")
             if int(count) < 0:
                 raise ValueError(f"negative generator count in {token!r}")
-            degrees.extend([int(d)] * int(count))
+            counts.append((int(d), int(count)))
         else:
-            degrees.append(int(token))
-    return tuple(degrees)
+            counts.append((int(token), 1))
+    return tuple(counts)
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -181,15 +183,15 @@ def _cache_hit(cache, spec):
 
 def cmd_series(args, cfg):
     if args.deg:
-        degrees = parse_degrees(args.deg)
+        counts = parse_degrees(args.deg)
     elif args.d is not None and args.k is not None:
         if args.k < 0:
             raise ValueError(f"negative generator count --k {args.k}")
-        degrees = (args.d * args.m,) * args.k
+        counts = [(args.d * args.m, args.k)]
     else:
         print("error: provide --deg or both --d and --k", file=sys.stderr)
         return EXIT_ERROR
-    series = conjectured_series(DegreeList(args.n, degrees), args.trunc)
+    series = conjectured_series(DegreeList(args.n, (), counts), args.trunc)
     print(format_series(series))
     print(json.dumps(list(series.coeffs)))
     return EXIT_OK
@@ -314,7 +316,7 @@ def cmd_search(args, cfg):
         # a complete intersection, whose first syzygies are in degree 2d:
         # the series already differ. Pairwise coprime monomials are a
         # regular sequence, so they match the target in every degree.
-        target = conjectured_series(DegreeList(args.n, (args.d,) * args.k))
+        target = conjectured_series(DegreeList(args.n, (), [(args.d, args.k)]))
     ideal = exhaustive_monomial_search(
         args.n, args.d, args.k, target,
         budget=args.search_budget, prune=not args.unpruned,

@@ -77,7 +77,7 @@ between them and the case is certified.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain as chained
 
@@ -164,11 +164,17 @@ class FormFamily:
     forms: tuple[ModPPoly, ...]
     prime: int = modp.DEFAULT_PRIME
     seed: int | None = None
+    # (degree, count) pairs of the forms, in increasing degree, counted
+    # once: every Macaulay shape reads these, not the k forms
+    degree_counts: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        counts = {}
         for f in self.forms:
             if f.n != self.n or f.prime != self.prime:
                 raise ValueError("all forms must share n and prime")
+            counts[f.degree] = counts.get(f.degree, 0) + 1
+        object.__setattr__(self, "degree_counts", tuple(sorted(counts.items())))
 
     @property
     def k(self) -> int:
@@ -176,8 +182,11 @@ class FormFamily:
 
     @cached_property
     def pure_powers(self):
-        """`pure_powers` of the family, found once per family."""
-        return pure_powers(self)
+        """`pure_powers` of the family and the (degree, count) pairs of
+        its other forms, which the entry budget reads, found once per
+        family."""
+        least, others = pure_powers(self)
+        return least, others, tuple(sorted(Counter(f.degree for f in others).items()))
 
     @classmethod
     def random(cls, n, d, k, seed, prime=modp.DEFAULT_PRIME):
@@ -207,9 +216,9 @@ def power(f: FormFamily, m: int) -> FormFamily:
     """
     if m < 1:
         raise ValueError("exponent must be >= 1")
-    degrees = {g.degree for g in f.forms}
+    degrees = dict(f.degree_counts)
     if len(degrees) != 1:
-        raise ValueError(f"power needs forms of one degree, got {sorted(degrees)}")
+        raise ValueError(f"power needs forms of one degree, got {list(degrees)}")
     (d,) = degrees
     rows = _power_rows(np.stack([g.coeffs for g in f.forms]), f.n, d, m, f.prime)
     forms = tuple(ModPPoly(f.n, d * m, row, f.prime) for row in rows)
@@ -487,9 +496,9 @@ class KeptBases:
 def macaulay_shape(family: FormFamily, e: int) -> tuple[int, int]:
     """(rows, cols) of the degree-e Macaulay matrix, without building it."""
     rows = sum(
-        monomial_count(family.n, e - f.degree)
-        for f in family.forms
-        if f.degree <= e
+        count * monomial_count(family.n, e - dg)
+        for dg, count in family.degree_counts
+        if dg <= e
     )
     return rows, monomial_count(family.n, e)
 
@@ -544,14 +553,14 @@ def ideal_dimension_at_degree(
     rows_total, total = macaulay_shape(family, e)
     if rows_total == 0:
         return 0
-    least, others = family.pure_powers
+    least, others, other_counts = family.pure_powers
     bounds = _bounds_at(least, e)
     cols = _standard(family.n, e, bounds)[1]
     if budget is not None:
-        degrees = Counter(f.degree for f in others if f.degree <= e)
         rows = sum(
             count * len(_standard_exponents(family.n, e - dg, _bounds_at(least, e - dg)))
-            for dg, count in degrees.items()
+            for dg, count in other_counts
+            if dg <= e
         )
         if rows * cols > budget:
             raise ResourceLimit(

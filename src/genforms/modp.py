@@ -10,19 +10,36 @@ chunk is merged into the basis in three steps:
 2. put the reduced chunk into RREF;
 3. back-reduce F by the chunk's new pivots with a second product.
 
-Step 2 is the same merge, recursively: a block taller than BASE rows is
-split in two, its top part put into RREF, and its bottom part merged into
-the top part by the same two products. Only blocks of at most BASE rows
-reach the Python pivot loop, so the work inside a chunk is BLAS products,
-not pivot steps that grow with the chunk's height, and the basis-wide
+Step 2 is the same merge, recursively: a block taller than its leaf
+height is split in two, its top part put into RREF, and its bottom part
+merged into the top part by the same two products. Only leaves reach the
+Python pivot loop (`_gauss_jordan`): blocks of at most
+max(BASE, LEAF_ENTRIES // width) rows. A narrow block is eliminated
+whole (nearly every block of the small n=3 eliminations, a median of 10
+rows by 117-147 columns, is one leaf), and a wide one, 512 columns or
+more, is split down to BASE rows, so the work inside a wide chunk is
+BLAS products, not pivot steps that grow with its height, and the basis-wide
 products of steps 1 and 3 run once per CHUNK rows. This is the recursive
 echelon of FFLAS-FFPACK (Dumas, Giorgi & Pernet, arXiv:cs/0601133; rank
 profiles as in Jeannerod, Pernet & Storjohann, arXiv:1112.5717).
 
-Every product goes through `matmul_mod`, which multiplies float64 BLAS
-matrices, reducing mod p only once per product (delayed reduction). A
-float64 sum of integers is exact below 2^53, so it uses the fewest
-products whose partial sums stay below that (`_limb_products`):
+Reductions mod p are delayed, as in FFLAS-FFPACK, to where the exact
+integer range would be left:
+
+- a pivot step reduces its own row and the column of factors, and
+  subtracts factor * pivot row, at most (p - 1)^2, from the other rows
+  as they stand. After s steps every entry e has |e| < p + s (p - 1)^2,
+  so the leaf is reduced as a whole only when one more step could leave
+  int64, when (s + 1)(p - 1)^2 + p >= 2^63: never inside a leaf at the
+  default prime (8 388 672 steps fit, a leaf takes at most 64), before
+  every second step from the third on at p = 2^31 - 1. Its pivot rows
+  are reduced once, when it returns;
+- every product goes through `matmul_mod`, which multiplies float64 BLAS
+  matrices and reduces mod p only once per product, after subtracting
+  it from the rows it updates (`subtract_from`).
+
+A float64 sum of integers is exact below 2^53, so `matmul_mod` uses the
+fewest products whose partial sums stay below that (`_limb_products`):
 
 - one product of the operands as they are, when inner (p - 1)^2 < 2^53:
   at the default p = 1048573 (the largest prime below 2^20), every inner
@@ -33,10 +50,13 @@ products whose partial sums stay below that (`_limb_products`):
   131075..2^20 - 1, at p = 2^31 - 1 inner 65..2^20 - 1.
 
 So the result is exact for p < 2^31 and inner dimension below 2^20; the
-kernel rejects larger moduli. Any prime certifies the same way (see
-`macaulay`); a smaller one only makes an unlucky draw, and so a retry,
-likelier. Rank does not depend on the elimination order, so batch,
-blockwise and streamed ranks agree.
+kernel rejects larger moduli. A block is reduced as x -= x // p * p:
+numpy floor-divides int64 by a scalar with a precomputed multiplier,
+faster than x % p on blocks of a thousand entries or more, and the
+result is exact for |x| < 2^63 - p, since (x // p) p lies in (x - p, x].
+Any prime certifies the same way (see `macaulay`); a smaller one only
+makes an unlucky draw, and so a retry, likelier. Rank does not depend on
+the elimination order, so batch, blockwise and streamed ranks agree.
 
 A reducer may start from a seed: a basis in compact RREF over all of its
 columns, taken over as it stands (see `RowReducer`).
@@ -54,8 +74,15 @@ PRIME_BOUND = 2**31
 # Rows per chunk merged into the basis. Each chunk costs one pass over F
 # in two products; inside a chunk the recursion's products are small.
 CHUNK = 128
-# Blocks of at most this many rows go through the Python pivot loop.
+# A leaf, a block that goes through the Python pivot loop whole, has at
+# most BASE rows or at most LEAF_ENTRIES entries: a block of 117-147
+# columns is one leaf up to 27-35 rows, one of 512 columns or more splits
+# down to BASE rows, where products beat pivot steps. A leaf takes at
+# most 64 pivot steps, on a 64 x 64 block.
 BASE = 8
+LEAF_ENTRIES = 4096
+# int64 holds the integers of absolute value below this.
+_INT64_BOUND = 2**63
 # Inner dimensions below this keep every limb product sum below 2^53.
 _MAX_INNER = 2**20
 # Entries per column stripe of a product: float64 temporaries of 512 KB.
@@ -129,7 +156,9 @@ def _limb_products(inner: int, p: int) -> int:
     return 4
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def matmul_mod(
+    a: np.ndarray, b: np.ndarray, p: int, subtract_from: np.ndarray | None = None
+) -> np.ndarray:
     """Exact a @ b mod p for int64 matrices with entries in [0, p).
 
     With as few products as `_limb_products` allows: one float64 BLAS
@@ -139,6 +168,12 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     each limb product is a float64 matmul whose entries stay below 2^53,
     and the result is recombined mod p by Horner's rule in 2^16. Computed
     in column stripes of b so the temporaries stay small.
+
+    subtract_from, an int64 matrix of the product's shape with entries in
+    [0, p), is overwritten with (subtract_from - a @ b) mod p and
+    returned: the unreduced product, below 2^53 or below p 2^16 + 2^53
+    after Horner's rule, is subtracted first, so it costs no second
+    reduction.
     """
     check_modulus(p)
     inner = a.shape[1]
@@ -148,7 +183,13 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(
             f"inner dimension {inner} leaves the exact range (< {_MAX_INNER})"
         )
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    shape = (a.shape[0], b.shape[1])
+    if subtract_from is None:
+        out = np.empty(shape, dtype=np.int64)
+    elif subtract_from.shape == shape:
+        out = subtract_from
+    else:
+        raise ValueError(f"cannot subtract a {shape} product from {subtract_from.shape}")
     products = _limb_products(inner, p)
     ah, al = _limbs(a) if products == 4 else (None, a.astype(np.float64))
     width = max(1, _STRIPE_ENTRIES // max(inner, a.shape[0], 1))
@@ -159,15 +200,18 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         else:
             bh, bl = _limbs(stripe)
             if products == 4:
-                acc = (ah @ bh).astype(np.int64) % p
+                acc = (ah @ bh).astype(np.int64)
+                acc -= acc // p * p
                 acc <<= 16
                 acc += (ah @ bl + al @ bh).astype(np.int64)
             else:
                 acc = (al @ bh).astype(np.int64)
-            acc %= p
+            acc -= acc // p * p
             acc <<= 16
             acc += (al @ bl).astype(np.int64)
-        acc %= p
+        if subtract_from is not None:
+            np.subtract(out[:, j : j + width], acc, out=acc)
+        acc -= acc // p * p
         out[:, j : j + width] = acc
     return out
 
@@ -175,27 +219,51 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def _gauss_jordan(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of m (entries in [0, p)), in place.
 
-    Returns (pivot rows, pivot column of each pivot row). Each pivot row
-    has a 1 in its own pivot column and 0 in the other pivot columns.
-    The base case of `_echelon`, for blocks of at most BASE rows.
+    Returns (pivot rows, pivot column of each pivot row), reduced mod p.
+    Each pivot row has a 1 in its own pivot column and 0 in the other
+    pivot columns. The base case of `_echelon`, for leaves.
+
+    The reduction mod p is delayed. A pivot step reduces only its own
+    row, just before the pivot search, and the column of factors; it
+    subtracts factor * pivot row, at most (p - 1)^2 per entry, from every
+    other row as it stands. After s steps every entry e has
+    |e| < p + s (p - 1)^2, so the whole leaf is reduced only when one
+    more step could leave int64, that is when (s + 1)(p - 1)^2 + p >= 2^63:
+    never at the default prime, before every second step from the third
+    on at p = 2^31 - 1. This is a bound on the arithmetic, checked at
+    every step, not an assert. The pivot rows are reduced once, on
+    return.
     """
+    # the most steps between two reductions: the largest s with
+    # p + s (p - 1)^2 < 2^63, 8 388 672 at the default prime, 2 at 2^31 - 1
+    delayed = (_INT64_BOUND - 1 - p) // (p - 1) ** 2
+    unreduced = 0  # pivot steps since the leaf was last reduced
     pivots = []
     rows = []
     for i in range(m.shape[0]):
-        nz = np.flatnonzero(m[i])
+        row = m[i]
+        row %= p
+        nz = row.nonzero()[0]
         if nz.size == 0:
             continue
         c = int(nz[0])
+        if unreduced >= delayed:
+            m -= m // p * p
+            unreduced = 0
         # m[i] is zero left of c, so only columns c: change
         tail = m[:, c:]
-        tail[i] = tail[i] * pow(int(tail[i, 0]), -1, p) % p
-        factors = tail[:, 0].copy()
+        pivot = tail[i]
+        pivot *= pow(int(pivot[0]), -1, p)
+        pivot %= p
+        factors = tail[:, 0] % p
         factors[i] = 0
-        tail -= factors[:, None] * tail[i]
-        tail %= p
+        tail -= factors[:, None] * pivot
+        unreduced += 1
         pivots.append(c)
         rows.append(i)
-    return m[rows], pivots
+    m = m[rows]
+    m -= m // p * p
+    return m, pivots
 
 
 # A row space in compact RREF over some columns: the pivot columns, the
@@ -206,11 +274,14 @@ Echelon = tuple[np.ndarray, np.ndarray, np.ndarray]
 def _echelon(m: np.ndarray, p: int) -> Echelon:
     """Compact RREF of m (entries in [0, p); its rows are overwritten).
 
-    A block of at most BASE rows goes through `_gauss_jordan`. A taller
-    one is split after a multiple of BASE rows near its middle: the top
-    part is put into RREF, and the bottom part is merged into it.
+    A leaf, a block of at most max(BASE, LEAF_ENTRIES // width) rows,
+    goes through `_gauss_jordan` whole: so a narrow block, such as 32
+    rows of 128 columns or a whole chunk of 32 columns, takes no product
+    at all. A taller one is split after a multiple of BASE rows near its
+    middle: the top part is put into RREF, and the bottom part is merged
+    into it.
     """
-    if m.shape[0] <= BASE:
+    if m.shape[0] <= max(BASE, LEAF_ENTRIES // max(1, m.shape[1])):
         rows, pivots = _gauss_jordan(m, p)
         is_free = np.ones(m.shape[1], dtype=bool)
         is_free[pivots] = False
@@ -233,7 +304,7 @@ def _merge(echelon: Echelon, block: np.ndarray, p: int) -> Echelon:
         return echelon
     reduced = block[:, free]
     if pivots.size:
-        _sub_mod(reduced, matmul_mod(block[:, pivots], basis, p), p)
+        matmul_mod(block[:, pivots], basis, p, subtract_from=reduced)
     new_pivots, new_free, new_rows = _echelon(reduced, p)
     if new_pivots.size == 0:
         return echelon
@@ -241,7 +312,7 @@ def _merge(echelon: Echelon, block: np.ndarray, p: int) -> Echelon:
     # they are identity columns, so they are dropped, not updated
     kept = basis[:, new_free]
     if pivots.size:
-        _sub_mod(kept, matmul_mod(basis[:, new_pivots], new_rows, p), p)
+        matmul_mod(basis[:, new_pivots], new_rows, p, subtract_from=kept)
     return (
         np.concatenate([pivots, free[new_pivots]]),
         free[new_free],
@@ -337,8 +408,3 @@ class RowReducer:
         if group:
             self.add_rows(group[0] if len(group) == 1 else np.vstack(group))
 
-
-def _sub_mod(x: np.ndarray, y: np.ndarray, p: int) -> None:
-    """x = (x - y) mod p in place, for x and y with entries in [0, p)."""
-    x -= y
-    x += (x >> 63) & p

@@ -23,10 +23,13 @@ def run(capsys, *argv):
 
 
 def test_parse_degrees():
-    assert parse_degrees("2x5") == (2,) * 5
-    assert parse_degrees("2,3") == (2, 3)
-    assert parse_degrees("14x26")[0] == 14 and len(parse_degrees("14x26")) == 26
-    assert parse_degrees("2x2,5") == (2, 2, 5)
+    assert parse_degrees("2x5") == ((2, 5),)
+    assert parse_degrees("2,3") == ((2, 1), (3, 1))
+    assert parse_degrees("14x26") == ((14, 26),)
+    assert parse_degrees("2x2,5") == ((2, 2), (5, 1))
+    assert parse_degrees("3x3000000000") == ((3, 3000000000),)
+    with pytest.raises(ValueError, match="negative"):
+        parse_degrees("2x-1")
 
 
 def test_parse_range():

@@ -370,6 +370,22 @@ def test_macaulay_shape():
     assert macaulay_shape(fam, 15) == (135, 136)
 
 
+def test_degree_counts_are_counted_once_per_family():
+    """A family's (degree, count) pairs, of all its forms and of those
+    other than pure powers, in increasing degree: every Macaulay shape
+    reads the first, as the entry budget reads the second."""
+    n = 3
+    quads = FormFamily.random(n, 2, 3, seed=4).forms
+    family = FormFamily(n, (pure_power(n, 0, 3), *quads, pure_power(n, 1, 2),
+                            random_form(n, 3, np.random.default_rng(2))))
+    assert family.degree_counts == ((2, 4), (3, 2))
+    assert family.pure_powers[2] == ((2, 3), (3, 1))
+    for e in range(8):
+        rows = sum(monomial_count(n, e - f.degree) for f in family.forms if f.degree <= e)
+        assert macaulay_shape(family, e) == (rows, monomial_count(n, e))
+    assert FormFamily(n, ()).degree_counts == ()
+
+
 def test_quotient_complete_intersection_of_squares():
     series = quotient_series(pure_power_family(2, 2), 3)
     assert series.coeffs == (1, 2, 1, 0)
