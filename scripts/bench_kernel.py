@@ -158,8 +158,7 @@ def time_chain(chain=CHAIN, repeats=REPEATS) -> dict:
 def _clear_caches():
     """Empty the lru_caches, as in a fresh process."""
     for cached in (macaulay._scatter_table, macaulay._standard, macaulay._standard_exponents,
-                   macaulay._xn_shift, macaulay._exponents, macaulay.enumerate_monomials,
-                   case_series):
+                   macaulay._exponents, macaulay.enumerate_monomials, case_series):
         cached.cache_clear()
 
 

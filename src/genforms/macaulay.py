@@ -31,7 +31,7 @@ B_e = x_n B_{e-1} + span{u*h : u standard, x_n does not divide u}, since
 u*h = x_n (u/x_n * h) when x_n | u. Multiplying by a monomial keeps the
 lex order, so x_n maps the standard monomials of degree e - 1 in order
 onto standard monomials of degree e, except those that x_n kills
-(x_n-exponent a_n - 1), which it sends to zero (`_xn_shift`). Moved
+(x_n-exponent a_n - 1), which it sends to zero (`_xn_lost`). Moved
 through that map, the rows of the reduced echelon basis of B_{e-1}
 whose pivot survives are a reduced echelon basis of part of x_n B_{e-1},
 found with no arithmetic. It seeds degree e's elimination. The basis
@@ -95,7 +95,7 @@ _PRODUCT_ENTRIES = 2**16
 
 class ResourceLimit(RuntimeError):
     """The matrix to eliminate at a degree would exceed the entry budget
-    (see `ideal_dimension_at_degree`); degree is that degree."""
+    (see `eliminated_shape`); degree is that degree."""
 
     def __init__(self, message, degree):
         super().__init__(message)
@@ -182,11 +182,21 @@ class FormFamily:
 
     @cached_property
     def pure_powers(self):
-        """`pure_powers` of the family and the (degree, count) pairs of
-        its other forms, which the entry budget reads, found once per
-        family."""
-        least, others = pure_powers(self)
-        return least, others, tuple(sorted(Counter(f.degree for f in others).items()))
+        """(least, others, other_counts), found once per family: least[i]
+        is the least a >= 1 such that some c*x_i^a with c != 0 is in the
+        family, or None; others are the forms that are not such a pure
+        power, in family order; other_counts their (degree, count) pairs,
+        which the entry budget reads (`eliminated_shape`)."""
+        least, others = [None] * self.n, []
+        for f in self.forms:
+            exps = _exponents(f.n, f.degree)[np.flatnonzero(f.coeffs)]
+            if f.degree >= 1 and len(exps) == 1 and exps.max() == f.degree:
+                i = int(exps.argmax())
+                least[i] = min(least[i] or f.degree, f.degree)
+            else:
+                others.append(f)
+        counts = Counter(f.degree for f in others)
+        return tuple(least), tuple(others), tuple(sorted(counts.items()))
 
     @classmethod
     def random(cls, n, d, k, seed, prime=modp.DEFAULT_PRIME):
@@ -361,24 +371,6 @@ def macaulay_rows(form: ModPPoly, e: int, xn_free: bool = False, bounds=None) ->
     return block[:, :cols]
 
 
-def pure_powers(family: FormFamily) -> tuple[tuple[int | None, ...], tuple[ModPPoly, ...]]:
-    """(least, others): least[i] is the least a >= 1 such that some
-    c*x_i^a with c != 0 is in the family, or None; others are the forms
-    that are not such a pure power, in family order."""
-    least = [None] * family.n
-    others = []
-    for f in family.forms:
-        support = np.flatnonzero(f.coeffs)
-        if f.degree >= 1 and support.size == 1:
-            exps = _exponents(f.n, f.degree)[support[0]]
-            i = int(exps.argmax())
-            if exps[i] == f.degree:
-                least[i] = f.degree if least[i] is None else min(least[i], f.degree)
-                continue
-        others.append(f)
-    return tuple(least), tuple(others)
-
-
 def _bounds_at(least, e: int) -> tuple[int, ...]:
     """The exponent bounds of degree e: each of least capped at e + 1,
     which bounds nothing in degree e, as does None. Capping makes equal
@@ -386,26 +378,14 @@ def _bounds_at(least, e: int) -> tuple[int, ...]:
     return tuple(e + 1 if a is None else min(a, e + 1) for a in least)
 
 
-@lru_cache(maxsize=None)
-def _xn_shift(n: int, e: int, bounds: tuple[int, ...]) -> np.ndarray:
-    """sigma: sigma[j] is the column of x_n times the j-th standard
-    monomial of degree e - 1 among the standard monomials of degree e
-    (bounds those of degree e), or their count when x_n kills it, that is
-    when its x_n-exponent is bounds[-1] - 1. Multiplying by x_n keeps the
-    lex order, so sigma is strictly increasing on the columns it keeps."""
-    shifted = _standard_exponents(n, e - 1, _bounds_at(bounds, e - 1)).copy()
-    shifted[:, -1] += 1
-    sigma = _standard(n, e, bounds)[0][lex_rank(shifted)]
-    sigma.flags.writeable = False
-    return sigma
-
-
 def _xn_lost(basis: modp.Echelon, n: int, e: int, bounds) -> np.ndarray:
     """Which rows of degree e - 1's basis x_n moves off degree e's seed:
-    those whose pivot `_xn_shift` kills (bounds those of degree e). A
-    basis over another number of columns raises SoundnessError."""
+    those whose pivot x_n kills (bounds those of degree e). sigma, the x_n
+    column of the scatter table of degree 1 into degree e, is x_n times
+    each standard column of degree e - 1, or the standard count when x_n
+    kills it. A basis over another number of columns raises SoundnessError."""
     pivots, free, _ = basis
-    sigma = _xn_shift(n, e, bounds)
+    sigma = _scatter_table(n, 1, e, False, bounds)[:, -1]
     width = pivots.size + free.size
     if width != sigma.size:
         raise SoundnessError(f"degree-{e - 1} seed has {width} columns, not {sigma.size}")
@@ -417,14 +397,14 @@ def _xn_seed(basis: modp.Echelon, n: int, e: int, bounds):
     degree e's standard columns (bounds), and the block of rows to feed
     again, in a list (see the module docstring).
 
-    The rows whose pivot survives `_xn_shift` keep their pivot and their
-    surviving free entries, moved through it: with no arithmetic they are
+    The rows whose pivot survives keep it and their surviving free
+    entries, moved through sigma (`_xn_lost`): with no arithmetic they are
     still a reduced echelon basis. The rows whose pivot x_n kills
     (`_xn_lost`) are returned, moved the same way, to be fed again.
     """
     lost = _xn_lost(basis, n, e, bounds)
     pivots, free, block = basis
-    sigma = _xn_shift(n, e, bounds)
+    sigma = _scatter_table(n, 1, e, False, bounds)[:, -1]
     cols = _standard(n, e, bounds)[1]
     kept = sigma[free] < cols
     targets = sigma[free[kept]]
@@ -503,6 +483,26 @@ def macaulay_shape(family: FormFamily, e: int) -> tuple[int, int]:
     return rows, monomial_count(family.n, e)
 
 
+def eliminated_shape(n: int, e: int, least, other_counts, budget=None) -> tuple[int, int]:
+    """(rows, cols) of the matrix `ideal_dimension_at_degree` eliminates
+    at degree e, from the pure-power bounds least and the (degree, count)
+    pairs of the other forms alone (`FormFamily.pure_powers`), without
+    building a row. Over budget, if given, ResourceLimit carrying e: the
+    one budget rule, of the kernel and of `verifier.verify_case`."""
+    rows = sum(
+        count * len(_standard_exponents(n, e - dg, _bounds_at(least, e - dg)))
+        for dg, count in other_counts
+        if dg <= e
+    )
+    cols = len(_standard_exponents(n, e, _bounds_at(least, e)))
+    if budget is not None and rows * cols > budget:
+        raise ResourceLimit(
+            f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} "
+            f"entries, over budget {budget}", e
+        )
+    return rows, cols
+
+
 def ideal_dimension_at_degree(
     family: FormFamily,
     e: int,
@@ -520,11 +520,11 @@ def ideal_dimension_at_degree(
     groups of at most `modp.CHUNK` rows into a reduced echelon basis).
     Once the rows have full column rank no further block is built.
 
-    budget caps the entries of the matrix eliminated: every standard
-    multiple of the other forms, however few of them a seeded degree
-    feeds, times the standard columns. ResourceLimit, carrying e, is
-    raised before any row is built. With no pure powers this is the whole
-    Macaulay matrix.
+    budget caps the entries of the matrix eliminated (`eliminated_shape`):
+    every standard multiple of the other forms, however few of them a
+    seeded degree feeds, times the standard columns. ResourceLimit,
+    carrying e, is raised before any row is built. With no pure powers
+    this is the whole Macaulay matrix.
 
     chain, if given, is a dict that one family's calls share across
     degrees: it maps the last degree eliminated with it to that degree's
@@ -555,18 +555,7 @@ def ideal_dimension_at_degree(
         return 0
     least, others, other_counts = family.pure_powers
     bounds = _bounds_at(least, e)
-    cols = _standard(family.n, e, bounds)[1]
-    if budget is not None:
-        rows = sum(
-            count * len(_standard_exponents(family.n, e - dg, _bounds_at(least, e - dg)))
-            for dg, count in other_counts
-            if dg <= e
-        )
-        if rows * cols > budget:
-            raise ResourceLimit(
-                f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} "
-                f"entries, over budget {budget}", e
-            )
+    cols = eliminated_shape(family.n, e, least, other_counts, budget)[1]
     prefix = None if kept is None else kept.seed(e, others, bounds, cols)
     if prefix is not None and seed is not None:
         # of the two seeds, the one with more rows leaves fewer pivots to find

@@ -49,6 +49,7 @@ from .macaulay import (
     ModPPoly,
     ResourceLimit,
     SoundnessError,
+    eliminated_shape,
     power,
     quotient_series,
 )
@@ -322,12 +323,9 @@ def _at_pure_powers(spec, budget, kept, draws):
     is the conjectured one, else None. draws is called only for k > n,
     the one case in which the point has random forms.
 
-    Over the budget at degree e, it raises ResourceLimit again when the
-    conjectured series has no zero below e: a trial that attains it must
-    eliminate degree e, and its matrix there (the whole Macaulay matrix,
-    unless the trial drew pure powers) is no smaller than the one met
-    here. Otherwise it returns None, and the random trials meet the
-    budget or not as they would have.
+    It runs after `verify_case`'s budget check, so it can meet the budget
+    only past the conjectured series' first zero, after it has missed,
+    and then it returns None as well.
 
     kept, for k >= n only, seeds each degree with the basis a smaller k
     of the same draws left there, and keeps this k's bases in its place
@@ -336,9 +334,7 @@ def _at_pure_powers(spec, budget, kept, draws):
     kept = kept if spec.k >= spec.n else None
     try:
         computed = quotient_series(family, spec.trunc, budget, kept)
-    except ResourceLimit as exc:
-        if 0 not in spec.conjectured.coeffs[: exc.degree]:
-            raise
+    except ResourceLimit:
         return None
     if lex_compare(computed, spec.conjectured) is not Ordering.EQUAL:
         return None
@@ -365,16 +361,17 @@ def verify_case(
     sandwich certifies it like any other point, and its pure powers are
     divided out in closed form (`macaulay`); for k <= n nothing is left
     to eliminate. If it attains, the record is Verified with method
-    "pure-power" and seeds_tried (spec.seed,). Otherwise, or if it meets
-    the budget, it is discarded and the random trials run as if it had
-    not been tried, so a NotAttained record never depends on it.
+    "pure-power" and seeds_tried (spec.seed,). Otherwise it is discarded
+    and the random trials run as if it had not been tried, so a
+    NotAttained record never depends on it.
 
-    One exception: if it meets the budget at a degree below which the
-    conjectured series has no zero, ResourceLimit is raised with no
-    random trial, since a trial that attains would meet the budget too.
-    Trials that would stop below that degree could only be NotAttained,
-    never Verified, so such a case raises (a sweep lists it as Skipped)
-    where it could have ended NotAttained.
+    The budget is one rule, applied from the spec before any form is
+    drawn: ResourceLimit (Skipped in a sweep) at the first degree, through
+    the conjectured series' first zero, at which the pure-power point's
+    matrix (`macaulay.eliminated_shape` of min(k, n) pure powers and
+    k - min(k, n) other forms) is over budget. A point that attains must
+    eliminate that degree, and a random trial's matrix there is no
+    smaller, so no Verified record is lost.
 
     A random specialization can be unlucky; only after `trials` failures
     is the verdict NotAttained, with every seed recorded. A record of the
@@ -398,9 +395,16 @@ def verify_case(
     if spec.k == spec.n + 1:
         computed = conjectured
         seeds, verdict, method = [], VERIFIED, "theorem"
-    elif (computed := _at_pure_powers(spec, budget, kept, draws)) is not None:
-        seeds, verdict, method = [spec.seed], VERIFIED, "pure-power"
     else:
+        n, md, pure = spec.n, spec.effective_degree, min(spec.k, spec.n)
+        least = (md,) * pure + (None,) * (n - pure)
+        for e in range(md, trunc + 1):  # no rows below degree md
+            eliminated_shape(n, e, least, ((md, spec.k - pure),), budget)
+            if conjectured.coeffs[e] == 0:
+                break
+        computed = _at_pure_powers(spec, budget, kept, draws)
+        seeds, verdict, method = [spec.seed], VERIFIED, "pure-power"
+    if computed is None:
         seeds, verdict, method = [], NOT_ATTAINED, "random"
         for trial in range(spec.trials):
             seed_t = spec.seed + trial

@@ -20,11 +20,11 @@ from genforms.macaulay import (
     SoundnessError,
     _products,
     _scatter_table,
+    eliminated_shape,
     ideal_dimension_at_degree,
     macaulay_rows,
     macaulay_shape,
     power,
-    pure_powers,
     quotient_series,
     random_form,
 )
@@ -576,11 +576,29 @@ def test_quotient_series_matches_per_degree_reference(data, family, max_deg):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(family=families(), e=st.integers(0, 12))
+def test_eliminated_shape_matches_the_reference(family, e):
+    """The one shape function, from the pure-power bounds and the other
+    forms' (degree, count) pairs alone, is the reference shape read off
+    the monomial lists; a budget of exactly its entries passes, one less
+    raises at e."""
+    least, _, other_counts = family.pure_powers
+    rows, cols = reference_eliminated_shape(family, e)
+    assert eliminated_shape(family.n, e, least, other_counts) == (rows, cols)
+    assert eliminated_shape(family.n, e, least, other_counts, rows * cols) == (rows, cols)
+    if rows * cols:
+        with pytest.raises(ResourceLimit, match=f"^degree-{e} .* {rows}x{cols} = ") as exc:
+            eliminated_shape(family.n, e, least, other_counts, rows * cols - 1)
+        assert exc.value.degree == e
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_xn_shift_is_increasing_and_kills_the_top_xn_exponent(n):
-    """The lemma behind the seeded chain: sigma sends each standard
-    monomial of degree e - 1 to x_n times it among the standard monomials
-    of degree e, found here by lookup in the enumeration, is strictly
+    """The lemma behind the seeded chain: sigma, the x_n column of the
+    scatter table of degree 1 into degree e, sends each standard monomial
+    of degree e - 1 to x_n times it among the standard monomials of
+    degree e, found here by lookup in the enumeration, is strictly
     increasing on the columns it keeps, and kills exactly those with
     x_n-exponent b_n - 1."""
     for bounds in {(3, 9, 2, 4, 5, 2)[:n], (9,) * n, (2,) * n, (1, 4, 3, 2, 9, 3)[:n]}:
@@ -590,7 +608,7 @@ def test_xn_shift_is_increasing_and_kills_the_top_xn_exponent(n):
                 for d in (e - 1, e)
             )
             column = {m: i for i, m in enumerate(above)}
-            sigma = macaulay._xn_shift(n, e, tuple(min(b, e + 1) for b in bounds))
+            sigma = _scatter_table(n, 1, e, False, tuple(min(b, e + 1) for b in bounds))[:, -1]
             assert sigma.tolist() == [
                 column.get(m[:-1] + (m[-1] + 1,), len(above)) for m in below
             ]
@@ -686,10 +704,10 @@ def test_pure_powers_are_recognised_by_their_one_term():
         ModPPoly(n, 2, (0,) * 6),  # the zero form
         pure_power(n, 0, 1, c=0, prime=P),  # also the zero form
     ))
-    least, others = pure_powers(family)
+    least, others, _ = family.pure_powers
     assert least == (4, None, 2)
     assert others == (quad,) + family.forms[4:]
-    assert pure_powers(FormFamily(n, ())) == ((None,) * n, ())
+    assert FormFamily(n, ()).pure_powers[:2] == ((None,) * n, ())
 
 
 @pytest.mark.parametrize("prime", (2, 3, 101, 2**31 - 1))
@@ -773,7 +791,7 @@ def growing_families(family):
     """The family's pure powers followed by the first j of its other
     forms, for j = 0..len(others): each family extends the one before
     it, with the same pure powers."""
-    others = pure_powers(family)[1]
+    others = family.pure_powers[1]
     pure = tuple(f for f in family.forms if not any(f is g for g in others))
     return [FormFamily(family.n, pure + others[:j], family.prime)
             for j in range(len(others) + 1)]
@@ -824,7 +842,7 @@ def test_kept_bases_hold_the_latest_basis_of_each_degree():
         for e in (3, 4, 5):
             ideal_dimension_at_degree(family, e, chain)
             out[e] = chain[e]
-        return pure_powers(family)[1], out
+        return family.pure_powers[1], out
 
     two, small = bases(FormFamily(3, cubes + forms[:2]))
     four, large = bases(FormFamily(3, cubes + forms))

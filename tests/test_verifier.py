@@ -22,7 +22,6 @@ from genforms.macaulay import (
     ResourceLimit,
     macaulay_shape,
     power,
-    pure_powers,
     quotient_series,
 )
 from genforms.monomials import MonomialIdeal, monomial_count, quotient_hilbert_function
@@ -441,7 +440,7 @@ def test_pure_power_family_keeps_the_later_draws():
     spec = CaseSpec(3, 2, 3, 5, seed=4)
     family = pure_power_family(spec, 4)
     assert family.forms[3:] == default_family(spec, 4).forms[3:]
-    assert pure_powers(family) == ((6, 6, 6), family.forms[3:])
+    assert family.pure_powers[:2] == ((6, 6, 6), family.forms[3:])
     assert family.seed == 4 and family.prime == spec.prime
 
 
@@ -713,22 +712,66 @@ def test_a_first_attempt_over_budget_falls_through_to_the_random_trials(monkeypa
         verify_case(CaseSpec(3, 2, 1, 5), budget=200)
 
 
+def refuse_to_draw_or_eliminate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a form was drawn or a RowReducer built")
+
+    for owner, name in ((modp, "RowReducer"), (FormFamily, "random"),
+                        (verifier, "default_family")):
+        monkeypatch.setattr(owner, name, refuse)
+
+
 def test_no_random_family_is_built_after_a_limit_no_later_than_the_first_zero(monkeypatch):
     """(3,2,2,14) at a budget of 200 meets it at the pure-power point at
     degree 5, and its conjectured series has its first zero at degree 5:
-    ResourceLimit is raised with no random draw, and the trial's own
-    limit (degree 4, 14x15) is never reached."""
+    ResourceLimit is raised from the spec, with no random draw and no
+    RowReducer built, and the trial's own limit (degree 4, 14x15) is
+    never reached."""
     spec = CaseSpec(3, 2, 2, 14)
     conjectured = spec.conjectured
     assert conjectured.coeffs.index(0) == 5
-
-    def refuse(spec, seed):
-        raise AssertionError("a random family was built")
-
-    monkeypatch.setattr(verifier, "default_family", refuse)
+    refuse_to_draw_or_eliminate(monkeypatch)
     with pytest.raises(ResourceLimit, match="^degree-5 Macaulay matrix has 33x12") as exc:
         verify_case(spec, budget=200)
     assert exc.value.degree == 5
+
+
+# The six (8,2,2) cases over the default budget at the pure-power point:
+# k -> (degree, rows, cols) at the first degree over it, through the
+# conjectured first zero.
+_OVER_BUDGET_822 = {
+    10: (12, 7646, 8092), 11: (11, 7416, 7728), 12: (11, 9888, 7728),
+    13: (10, 7140, 6728), 15: (10, 9996, 6728), 20: (9, 8736, 5328),
+}
+
+
+@pytest.mark.parametrize("k", sorted(_OVER_BUDGET_822))
+def test_an_over_budget_case_is_decided_from_its_spec(monkeypatch, k):
+    """Each (8,2,2) case over the default budget raises from its spec
+    alone, before any form is drawn or any RowReducer built."""
+    refuse_to_draw_or_eliminate(monkeypatch)
+    e, rows, cols = _OVER_BUDGET_822[k]
+    with pytest.raises(ResourceLimit) as exc:
+        verify_case(CaseSpec(8, 2, 2, k))
+    assert str(exc.value) == (
+        f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} entries, "
+        "over budget 40000000"
+    )
+    assert exc.value.degree == e
+
+
+def test_a_planted_miss_below_the_over_budget_degree_is_skipped(monkeypatch):
+    """(3,2,2,14) at a budget of 200 with `degenerate_family` planted at
+    the pure-power point, a point that misses at degree 4, below the
+    spec's over-budget degree 5: the sweep skips the case with the
+    spec's message, and no random trial runs."""
+    monkeypatch.setattr(verifier, "pure_power_family", degenerate_family)
+    refuse_to_draw_or_eliminate(monkeypatch)
+    records, witnesses, failures, skipped = run_sweep(plan_sweep(3, 2, 2, 14, 14), budget=200)
+    assert records == witnesses == failures == []
+    assert [(spec.k, reason) for spec, reason in skipped] == [
+        (14, "degree-5 Macaulay matrix has 33x12 = 396 entries, over budget 200")
+    ]
 
 
 # The pure-power point certifies (4,2,2,6) at the first seed; it fails on
