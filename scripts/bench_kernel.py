@@ -17,7 +17,7 @@ its coefficients. The plan field times cold `plan_sweep` calls over the
 whole k range of four cells (median of 5 runs, caches cleared before
 each), each checked
 against its count of cases and intervals. The sweep field times one
-cold `plan_sweep` and `run_sweep` of the whole k range of three cells
+cold `plan_sweep` and `run_sweep` of the whole k range of five cells
 (caches cleared first), each checked against its count of direct cases
 and intervals, with every k covered and none skipped. The frontier field
 times one cold elimination (caches cleared first) of each of five
@@ -51,7 +51,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 
-from genforms import cli, macaulay
+from genforms import cli, macaulay, verifier
 from genforms.macaulay import (
     ResourceLimit,
     ideal_dimension_at_degree,
@@ -104,7 +104,8 @@ HITS = ((4, 2, 2, 5), (4, 2, 3, 5), (4, 3, 2, 5), (5, 2, 2, 6), (4, 2, 4, 5))
 PLANS = ((4, 2, 8, 969, 33, 11), (5, 3, 3, 715, 29, 9), (6, 2, 3, 462, 26, 8),
          (4, 3, 3, 220, 22, 7))
 # (n, d, m, top k, direct cases, intervals) of each swept cell: k = 1..top k
-SWEEPS = ((4, 2, 6, 455, 27, 8), (4, 4, 3, 455, 27, 8), (5, 2, 4, 495, 26, 8))
+SWEEPS = ((4, 2, 6, 455, 27, 8), (4, 4, 3, 455, 27, 8), (5, 2, 4, 495, 26, 8),
+          (3, 7, 2, 120, 20, 5), (3, 2, 7, 120, 20, 5))
 # (n, d, m, k, prime) of the powered family, and the first 16 hex digits
 # of the SHA-256 of its coefficients as little-endian int64, forms in
 # order. The prime is named, not the default, so the checksum stays valid
@@ -158,7 +159,8 @@ def time_chain(chain=CHAIN, repeats=REPEATS) -> dict:
 def _clear_caches():
     """Empty the lru_caches, as in a fresh process."""
     for cached in (macaulay._scatter_table, macaulay._standard, macaulay._standard_exponents,
-                   macaulay._exponents, macaulay.enumerate_monomials, case_series):
+                   macaulay._exponents, macaulay.enumerate_monomials, case_series,
+                   verifier._pure_powers):
         cached.cache_clear()
 
 

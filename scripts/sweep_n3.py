@@ -8,8 +8,8 @@ Results stream to stdout as one summary line per (d, m) pair.
 
 This reproduces the exhaustive check behind the small-number-of-variables
 power conjecture cases. It is not part of the acceptance gate. At the
-default budget and prime the whole campaign took 3.12-3.36 s (median
-3.23 s over three runs) with 47 MB peak RSS on a 2-core Xeon VM whose
+default budget and prime the whole campaign took 1.60-1.99 s (median
+1.82 s over six runs) with 47 MB peak RSS on a 2-core Xeon VM whose
 speed drifts (Python 3.11, numpy 2.4 with OpenBLAS), every k covered
 and none skipped; k = 4 of each cell is Verified by theorem. A case over the matrix budget is counted in
 `skipped`.

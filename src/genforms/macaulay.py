@@ -2,12 +2,17 @@
 
 A form of degree d is one read-only int64 vector of coefficients in
 [0, p), indexed by the fixed-degree monomial order, from its random draw
-to its Macaulay rows. The degree-e graded piece of the ideal generated by
-a family of forms is spanned by monomial multiples of the generators; its
-dimension is the rank of the Macaulay matrix whose rows are those
-multiples, computed over Z/p. Forms are multiplied only to be powered:
-`power` squares a whole family at once, each product one batched
-`_products` call through the same scatter tables as the Macaulay rows.
+to its Macaulay rows. A family's k forms are drawn by one call, and a
+form caches whether it is a pure power (`ModPPoly.pure_power`), so forms
+that many families share are tested once. The degree-e graded piece of
+the ideal generated by a family of forms is spanned by monomial multiples
+of the generators; its dimension is the rank of the Macaulay matrix whose
+rows are those multiples, computed over Z/p. The rows are built a group
+of forms of one degree at a time, by one scatter through the group's
+scatter table (`macaulay_rows`). Forms are multiplied only to be
+powered: `power` squares a whole family at once, each product one
+batched `_products` call through the same scatter tables as the
+Macaulay rows.
 The first-order bound, coefficient >= cols - rows of that degree's
 Macaulay matrix, holds at every specialization and is checked per degree.
 
@@ -25,7 +30,9 @@ the rank that of those rows over the standard columns only. A family
 with no pure powers has every monomial standard, and this is the whole
 Macaulay matrix.
 
-Every degree is eliminated, once, and consecutive degrees share work.
+Below the least generator degree no form has a multiple, so I_e = 0
+and nothing is eliminated. From that degree on every degree is
+eliminated, once, and consecutive degrees share work.
 With B_e the image of I_e in (R/J)_e, for e >= 1
 B_e = x_n B_{e-1} + span{u*h : u standard, x_n does not divide u}, since
 u*h = x_n (u/x_n * h) when x_n | u. Multiplying by a monomial keeps the
@@ -79,7 +86,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain as chained
 
 import numpy as np
 
@@ -140,6 +146,18 @@ class ModPPoly:
     def __hash__(self):
         return hash((self.n, self.degree, self.prime, self.coeffs.tobytes()))
 
+    @cached_property
+    def pure_power(self) -> int | None:
+        """i if the form is c*x_i^a with c != 0 and a = degree >= 1 (i
+        counted from 0), else None. Found by one scan of the coefficients
+        the first time it is asked, so a form that many families share,
+        as a sweep's draws and pure powers are, is scanned once."""
+        support = np.flatnonzero(self.coeffs)
+        if self.degree < 1 or support.size != 1:
+            return None
+        exps = _exponents(self.n, self.degree)[support[0]]
+        return int(exps.argmax()) if exps.max() == self.degree else None
+
     @classmethod
     def from_monomial_dict(cls, n, degree, terms, prime=modp.DEFAULT_PRIME):
         """Build from {exponent tuple: coefficient}, each coefficient
@@ -180,43 +198,53 @@ class FormFamily:
     def k(self) -> int:
         return len(self.forms)
 
+    @property
+    def degree(self) -> int:
+        """The one degree of the forms; ValueError if they have none or
+        more than one."""
+        if len(self.degree_counts) != 1:
+            raise ValueError(
+                f"need forms of one degree, got {[d for d, _ in self.degree_counts]}"
+            )
+        return self.degree_counts[0][0]
+
     @cached_property
     def pure_powers(self):
         """(least, others, other_counts), found once per family: least[i]
         is the least a >= 1 such that some c*x_i^a with c != 0 is in the
         family, or None; others are the forms that are not such a pure
         power, in family order; other_counts their (degree, count) pairs,
-        which the entry budget reads (`eliminated_shape`)."""
+        which the entry budget reads (`eliminated_shape`). Each form is
+        tested by its cached `ModPPoly.pure_power`, so families that
+        share forms scan each of them once."""
         least, others = [None] * self.n, []
         for f in self.forms:
-            exps = _exponents(f.n, f.degree)[np.flatnonzero(f.coeffs)]
-            if f.degree >= 1 and len(exps) == 1 and exps.max() == f.degree:
-                i = int(exps.argmax())
-                least[i] = min(least[i] or f.degree, f.degree)
-            else:
+            i = f.pure_power
+            if i is None:
                 others.append(f)
+            else:
+                least[i] = min(least[i] or f.degree, f.degree)
         counts = Counter(f.degree for f in others)
         return tuple(least), tuple(others), tuple(sorted(counts.items()))
 
     @classmethod
     def random(cls, n, d, k, seed, prime=modp.DEFAULT_PRIME):
-        """k independent uniform random forms of degree d."""
+        """k independent uniform random forms of degree d: every
+        coefficient drawn independently and uniformly from [0, p), by one
+        `integers` call of k x S draws for S monomials. Row i is form i,
+        the same stream as k draws of S in turn, so the first j forms of
+        a seed do not depend on k. ValueError for d < 1."""
+        if d < 1:
+            raise ValueError("form degree must be >= 1")
         rng = np.random.default_rng(seed)
-        forms = tuple(random_form(n, d, rng, prime) for _ in range(k))
-        return cls(n, forms, prime, seed)
-
-
-def random_form(n, d, rng, prime=modp.DEFAULT_PRIME) -> ModPPoly:
-    """Every coefficient drawn independently and uniformly from [0, p)."""
-    if d < 1:
-        raise ValueError("form degree must be >= 1")
-    coeffs = rng.integers(0, prime, size=monomial_count(n, d), dtype=np.int64)
-    return ModPPoly(n, d, coeffs, prime)
+        coeffs = rng.integers(0, prime, size=(k, monomial_count(n, d)), dtype=np.int64)
+        return cls(n, tuple(ModPPoly(n, d, row, prime) for row in coeffs), prime, seed)
 
 
 def power(f: FormFamily, m: int) -> FormFamily:
     """The family of the m-th powers of f's forms, which must share one
-    degree, by repeated squaring.
+    degree (`FormFamily.degree`, ValueError otherwise), by repeated
+    squaring.
 
     The family is powered as a whole: every squaring and every product is
     one batched `_products` call over all its forms, not one call per
@@ -226,10 +254,7 @@ def power(f: FormFamily, m: int) -> FormFamily:
     """
     if m < 1:
         raise ValueError("exponent must be >= 1")
-    degrees = dict(f.degree_counts)
-    if len(degrees) != 1:
-        raise ValueError(f"power needs forms of one degree, got {list(degrees)}")
-    (d,) = degrees
+    d = f.degree
     rows = _power_rows(np.stack([g.coeffs for g in f.forms]), f.n, d, m, f.prime)
     forms = tuple(ModPPoly(f.n, d * m, row, f.prime) for row in rows)
     return FormFamily(f.n, forms, f.prime, f.seed)
@@ -355,20 +380,24 @@ def _scatter_table(n: int, dg: int, e: int, xn_free: bool, bounds=None) -> np.nd
     return table
 
 
-def macaulay_rows(form: ModPPoly, e: int, xn_free: bool = False, bounds=None) -> np.ndarray:
-    """Rows of the degree-e Macaulay matrix contributed by one form:
-    all monomial multiples of degree e - deg(form), or with xn_free only
-    the multiples u*form with x_n not dividing u, in the same order. With
-    bounds, only the standard multiples and columns (see `_scatter_table`)."""
-    n = form.n
+def macaulay_rows(family: FormFamily, e: int, xn_free: bool = False, bounds=None) -> np.ndarray:
+    """Rows of the degree-e Macaulay matrix contributed by a family of
+    forms of one degree (`FormFamily.degree`): form by form, in family
+    order, all monomial multiples of degree e - degree, or with xn_free
+    only the multiples u*form with x_n not dividing u, in the same order.
+    With bounds, only the standard multiples and columns (see
+    `_scatter_table`). One scatter through the table writes every form's
+    rows."""
+    n, dg = family.n, family.degree
     cols = monomial_count(n, e) if bounds is None else _standard(n, e, bounds)[1]
-    if e < form.degree:
+    if e < dg:
         return np.zeros((0, cols), dtype=np.int64)
-    t = _scatter_table(n, form.degree, e, xn_free, bounds)
+    t = _scatter_table(n, dg, e, xn_free, bounds)
+    coeffs = np.array([f.coeffs for f in family.forms])
     # products outside the standard columns land in one extra column
-    block = np.zeros((t.shape[0], cols + 1), dtype=np.int64)
-    block[np.arange(t.shape[0])[:, None], t] = form.coeffs
-    return block[:, :cols]
+    block = np.zeros((family.k, t.shape[0], cols + 1), dtype=np.int64)
+    block[:, np.arange(t.shape[0])[:, None], t] = coeffs[:, None, :]
+    return block.reshape(-1, cols + 1)[:, :cols]
 
 
 def _bounds_at(least, e: int) -> tuple[int, ...]:
@@ -515,10 +544,13 @@ def ideal_dimension_at_degree(
     The family's pure powers are divided out in closed form: the result
     is the count of degree-e monomials that are not standard plus the
     rank of the other forms' rows over the standard columns (see the
-    module docstring). Those rows stream, built lazily one generator at a
-    time, into one `modp.RowReducer` (`add_blocks`, which merges them in
-    groups of at most `modp.CHUNK` rows into a reduced echelon basis).
-    Once the rows have full column rank no further block is built.
+    module docstring). Those rows stream, built lazily a run of forms of
+    one degree at a time (`macaulay_rows`), into one `modp.RowReducer`
+    (`add_blocks`, which merges them in groups of at most `modp.CHUNK`
+    rows into a reduced echelon basis, a group as soon as it could bring
+    the basis to full column rank). The runs are cut where those groups
+    end, so the merges are those of one block per form, and once the
+    rows have full column rank no further run is built.
 
     budget caps the entries of the matrix eliminated (`eliminated_shape`):
     every standard multiple of the other forms, however few of them a
@@ -571,9 +603,53 @@ def ideal_dimension_at_degree(
         xn_free = True
     reducer = modp.RowReducer(cols, family.prime, seed)
     del seed, prefix  # the reducer holds the seed; keep one basis alive
-    reducer.add_blocks(chained(again, (
-        macaulay_rows(form, e, xn_free, bounds) for form in fed if form.degree <= e
-    )))
+
+    def rows(run):
+        return macaulay_rows(FormFamily(family.n, tuple(run), family.prime), e, xn_free, bounds)
+
+    held = 0  # rows that add_blocks holds unmerged
+
+    def took(height):
+        # add_blocks took a block of height rows: it merged what it held
+        # first if the block took that past CHUNK rows, and merged the
+        # group if it reached CHUNK rows or could bring the basis to full
+        # rank (the rank read now decides as the one it read: it grew
+        # only if it merged)
+        nonlocal held
+        held = height if held + height > modp.CHUNK else held + height
+        if held >= modp.CHUNK or reducer.rank + held >= cols:
+            held = 0
+
+    def blocks():
+        # again, then the rows of fed's forms of degree <= e, a run of
+        # forms of one degree per block, cut where add_blocks, fed one
+        # form at a time, would cut its groups: so the merges, and the
+        # rows built before full rank stops the stream, are the same
+        for block in again:
+            yield block
+            took(block.shape[0])
+        run, size = [], 0
+        for f in fed:
+            if f.degree > e:
+                continue
+            height = _scatter_table(family.n, f.degree, e, xn_free, bounds).shape[0]
+            if run and (f.degree != run[0].degree or held + size + height > modp.CHUNK):
+                yield rows(run)
+                took(size)
+                run, size = [], 0
+            run.append(f)
+            size += height
+            # past CHUNK only with f alone in the run: add_blocks then
+            # merges what it holds before it takes f, and decides on f by
+            # the rank that merge leaves
+            if held + size >= modp.CHUNK or reducer.rank + held + size >= cols:
+                yield rows(run)
+                took(size)
+                run, size = [], 0
+        if run:
+            yield rows(run)
+
+    reducer.add_blocks(blocks())
     dim = total - cols + reducer.rank
     if dim > rows_total or dim > total:
         raise SoundnessError(
@@ -589,8 +665,10 @@ def quotient_series(family, max_deg, budget=None, kept=None) -> TruncatedSeries:
     """Hilbert series of R/(family) up to max_deg.
 
     Coefficient e = C(n+e-1, e) - dim I_e, each dim I_e eliminated in
-    degree order. Once a coefficient is zero the ideal contains that power
-    of the maximal ideal, so the tail is zero without further elimination.
+    degree order from the least generator degree on; below it I_e is zero
+    and the coefficient is written with no elimination. Once a
+    coefficient is zero the ideal contains that power of the maximal
+    ideal, so the tail is zero without further elimination.
     Each degree's basis is carried to the next: x_n times it seeds degree
     e + 1, and only its rows whose pivot x_n killed and the x_n-free rows
     are fed (see the module docstring). kept, a `KeptBases` of a family
@@ -599,9 +677,10 @@ def quotient_series(family, max_deg, budget=None, kept=None) -> TruncatedSeries:
     budget caps the entry count of the matrix eliminated at each degree,
     checked as the degree is reached (see `ideal_dimension_at_degree`).
     """
-    coeffs = []
+    least = family.degree_counts[0][0] if family.forms else max_deg + 1
+    coeffs = [monomial_count(family.n, e) for e in range(min(least, max_deg + 1))]
     chain = {}  # the last eliminated degree -> its basis
-    for e in range(max_deg + 1):
+    for e in range(len(coeffs), max_deg + 1):
         rows, cols = macaulay_shape(family, e)
         dim = ideal_dimension_at_degree(family, e, chain, budget, kept)
         coeff = cols - dim

@@ -294,23 +294,30 @@ def default_family(spec: CaseSpec, seed: int, draws=None) -> FormFamily:
     return FormFamily(spec.n, draws[: spec.k], spec.prime, seed)
 
 
+@lru_cache(maxsize=None)
+def _pure_powers(n: int, md: int, prime: int) -> tuple[ModPPoly, ...]:
+    """x_1^{md}, ..., x_n^{md}, built once per (n, md, prime): every
+    pure-power point of a sweep takes a prefix of the same forms, so each
+    is built, and tested as a pure power (`ModPPoly.pure_power`), once."""
+    return tuple(
+        ModPPoly.from_monomial_dict(n, md, {tuple(md * (j == i) for j in range(n)): 1}, prime)
+        for i in range(n)
+    )
+
+
 def pure_power_family(spec: CaseSpec, seed: int, draws=None) -> FormFamily:
     """The pure-power point: the m-th powers of x_i^d for i <= min(k, n),
-    that is x_i^{md}, then those of draws min(k, n)+1..k of
-    `FormFamily.random(n, d, k, seed)`, so the same draws as
-    `default_family`'s, taken from draws as there. For k >= n every
-    family has all n pure powers, and the family of k is a prefix of the
-    family of every larger k: so `run_sweep`, which passes every case
-    the draws of its largest k, can seed each degree of a larger k with
-    the bases of a smaller one (the second seed, `macaulay.KeptBases`)."""
-    n, md = spec.n, spec.effective_degree
+    that is x_i^{md}, the first min(k, n) of `_pure_powers`, then those
+    of draws min(k, n)+1..k of `FormFamily.random(n, d, k, seed)`, so the
+    same draws as `default_family`'s, taken from draws as there. For
+    k >= n every family has all n pure powers, and the family of k is a
+    prefix of the family of every larger k: so `run_sweep`, which passes
+    every case the draws of its largest k, can seed each degree of a
+    larger k with the bases of a smaller one (the second seed,
+    `macaulay.KeptBases`)."""
+    n = spec.n
     pure = min(spec.k, n)
-    forms = tuple(
-        ModPPoly.from_monomial_dict(
-            n, md, {tuple(md * (j == i) for j in range(n)): 1}, spec.prime
-        )
-        for i in range(pure)
-    )
+    forms = _pure_powers(n, spec.effective_degree, spec.prime)[:pure]
     if spec.k > pure:
         if draws is None:
             draws = powered_draws(spec, seed)

@@ -23,7 +23,6 @@ from genforms.macaulay import (
     macaulay_shape,
     power,
     quotient_series,
-    random_form,
 )
 from genforms.modp import DEFAULT_PRIME, RowReducer
 from genforms.monomials import monomial_count, quotient_hilbert_function
@@ -44,6 +43,8 @@ from genforms.verifier import (
     verify_case,
     verify_interval,
 )
+
+from test_macaulay import random_form
 
 
 def rank(matrix, p=DEFAULT_PRIME):

@@ -46,7 +46,7 @@ def macaulay_row(generator, multiplier):
     """The row multiplier * generator of the Macaulay matrix of their
     joint degree."""
     n, dm = len(generator), sum(multiplier)
-    rows = macaulay_rows(monomial_form(generator), sum(generator) + dm)
+    rows = macaulay_rows(monomial_family(n, [generator]), sum(generator) + dm)
     return rows[enumerate_monomials(n, dm).index(multiplier)]
 
 

@@ -26,7 +26,6 @@ from genforms.macaulay import (
     macaulay_shape,
     power,
     quotient_series,
-    random_form,
 )
 from genforms import modp
 from genforms.modp import DEFAULT_PRIME
@@ -78,21 +77,54 @@ def mono_rank(m):
     return enumerate_monomials(len(m), sum(m)).index(tuple(m))
 
 
+def random_form(n, d, rng, prime=P) -> ModPPoly:
+    """One form, every coefficient drawn from rng uniformly in [0, p):
+    the per-form draw that `FormFamily.random` makes for all its forms at
+    once, kept as the reference for its stream and for families of mixed
+    degrees drawn from one generator."""
+    if d < 1:
+        raise ValueError("form degree must be >= 1")
+    coeffs = rng.integers(0, prime, size=monomial_count(n, d), dtype=np.int64)
+    return ModPPoly(n, d, coeffs, prime)
+
+
 def test_random_form_deterministic():
-    a = random_form(2, 1, np.random.default_rng(42))
-    b = random_form(2, 1, np.random.default_rng(42))
+    a = FormFamily.random(2, 1, 1, seed=42).forms[0]
+    b = FormFamily.random(2, 1, 1, seed=42).forms[0]
     assert a == b
     assert len(a.coeffs) == 2
 
 
 def test_random_form_coefficient_count():
-    f = random_form(3, 2, np.random.default_rng(0))
+    (f,) = FormFamily.random(3, 2, 1, seed=0).forms
     assert len(f.coeffs) == monomial_count(3, 2) == 6
 
 
 def test_two_draws_differ():
-    rng = np.random.default_rng(7)
-    assert random_form(3, 2, rng) != random_form(3, 2, rng)
+    a, b = FormFamily.random(3, 2, 2, seed=7).forms
+    assert a != b
+
+
+@pytest.mark.parametrize("prime", (2, 3, 101, 1048573, 2**31 - 1))
+@pytest.mark.parametrize("n, d", [(1, 4), (3, 2), (2, 6), (3, 7), (3, 14)],
+                         ids=["S=1", "S=6", "S=7", "S=36", "S=120"])
+def test_one_draw_of_the_family_is_the_stream_of_per_form_draws(prime, n, d):
+    """All k forms drawn in one k x S call are the k forms drawn one at a
+    time from the same generator, at odd and even S, and so the first j
+    forms of a seed do not depend on k."""
+    for k in (0, 1, 7, 120):
+        family = FormFamily.random(n, d, k, seed=k + 3, prime=prime)
+        rng = np.random.default_rng(k + 3)
+        assert family.forms == tuple(random_form(n, d, rng, prime) for _ in range(k))
+        assert (family.n, family.prime, family.seed) == (n, prime, k + 3)
+    assert FormFamily.random(n, d, 7, seed=1, prime=prime).forms[:3] == FormFamily.random(
+        n, d, 3, seed=1, prime=prime).forms
+
+
+def test_a_random_family_of_degree_below_1_is_refused():
+    for k in (0, 2):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            FormFamily.random(3, 0, k, seed=0)
 
 
 def test_coefficients_are_reduced_into_the_field():
@@ -319,6 +351,16 @@ def test_power_rejects_a_family_of_mixed_degrees():
         power(FormFamily(2, ()), 2)
 
 
+def test_family_degree_is_the_one_degree_of_its_forms():
+    rng = np.random.default_rng(0)
+    assert FormFamily.random(3, 4, 2, seed=0).degree == 4
+    assert FormFamily(2, (random_form(2, 1, rng),)).degree == 1
+    with pytest.raises(ValueError, match=r"one degree, got \[1, 2\]"):
+        FormFamily(2, (random_form(2, 1, rng), random_form(2, 2, rng))).degree
+    with pytest.raises(ValueError, match=r"one degree, got \[\]"):
+        FormFamily(2, ()).degree
+
+
 _PLANTED_PRODUCT = """
 import numpy as np
 from genforms.macaulay import _products
@@ -471,13 +513,18 @@ def test_forms_reject_prime_above_2_31():
         ModPPoly(2, 1, (1, 1), prime=4294967311)
 
 
+def one_form_rows(f, e, xn_free=False, bounds=None):
+    """`macaulay_rows` of the one-form family of f."""
+    return macaulay_rows(FormFamily(f.n, (f,), f.prime), e, xn_free, bounds)
+
+
 def reference_dimension(family, e):
     """Rank of the whole degree-e Macaulay matrix, every row of every
     form over every column, pure powers included."""
     reducer = modp.RowReducer(monomial_count(family.n, e), family.prime)
     for f in family.forms:
         if f.degree <= e:
-            reducer.add_rows(macaulay_rows(f, e))
+            reducer.add_rows(one_form_rows(f, e))
     return reducer.rank
 
 
@@ -620,12 +667,208 @@ def test_xn_shift_is_increasing_and_kills_the_top_xn_exponent(n):
 
 def test_xn_free_rows_are_the_macaulay_rows_of_xn_free_multipliers():
     fam = FormFamily.random(3, 2, 1, seed=4)
-    f = fam.forms[0]
     for e in range(2, 7):
-        full = macaulay_rows(f, e)
-        free = macaulay_rows(f, e, xn_free=True)
+        full = macaulay_rows(fam, e)
+        free = macaulay_rows(fam, e, xn_free=True)
         assert free.shape[0] == _xn_free_count(3, e - 2)
         assert np.array_equal(free, full[[u[-1] == 0 for u in enumerate_monomials(3, e - 2)]])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_grouped_rows_are_the_one_form_rows_stacked(n):
+    """A family's rows, from one scatter, are each form's rows in family
+    order, full and x_n-free, with and without bounds: for groups of 1,
+    3 and 7 forms, a group whose rows cross CHUNK, and (n >= 3) a form
+    whose multiples alone exceed CHUNK."""
+    rng = np.random.default_rng(n)
+    for dg, e in ((0, 3), (1, 4), (2, 5), (3, 7)):
+        forms = tuple(random_form(n, dg, rng) if dg else ModPPoly(n, 0, (5,)) for _ in range(7))
+        forms += (ModPPoly(n, dg, (P - 1,) * monomial_count(n, dg)),)
+        for bounds in (None, (2,) * n, (4, 1, 3, 2, 5)[:n], (9,) * n):
+            capped = None if bounds is None else macaulay._bounds_at(bounds, e)
+            for xn_free in (False, True):
+                for k in (1, 3, 8):
+                    family = FormFamily(n, forms[:k])
+                    want = np.vstack([one_form_rows(f, e, xn_free, capped) for f in forms[:k]])
+                    got = macaulay_rows(family, e, xn_free, capped)
+                    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # forms whose rows together cross CHUNK, and one whose rows alone do
+    dg, e = 2, {1: 130, 2: 16, 3: 17, 4: 10, 5: 8}[n]
+    per_form = monomial_count(n, e - dg)
+    forms = tuple(random_form(n, dg, rng) for _ in range(2 + modp.CHUNK // per_form))
+    assert per_form * len(forms) > modp.CHUNK
+    assert (per_form > modp.CHUNK) == (n >= 3)
+    for xn_free in (False, True):
+        want = np.vstack([one_form_rows(f, e, xn_free) for f in forms])
+        assert np.array_equal(macaulay_rows(FormFamily(n, forms), e, xn_free), want)
+    assert macaulay_rows(FormFamily(n, forms), dg - 1).shape == (0, monomial_count(n, dg - 1))
+
+
+def test_rows_of_a_family_of_mixed_degrees_are_refused():
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match="one degree"):
+        macaulay_rows(FormFamily(3, (random_form(3, 2, rng), random_form(3, 3, rng))), 4)
+
+
+def assert_no_group_after_full_rank(monkeypatch, run):
+    """Run run() with every `macaulay_rows` call checked: the reducer it
+    feeds is not at full column rank when the group is built. Returns the
+    (rows, forms) of each group built."""
+    reducers, groups = [], []
+    real_init, real_rows = modp.RowReducer.__init__, macaulay.macaulay_rows
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        reducers.append(self)
+
+    def building(family, e, *args):
+        assert not reducers[-1].full_column_rank
+        block = real_rows(family, e, *args)
+        groups.append((block.shape[0], family.k))
+        return block
+
+    monkeypatch.setattr(modp.RowReducer, "__init__", init)
+    monkeypatch.setattr(macaulay, "macaulay_rows", building)
+    run()
+    return groups
+
+
+def test_no_group_is_built_after_full_column_rank(monkeypatch):
+    """40 quadrics in 3 variables at degree 4 (15 columns, 6 rows a form):
+    one group of 3 forms reaches full rank and no other is built. 40 in 4
+    variables at degree 8 (165 columns, 84 rows a form, two of which
+    overflow CHUNK): one form a group, the first two of rank 133 (their
+    Koszul syzygy drops 35), the third of 157, the fourth of 165, and no
+    more. A sweep's pure-power points build no group past full rank
+    either."""
+    quadrics = FormFamily.random(3, 2, 40, seed=2)
+    groups = assert_no_group_after_full_rank(
+        monkeypatch, lambda: ideal_dimension_at_degree(quadrics, 4))
+    assert groups == [(18, 3)]
+    wide = FormFamily.random(4, 2, 40, seed=2)
+    groups = assert_no_group_after_full_rank(
+        monkeypatch, lambda: ideal_dimension_at_degree(wide, 8))
+    assert groups == [(84, 1)] * 4
+    from genforms.verifier import plan_sweep, run_sweep
+
+    def sweep():
+        records = run_sweep(plan_sweep(3, 7, 2, 4, 120))[0]
+        assert all(r.verdict == "Verified" for r in records)
+
+    assert assert_no_group_after_full_rank(monkeypatch, sweep)
+
+
+def one_form_merges(family, e, basis):
+    """The (columns, rows) of each merge, and the rows built, when degree
+    e of family is fed one form's rows per block, seeded by x_n times
+    basis (the basis of degree e - 1) if given: the stream that
+    `ideal_dimension_at_degree` fed before it grouped forms."""
+    least, others, other_counts = family.pure_powers
+    bounds = macaulay._bounds_at(least, e)
+    cols = eliminated_shape(family.n, e, least, other_counts)[1]
+    seed, again, xn_free = None, [], basis is not None
+    if xn_free:
+        seed, again = macaulay._xn_seed(basis, family.n, e, bounds)
+    built, merges = [], []
+    real = modp._merge
+
+    def merge(echelon, block, p):
+        merges.append((echelon[0].size + echelon[1].size, block.shape[0]))
+        return real(echelon, block, p)
+
+    def blocks():
+        yield from again
+        for f in others:
+            if f.degree <= e:
+                built.append(one_form_rows(f, e, xn_free, bounds).shape[0])
+                yield one_form_rows(f, e, xn_free, bounds)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(modp, "_merge", merge)
+        modp.RowReducer(cols, family.prime, seed).add_blocks(blocks())
+    return merges, sum(built)
+
+
+def assert_groups_merge_as_one_form_blocks(family, max_deg):
+    """Each degree 0..max_deg from scratch, and again on one chain: its
+    merges and rows built are those of `one_form_merges`."""
+    chain = {}
+    for e in range(max_deg + 1):
+        for bases in ({}, chain):
+            basis = bases.get(e - 1)
+            if macaulay_shape(family, e)[0] == 0:
+                ideal_dimension_at_degree(family, e, bases)
+                continue
+            want = one_form_merges(family, e, basis)
+            merges, built = [], []
+            real_merge, real_rows = modp._merge, macaulay.macaulay_rows
+
+            def merge(echelon, block, p):
+                merges.append((echelon[0].size + echelon[1].size, block.shape[0]))
+                return real_merge(echelon, block, p)
+
+            def building(*args):
+                block = real_rows(*args)
+                built.append(block.shape[0])
+                return block
+
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(modp, "_merge", merge)
+                monkeypatch.setattr(macaulay, "macaulay_rows", building)
+                ideal_dimension_at_degree(family, e, bases)
+            assert (merges, sum(built)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=families(), max_deg=st.integers(0, 9))
+def test_groups_merge_as_one_form_blocks(family, max_deg):
+    assert_groups_merge_as_one_form_blocks(family, max_deg)
+
+
+@pytest.mark.parametrize("prime", (2, 101, 2**31 - 1))
+def test_groups_merge_as_one_form_blocks_named_cases(prime):
+    """Groups that overflow CHUNK and reach full rank: 40 quadrics in 4
+    variables (84 rows a form at degree 8); 12 cubics in 5 (35 rows a
+    form at degree 6, 210 columns: a group of 3 forms is merged when the
+    4th would pass CHUNK, and the 4th is held for the next group); 30
+    quadrics in 3 with x_1^4 and x_3^3 (the x_n seed feeds basis rows
+    again); 12 cubics and quartics mixed in 5 variables; and 120 forms
+    of degree 14 after x_i^14, as at a sweep's largest k."""
+    rng = np.random.default_rng(prime)
+    assert_groups_merge_as_one_form_blocks(FormFamily.random(4, 2, 40, 1, prime), 8)
+    assert_groups_merge_as_one_form_blocks(FormFamily.random(5, 3, 12, 1, prime), 6)
+    pure = (pure_power(3, 0, 4, prime=prime), pure_power(3, 2, 3, prime=prime))
+    quadrics = tuple(random_form(3, 2, rng, prime) for _ in range(30))
+    assert_groups_merge_as_one_form_blocks(FormFamily(3, pure + quadrics, prime), 9)
+    mixed = tuple(random_form(5, 3 + i % 2, rng, prime) for i in range(12))
+    assert_groups_merge_as_one_form_blocks(FormFamily(5, mixed, prime), 6)
+    big = FormFamily(3, pure_power_family(3, 14, prime).forms
+                     + FormFamily.random(3, 14, 117, 4, prime).forms, prime)
+    assert_groups_merge_as_one_form_blocks(big, 17)
+
+
+def test_no_degree_below_the_least_generator_degree_is_eliminated(monkeypatch):
+    """Below the least generator degree the series is C(n-1+e, e), written
+    with no elimination: a family of cubes and quartics is eliminated from
+    degree 3 on, and one truncated below 3 not at all."""
+    eliminated = []
+    real = macaulay.ideal_dimension_at_degree
+
+    def recording(family, e, *args):
+        eliminated.append(e)
+        return real(family, e, *args)
+
+    monkeypatch.setattr(macaulay, "ideal_dimension_at_degree", recording)
+    rng = np.random.default_rng(3)
+    family = FormFamily(3, (random_form(3, 4, rng), random_form(3, 3, rng), pure_power(3, 1, 3)))
+    series = quotient_series(family, 8)
+    assert eliminated == list(range(3, series.coeffs.index(0) + 1))
+    assert series == reference_quotient_series(family, 8)
+    eliminated.clear()
+    assert quotient_series(family, 2).coeffs == (1, 3, 6)
+    assert eliminated == []
+    assert quotient_series(FormFamily(3, ()), 3).coeffs == (1, 3, 6, 10)
+    assert eliminated == []
 
 
 def assert_chain_matches_scratch(family, max_deg):
@@ -708,6 +951,63 @@ def test_pure_powers_are_recognised_by_their_one_term():
     assert least == (4, None, 2)
     assert others == (quad,) + family.forms[4:]
     assert FormFamily(n, ()).pure_powers[:2] == ((None,) * n, ())
+
+
+def reference_pure_powers(family):
+    """The scan that `FormFamily.pure_powers` ran on every form of every
+    family before each form cached its own test: (least, others,
+    other_counts) from the nonzero coefficients' exponent vectors."""
+    least, others = [None] * family.n, []
+    for f in family.forms:
+        exps = macaulay._exponents(f.n, f.degree)[np.flatnonzero(f.coeffs)]
+        if f.degree >= 1 and len(exps) == 1 and exps.max() == f.degree:
+            i = int(exps.argmax())
+            least[i] = min(least[i] or f.degree, f.degree)
+        else:
+            others.append(f)
+    counts = {}
+    for f in others:
+        counts[f.degree] = counts.get(f.degree, 0) + 1
+    return tuple(least), tuple(others), tuple(sorted(counts.items()))
+
+
+@st.composite
+def pure_power_candidates(draw, n, prime):
+    """c*x_i^a with any c != 0, the zero form, a degree-0 constant, a
+    one-term monomial that is not a pure power, or a random form."""
+    kind = draw(st.sampled_from(("pure", "zero", "constant", "monomial", "random")))
+    a = draw(st.integers(1, 4))
+    c = draw(st.integers(1, prime - 1))
+    if kind == "pure":
+        return pure_power(n, draw(st.integers(0, n - 1)), a, c, prime)
+    if kind == "zero":
+        return ModPPoly(n, a, (0,) * monomial_count(n, a), prime)
+    if kind == "constant":
+        return ModPPoly(n, 0, (draw(st.integers(0, prime - 1)),), prime)
+    if kind == "monomial" and n >= 2:
+        mono = draw(st.sampled_from([m for m in enumerate_monomials(n, a) if max(m) < a]
+                                    or enumerate_monomials(n, a)))
+        return form(n, {mono: c}, prime)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_form(n, a, rng, prime)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), prime=st.sampled_from((2, 3, 101, 2**31 - 1)))
+def test_cached_pure_power_test_matches_the_scan(data, n, prime):
+    """Each form's cached test and the family's pure powers against the
+    scan, on families that also hold one variable's pure powers at two
+    degrees, in either order."""
+    forms = data.draw(st.lists(pure_power_candidates(n, prime), max_size=8))
+    i = data.draw(st.integers(0, n - 1))
+    a, b = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
+    forms += [pure_power(n, i, a, max(1, prime - 2), prime), pure_power(n, i, b, prime - 1, prime)]
+    family = FormFamily(n, tuple(data.draw(st.permutations(forms))), prime)
+    assert family.pure_powers == reference_pure_powers(family)
+    assert family.pure_powers[0][i] <= min(a, b)
+    for f in family.forms:
+        least, others, _ = reference_pure_powers(FormFamily(n, (f,), prime))
+        assert f.pure_power == (None if others else least.index(f.degree))
 
 
 @pytest.mark.parametrize("prime", (2, 3, 101, 2**31 - 1))

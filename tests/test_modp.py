@@ -350,7 +350,8 @@ def test_bench_kernel_sweep_smoke():
     spec = importlib.util.spec_from_file_location("bench_kernel", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    assert bench.SWEEPS == ((4, 2, 6, 455, 27, 8), (4, 4, 3, 455, 27, 8), (5, 2, 4, 495, 26, 8))
+    assert bench.SWEEPS == ((4, 2, 6, 455, 27, 8), (4, 4, 3, 455, 27, 8), (5, 2, 4, 495, 26, 8),
+                            (3, 7, 2, 120, 20, 5), (3, 2, 7, 120, 20, 5))
     (result,) = bench.time_sweeps(((3, 2, 2, 15, 9, 2),))
     assert result["cell"] == [3, 2, 2] and result["cold_s"] > 0
     with pytest.raises(bench.WrongResult, match="9 direct cases, 2 intervals, 15 k covered"):

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import hashlib
 import re
 import runpy
@@ -442,6 +443,60 @@ def test_pure_power_family_keeps_the_later_draws():
     assert family.forms[3:] == default_family(spec, 4).forms[3:]
     assert family.pure_powers[:2] == ((6, 6, 6), family.forms[3:])
     assert family.seed == 4 and family.prime == spec.prime
+
+
+def test_a_sweep_shares_its_pure_powers(monkeypatch):
+    """Over (3,7,2) k = 4..120 every pure-power point takes its pure
+    powers from one tuple of n forms, built by at most n
+    `from_monomial_dict` calls."""
+    built, families = [], []
+    real_build = macaulay.ModPPoly.from_monomial_dict.__func__
+    real_family = verifier.pure_power_family
+
+    def build(cls, *args):
+        built.append(args)
+        return real_build(cls, *args)
+
+    def family(spec, *args):
+        families.append(real_family(spec, *args))
+        return families[-1]
+
+    monkeypatch.setattr(macaulay.ModPPoly, "from_monomial_dict", classmethod(build))
+    monkeypatch.setattr(verifier, "pure_power_family", family)
+    run_sweep(plan_sweep(3, 7, 2, 4, 120))
+    assert len(families) == 16 and len(built) <= 3
+    first = families[0].forms[:3]
+    for fam in families:
+        assert all(f is g for f, g in zip(fam.forms[:3], first, strict=True))
+
+
+def test_a_sweep_tests_each_form_for_a_pure_power_once(monkeypatch):
+    """Over (3,7,2) k = 4..120 each of the 3 pure powers and of the 117
+    shared draws that the pure-power points hold is scanned once by the
+    cached `ModPPoly.pure_power`, however many cases' families hold it."""
+    scanned = []
+    real = macaulay.ModPPoly.pure_power.func
+
+    def scan(form):
+        scanned.append(form)
+        return real(form)
+
+    counted = functools.cached_property(scan)
+    counted.__set_name__(macaulay.ModPPoly, "pure_power")
+    monkeypatch.setattr(macaulay.ModPPoly, "pure_power", counted)
+    verifier._pure_powers.cache_clear()
+    families = []
+    real_family = verifier.pure_power_family
+
+    def family(spec, *args):
+        families.append(real_family(spec, *args))
+        return families[-1]
+
+    monkeypatch.setattr(verifier, "pure_power_family", family)
+    run_sweep(plan_sweep(3, 7, 2, 4, 120))
+    held = {id(f): f for fam in families for f in fam.forms}
+    assert len(held) == 3 + 117
+    assert sorted(map(id, scanned)) == sorted(held)
 
 
 @pytest.mark.parametrize("cell", [(3, 7, 2, 4, 120), (5, 2, 2, 1, 70)])
