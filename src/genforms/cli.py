@@ -80,27 +80,31 @@ def parse_degrees(text: str) -> tuple[tuple[int, int], ...]:
     """Degree list syntax: comma-separated entries, each "d" or "dxCOUNT",
     e.g. "2x5" or "2,3" or "14x26", as (degree, count) pairs in the order
     given, for `DegreeList(n, counts=...)`: "dxCOUNT" is one pair, however
-    large COUNT is. ValueError for a negative COUNT."""
+    large COUNT is. ValueError for a negative COUNT or a malformed entry,
+    naming the entry."""
     counts = []
     for token in text.split(","):
         token = token.strip()
-        if "x" in token:
-            d, count = token.split("x")
-            if int(count) < 0:
-                raise ValueError(f"negative generator count in {token!r}")
-            counts.append((int(d), int(count)))
-        else:
-            counts.append((int(token), 1))
+        try:
+            d, *count = map(int, token.split("x"))
+            (count,) = count or [1]
+        except ValueError:
+            raise ValueError(f'--deg {text!r}: {token!r} is not "d" or "dxCOUNT"') from None
+        if count < 0:
+            raise ValueError(f"negative generator count in {token!r}")
+        counts.append((d, count))
     return tuple(counts)
 
 
 def parse_range(text: str) -> tuple[int, int]:
-    """k range syntax: "lo..hi" or a single value."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
-    k = int(text)
-    return k, k
+    """k range syntax: "lo..hi" or a single value. ValueError for a
+    malformed range, naming it."""
+    try:
+        lo, *hi = map(int, text.split(".."))
+        (hi,) = hi or [lo]
+    except ValueError:
+        raise ValueError(f'--k-range {text!r} is not "k" or "lo..hi"') from None
+    return lo, hi
 
 
 # ---------------------------------------------------------------- cache
@@ -305,8 +309,12 @@ def cmd_construct(args, cfg):
 
 
 def cmd_search(args, cfg):
+    CaseSpec(args.n, args.d, 1, args.k)  # refuses k as `verify` does
     if args.target:
-        coeffs = tuple(int(c) for c in args.target.split(","))
+        try:
+            coeffs = tuple(map(int, args.target.split(",")))
+        except ValueError:
+            raise ValueError(f"--target {args.target!r} is not a list of integers") from None
         target = TruncatedSeries(coeffs, terminated=coeffs[-1] == 0)
     else:
         # For k <= n the target stops at degree k(d - 1) + 1, and the

@@ -38,7 +38,7 @@ B_e = x_n B_{e-1} + span{u*h : u standard, x_n does not divide u}, since
 u*h = x_n (u/x_n * h) when x_n | u. Multiplying by a monomial keeps the
 lex order, so x_n maps the standard monomials of degree e - 1 in order
 onto standard monomials of degree e, except those that x_n kills
-(x_n-exponent a_n - 1), which it sends to zero (`_xn_lost`). Moved
+(x_n-exponent a_n - 1), which it sends to zero (`_xn_column`). Moved
 through that map, the rows of the reduced echelon basis of B_{e-1}
 whose pivot survives are a reduced echelon basis of part of x_n B_{e-1},
 found with no arithmetic. It seeds degree e's elimination. The basis
@@ -83,9 +83,11 @@ between them and the case is certified.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -407,33 +409,32 @@ def _bounds_at(least, e: int) -> tuple[int, ...]:
     return tuple(e + 1 if a is None else min(a, e + 1) for a in least)
 
 
-def _xn_lost(basis: modp.Echelon, n: int, e: int, bounds) -> np.ndarray:
-    """Which rows of degree e - 1's basis x_n moves off degree e's seed:
-    those whose pivot x_n kills (bounds those of degree e). sigma, the x_n
-    column of the scatter table of degree 1 into degree e, is x_n times
-    each standard column of degree e - 1, or the standard count when x_n
-    kills it. A basis over another number of columns raises SoundnessError."""
-    pivots, free, _ = basis
-    sigma = _scatter_table(n, 1, e, False, bounds)[:, -1]
-    width = pivots.size + free.size
-    if width != sigma.size:
-        raise SoundnessError(f"degree-{e - 1} seed has {width} columns, not {sigma.size}")
-    return sigma[pivots] == _standard(n, e, bounds)[1]
+@lru_cache(maxsize=None)
+def _xn_column(n: int, e: int, bounds: tuple[int, ...]) -> np.ndarray:
+    """sigma: x_n times each standard monomial of degree e - 1, as its
+    column among the standard monomials of degree e (bounds those of
+    degree e), or their count when x_n kills it (the x_n column of the
+    scatter table of degree 1 into degree e, alone)."""
+    shifted = _standard_exponents(n, e - 1, _bounds_at(bounds, e - 1)).copy()
+    shifted[:, -1] += 1
+    sigma = _standard(n, e, bounds)[0][lex_rank(shifted)]
+    sigma.flags.writeable = False
+    return sigma
 
 
-def _xn_seed(basis: modp.Echelon, n: int, e: int, bounds):
+def _xn_seed(basis: modp.Echelon, lost: np.ndarray, n: int, e: int, bounds):
     """x_n times degree e - 1's basis, as degree e's seed over all of
     degree e's standard columns (bounds), and the block of rows to feed
     again, in a list (see the module docstring).
 
     The rows whose pivot survives keep it and their surviving free
-    entries, moved through sigma (`_xn_lost`): with no arithmetic they are
-    still a reduced echelon basis. The rows whose pivot x_n kills
-    (`_xn_lost`) are returned, moved the same way, to be fed again.
+    entries, moved through sigma (`_xn_column`): with no arithmetic they
+    are still a reduced echelon basis. The rows whose pivot x_n kills
+    (lost, a mask of the basis rows) are returned, moved the same way, to
+    be fed again.
     """
-    lost = _xn_lost(basis, n, e, bounds)
     pivots, free, block = basis
-    sigma = _scatter_table(n, 1, e, False, bounds)[:, -1]
+    sigma = _xn_column(n, e, bounds)
     cols = _standard(n, e, bounds)[1]
     kept = sigma[free] < cols
     targets = sigma[free[kept]]
@@ -544,13 +545,15 @@ def ideal_dimension_at_degree(
     The family's pure powers are divided out in closed form: the result
     is the count of degree-e monomials that are not standard plus the
     rank of the other forms' rows over the standard columns (see the
-    module docstring). Those rows stream, built lazily a run of forms of
-    one degree at a time (`macaulay_rows`), into one `modp.RowReducer`
-    (`add_blocks`, which merges them in groups of at most `modp.CHUNK`
-    rows into a reduced echelon basis, a group as soon as it could bring
-    the basis to full column rank). The runs are cut where those groups
-    end, so the merges are those of one block per form, and once the
-    rows have full column rank no further run is built.
+    module docstring). Those rows are merged into one `modp.RowReducer`
+    in groups, and this is the one place that groups them. The items, the
+    rows fed again, then the forms, are taken in order, each one's height
+    known before its rows are built. The group held is merged first if
+    the next item would take it past `modp.CHUNK` rows, and merged as
+    soon as it reaches CHUNK rows or could bring the basis to full column
+    rank; once the basis has full column rank no further item is taken.
+    A merge builds its forms' rows by one `macaulay_rows` call per run of
+    forms of one degree and feeds the group by one `add_rows` call.
 
     budget caps the entries of the matrix eliminated (`eliminated_shape`):
     every standard multiple of the other forms, however few of them a
@@ -562,8 +565,9 @@ def ideal_dimension_at_degree(
     degrees: it maps the last degree eliminated with it to that degree's
     basis. If that degree is e - 1, x_n times its basis seeds the reducer
     and only its rows whose pivot x_n killed and the rows u*h with x_n
-    not dividing u are fed (see the module docstring). On return it maps
-    e to degree e's basis, and nothing else.
+    not dividing u are fed (see the module docstring); a basis over
+    another number of columns raises SoundnessError. On return it maps e
+    to degree e's basis, and nothing else.
 
     kept, if given, is a `KeptBases` shared with families that this one
     extends. Its degree-e basis, of the rows of others[:j], is the second
@@ -589,67 +593,57 @@ def ideal_dimension_at_degree(
     bounds = _bounds_at(least, e)
     cols = eliminated_shape(family.n, e, least, other_counts, budget)[1]
     prefix = None if kept is None else kept.seed(e, others, bounds, cols)
-    if prefix is not None and seed is not None:
+    if seed is not None:
+        # x_n moves off degree e's seed the rows whose pivot it kills
+        sigma = _xn_column(family.n, e, bounds)
+        width = seed[0].size + seed[1].size
+        if width != sigma.size:
+            raise SoundnessError(f"degree-{e - 1} seed has {width} columns, not {sigma.size}")
+        lost = sigma[seed[0]] == cols
         # of the two seeds, the one with more rows leaves fewer pivots to find
-        survivors = seed[0].size - int(_xn_lost(seed, family.n, e, bounds).sum())
-        if prefix[1][0].size <= survivors:
+        if prefix is not None and prefix[1][0].size <= seed[0].size - int(lost.sum()):
             prefix = None
     again, fed, xn_free = [], others, False
     if prefix is not None:
         j, seed = prefix
         fed = others[j:]
     elif seed is not None:
-        seed, again = _xn_seed(seed, family.n, e, bounds)
+        seed, again = _xn_seed(seed, lost, family.n, e, bounds)
         xn_free = True
     reducer = modp.RowReducer(cols, family.prime, seed)
     del seed, prefix  # the reducer holds the seed; keep one basis alive
 
-    def rows(run):
-        return macaulay_rows(FormFamily(family.n, tuple(run), family.prime), e, xn_free, bounds)
+    def merge(group):
+        # one add_rows call: the rows fed again, then one macaulay_rows
+        # call per run of forms of one degree
+        blocks = [item for item in group if isinstance(item, np.ndarray)]
+        for _, run in itertools.groupby(group[len(blocks) :], attrgetter("degree")):
+            family_run = FormFamily(family.n, tuple(run), family.prime)
+            blocks.append(macaulay_rows(family_run, e, xn_free, bounds))
+        if blocks:
+            reducer.add_rows(blocks[0] if len(blocks) == 1 else np.vstack(blocks))
 
-    held = 0  # rows that add_blocks holds unmerged
-
-    def took(height):
-        # add_blocks took a block of height rows: it merged what it held
-        # first if the block took that past CHUNK rows, and merged the
-        # group if it reached CHUNK rows or could bring the basis to full
-        # rank (the rank read now decides as the one it read: it grew
-        # only if it merged)
-        nonlocal held
-        held = height if held + height > modp.CHUNK else held + height
-        if held >= modp.CHUNK or reducer.rank + held >= cols:
-            held = 0
-
-    def blocks():
-        # again, then the rows of fed's forms of degree <= e, a run of
-        # forms of one degree per block, cut where add_blocks, fed one
-        # form at a time, would cut its groups: so the merges, and the
-        # rows built before full rank stops the stream, are the same
-        for block in again:
-            yield block
-            took(block.shape[0])
-        run, size = [], 0
-        for f in fed:
-            if f.degree > e:
-                continue
-            height = _scatter_table(family.n, f.degree, e, xn_free, bounds).shape[0]
-            if run and (f.degree != run[0].degree or held + size + height > modp.CHUNK):
-                yield rows(run)
-                took(size)
-                run, size = [], 0
-            run.append(f)
-            size += height
-            # past CHUNK only with f alone in the run: add_blocks then
-            # merges what it holds before it takes f, and decides on f by
-            # the rank that merge leaves
-            if held + size >= modp.CHUNK or reducer.rank + held + size >= cols:
-                yield rows(run)
-                took(size)
-                run, size = [], 0
-        if run:
-            yield rows(run)
-
-    reducer.add_blocks(blocks())
+    # again, then fed's forms of degree <= e, each item's height known
+    # before its rows are built
+    group, height = [], 0
+    for item in itertools.chain(again, fed):
+        if reducer.full_column_rank:
+            break
+        if isinstance(item, np.ndarray):
+            size = item.shape[0]
+        elif item.degree <= e:
+            size = _scatter_table(family.n, item.degree, e, xn_free, bounds).shape[0]
+        else:
+            continue
+        if height + size > modp.CHUNK:
+            merge(group)
+            group, height = [], 0
+        group.append(item)
+        height += size
+        if height >= modp.CHUNK or reducer.rank + height >= cols:
+            merge(group)
+            group, height = [], 0
+    merge(group)
     dim = total - cols + reducer.rank
     if dim > rows_total or dim > total:
         raise SoundnessError(

@@ -2,9 +2,11 @@
 
 The basis is kept in reduced row echelon form. Its pivot columns form an
 identity block, so only the free (non-pivot) columns are stored: an
-r x (cols - r) matrix F. Rows are fed in chunks of CHUNK rows (a stream
-of shorter blocks is grouped into chunks of at most CHUNK rows), and each
-chunk is merged into the basis in three steps:
+r x (cols - r) matrix F. Rows are fed in blocks, a block taller than
+CHUNK rows is cut into chunks of CHUNK rows, and each block or chunk is
+merged into the basis in three steps (the caller,
+`macaulay.ideal_dimension_at_degree`, stacks short blocks into merges of
+at most CHUNK rows):
 
 1. reduce it against the basis with one product, free -= chunk[:, piv] @ F;
 2. put the reduced chunk into RREF;
@@ -324,8 +326,9 @@ class RowReducer:
     """A row space over Z/p grown by blocks of rows, with its rank.
 
     The basis is in reduced row echelon form, stored as its pivot columns
-    and the r x (cols - r) block of its free columns. Rows are merged
-    into it CHUNK at a time (`_merge`).
+    and the r x (cols - r) block of its free columns. Each `add_rows`
+    block is merged into it whole, or CHUNK rows at a time if taller
+    (`_merge`); which rows share a merge is the caller's choice.
 
     seed, if given, is the compact RREF of a row space over all cols
     columns, the starting basis as it stands, with no arithmetic (a seed
@@ -374,37 +377,3 @@ class RowReducer:
             chunk = b[start : start + CHUNK] % self.p
             self._echelon = _merge(self._echelon, chunk, self.p)
         return self.rank - before
-
-    def add_blocks(self, blocks) -> int:
-        """Reduce a stream of row blocks; returns the number of new basis
-        rows.
-
-        Consecutive blocks are grouped into merges of at most CHUNK rows;
-        a taller block is merged on its own, and `add_rows` splits it. A
-        group is merged as soon as it could bring the basis to full
-        column rank, and no block is pulled once the basis has it, so a
-        lazy stream's later blocks are never built.
-        """
-        before = self.rank
-        blocks = iter(blocks)
-        group, height = [], 0
-        while not self.full_column_rank:
-            block = next(blocks, None)
-            if block is None:
-                break
-            block = np.atleast_2d(np.asarray(block, dtype=np.int64))
-            if height + block.shape[0] > CHUNK:
-                self._add_group(group)
-                group, height = [], 0
-            group.append(block)
-            height += block.shape[0]
-            if height >= CHUNK or self.rank + height >= self.cols:
-                self._add_group(group)
-                group, height = [], 0
-        self._add_group(group)
-        return self.rank - before
-
-    def _add_group(self, group) -> None:
-        if group:
-            self.add_rows(group[0] if len(group) == 1 else np.vstack(group))
-

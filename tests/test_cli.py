@@ -568,6 +568,38 @@ def test_search_found_and_not_found(capsys):
     assert out.startswith("none")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("series", "--n", "3", "--deg", "2x3x4"),
+     "--deg '2x3x4': '2x3x4' is not \"d\" or \"dxCOUNT\""),
+    (("series", "--n", "3", "--deg", "2,2xa"), "--deg '2,2xa': '2xa' is not \"d\" or \"dxCOUNT\""),
+    (("series", "--n", "3", "--deg", "q"), "--deg 'q': 'q' is not \"d\" or \"dxCOUNT\""),
+    (("sweep", "--n", "3", "--d", "2", "--k-range", "a"),
+     "--k-range 'a' is not \"k\" or \"lo..hi\""),
+    (("sweep", "--n", "3", "--d", "2", "--k-range", "4.."),
+     "--k-range '4..' is not \"k\" or \"lo..hi\""),
+    (("sweep", "--n", "3", "--d", "2", "--k-range", "1..2..3"),
+     "--k-range '1..2..3' is not \"k\" or \"lo..hi\""),
+    (("search", "--n", "3", "--d", "2", "--k", "3", "--target", "1,2,"),
+     "--target '1,2,' is not a list of integers"),
+], ids=["deg-three-parts", "deg-count", "deg-degree", "k-range-word", "k-range-open",
+        "k-range-three-parts", "target-trailing-comma"])
+def test_malformed_option_exits_3_naming_option_and_token(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("k", [0, 7, -1])
+def test_search_refuses_k_outside_the_monomial_count(capsys, k):
+    """Six quadrics in 3 variables at most, as `verify` says: k = 7 is
+    refused with exit 3, not searched and reported as not attained, and
+    k = 0 is refused, not answered by an empty ideal."""
+    code, out, err = run(capsys, "search", "--n", "3", "--d", "2", "--k", str(k))
+    with pytest.raises(ValueError) as spec_error:
+        verifier.CaseSpec(3, 2, 1, k)
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {spec_error.value}\n")
+    assert "k must lie in [1, 6]" in err
+
+
 def test_search_finds_a_complete_intersection(capsys):
     """k <= n: the target stops at degree k(d - 1) + 1 = 4, and the
     first monomial ideal that matches it is three pure squares."""

@@ -107,7 +107,7 @@ def test_leaves_of_p_minus_1_rows_match_reference(monkeypatch, index):
     assert reducer.add_rows(np.array(rows, dtype=np.int64)) == expected
     assert heights == [len(rows)]
     streamed = RowReducer(cols, p)
-    assert streamed.add_blocks(np.array(row, dtype=np.int64) for row in rows) == expected
+    assert sum(streamed.add_rows(np.array(row, dtype=np.int64)) for row in rows) == expected
 
 
 def test_the_range_bound_is_exact(monkeypatch):
@@ -136,7 +136,8 @@ out = []
 for rows, p in json.load(sys.stdin):
     whole, streamed = RowReducer(len(rows[0]), p), RowReducer(len(rows[0]), p)
     whole.add_rows(np.array(rows, dtype=np.int64))
-    streamed.add_blocks(np.array(row, dtype=np.int64) for row in rows)
+    for row in rows:
+        streamed.add_rows(np.array(row, dtype=np.int64))
     out.append([whole.rank, streamed.rank])
 print(json.dumps(out))
 """

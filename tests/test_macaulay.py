@@ -642,8 +642,8 @@ def test_eliminated_shape_matches_the_reference(family, e):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_xn_shift_is_increasing_and_kills_the_top_xn_exponent(n):
-    """The lemma behind the seeded chain: sigma, the x_n column of the
-    scatter table of degree 1 into degree e, sends each standard monomial
+    """The lemma behind the seeded chain: sigma, the x_n map of degree
+    e - 1 into degree e (`_xn_column`), sends each standard monomial
     of degree e - 1 to x_n times it among the standard monomials of
     degree e, found here by lookup in the enumeration, is strictly
     increasing on the columns it keeps, and kills exactly those with
@@ -655,7 +655,7 @@ def test_xn_shift_is_increasing_and_kills_the_top_xn_exponent(n):
                 for d in (e - 1, e)
             )
             column = {m: i for i, m in enumerate(above)}
-            sigma = _scatter_table(n, 1, e, False, tuple(min(b, e + 1) for b in bounds))[:, -1]
+            sigma = macaulay._xn_column(n, e, tuple(min(b, e + 1) for b in bounds))
             assert sigma.tolist() == [
                 column.get(m[:-1] + (m[-1] + 1,), len(above)) for m in below
             ]
@@ -663,6 +663,30 @@ def test_xn_shift_is_increasing_and_kills_the_top_xn_exponent(n):
             assert (sigma == len(above)).tolist() == killed
             kept = sigma[sigma < len(above)]
             assert np.all(np.diff(kept) > 0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_xn_column_is_the_last_column_of_the_degree_1_scatter_table(n):
+    """The cached x_n map is the x_n column of the scatter table of
+    degree 1 into degree e, for pure-power bounds with and without a
+    variable that has none."""
+    for least in {(3, 2, 4, 2, 5)[:n], (None, 3, None, 2, 4)[:n], (2,) * n, (None,) * n}:
+        for e in range(1, 12):
+            bounds = macaulay._bounds_at(least, e)
+            column = macaulay._xn_column(n, e, bounds)
+            assert column.dtype == np.intp and not column.flags.writeable
+            assert np.array_equal(column, _scatter_table(n, 1, e, False, bounds)[:, -1])
+
+
+def test_a_chain_seed_over_other_columns_is_refused():
+    """A degree-3 basis over the 10 monomials of degree 3 cannot seed
+    degree 4 of a family with x_1^2, whose degree 3 has 7 standard
+    columns: SoundnessError, not an assert."""
+    chain = {}
+    ideal_dimension_at_degree(FormFamily.random(3, 3, 2, seed=6), 3, chain)
+    family = FormFamily(3, (pure_power(3, 0, 2),) + FormFamily.random(3, 3, 2, seed=6).forms)
+    with pytest.raises(SoundnessError, match="degree-3 seed has 10 columns, not 7"):
+        ideal_dimension_at_degree(family, 4, chain)
 
 
 def test_xn_free_rows_are_the_macaulay_rows_of_xn_free_multipliers():
@@ -758,17 +782,129 @@ def test_no_group_is_built_after_full_column_rank(monkeypatch):
     assert assert_no_group_after_full_rank(monkeypatch, sweep)
 
 
+def record_feeding(monkeypatch):
+    """Heights of the `add_rows` calls and of the `macaulay_rows` blocks,
+    in order, while the test runs."""
+    fed, built = [], []
+    real_add, real_rows = modp.RowReducer.add_rows, macaulay.macaulay_rows
+
+    def adding(self, block):
+        fed.append(np.atleast_2d(block).shape[0])
+        return real_add(self, block)
+
+    def building(*args):
+        block = real_rows(*args)
+        built.append(block.shape[0])
+        return block
+
+    monkeypatch.setattr(modp.RowReducer, "add_rows", adding)
+    monkeypatch.setattr(macaulay, "macaulay_rows", building)
+    return fed, built
+
+
+def test_short_forms_are_merged_as_one_group(monkeypatch):
+    """Twenty quadrics in 8 variables at degree 2, one row each over 36
+    columns, reach add_rows as one call of 20 rows, built by one
+    macaulay_rows call. Of CHUNK + 2 quadrics in 16 variables (136
+    columns), a group that reaches exactly CHUNK rows is merged with its
+    last form, and the two after it are the next group."""
+    fed, built = record_feeding(monkeypatch)
+    assert ideal_dimension_at_degree(FormFamily.random(8, 2, 20, seed=3), 2) == 20
+    assert (fed, built) == ([20], [20])
+    fed.clear(), built.clear()
+    quadrics = FormFamily.random(16, 2, modp.CHUNK + 2, seed=3)
+    assert ideal_dimension_at_degree(quadrics, 2) == modp.CHUNK + 2
+    assert (fed, built) == ([modp.CHUNK, 2], [modp.CHUNK, 2])
+
+
+def test_nothing_is_taken_after_full_column_rank(monkeypatch):
+    """Quadrics in 2 variables at degree 2 (3 columns, one row a form):
+    the first three are merged and no other is built. A cubic (2 rows at
+    degree 4, over 5 columns) and a quadric (3 rows) are one group of two
+    runs that brings the basis to full rank, and the forms after them
+    are not built. A degree whose kept seed already has full column rank
+    feeds and builds nothing."""
+    fed, built = record_feeding(monkeypatch)
+    quadrics = FormFamily.random(2, 2, 5, seed=4)
+    assert ideal_dimension_at_degree(quadrics, 2) == 3
+    assert (fed, built) == ([3], [3])
+    fed.clear(), built.clear()
+    rng = np.random.default_rng(4)
+    mixed = FormFamily(2, (random_form(2, 3, rng), random_form(2, 2, rng))
+                       + FormFamily.random(2, 3, 4, seed=5).forms)
+    assert ideal_dimension_at_degree(mixed, 4) == 5
+    assert (fed, built) == ([5], [2, 3])
+    kept = KeptBases()
+    ideal_dimension_at_degree(FormFamily(2, quadrics.forms[:3]), 2, kept=kept)
+    fed.clear(), built.clear()
+    assert ideal_dimension_at_degree(quadrics, 2, kept=kept) == 3
+    assert (fed, built) == ([], [])
+
+
+def test_the_sweep_n3_merges_are_pinned(monkeypatch):
+    """Both sweeps of perfbench's sweep-n3 workload, (3,7,2) and (3,2,7)
+    over k = 4..120: 166 outer merges, 2250 rows fed to add_rows and 2182
+    rows built, in at most 162 macaulay_rows calls."""
+    from genforms.verifier import plan_sweep, run_sweep
+
+    fed, built = record_feeding(monkeypatch)
+    merges, depth = 0, 0
+    real_merge = modp._merge
+
+    def merge(echelon, block, p):
+        nonlocal merges, depth
+        merges += depth == 0
+        depth += 1
+        try:
+            return real_merge(echelon, block, p)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(modp, "_merge", merge)
+    for cell in ((3, 7, 2, 4, 120), (3, 2, 7, 4, 120)):
+        run_sweep(plan_sweep(*cell))
+    assert (merges, sum(fed), sum(built)) == (166, 2250, 2182)
+    assert len(built) <= 162
+
+
+def group_blocks(reducer, blocks):
+    """The reference grouper: feed a lazy stream of row blocks to reducer
+    in merges of at most CHUNK rows. The group held is merged first if
+    the next block would take it past CHUNK rows, and merged once it
+    reaches CHUNK rows or could bring the basis to full column rank; no
+    block is pulled once the basis has full column rank."""
+    group, height = [], 0
+
+    def merge():
+        if group:
+            reducer.add_rows(np.vstack(group))
+
+    while not reducer.full_column_rank:
+        block = next(blocks, None)
+        if block is None:
+            break
+        if height + block.shape[0] > modp.CHUNK:
+            merge()
+            group, height = [], 0
+        group.append(block)
+        height += block.shape[0]
+        if height >= modp.CHUNK or reducer.rank + height >= reducer.cols:
+            merge()
+            group, height = [], 0
+    merge()
+
+
 def one_form_merges(family, e, basis):
     """The (columns, rows) of each merge, and the rows built, when degree
-    e of family is fed one form's rows per block, seeded by x_n times
-    basis (the basis of degree e - 1) if given: the stream that
-    `ideal_dimension_at_degree` fed before it grouped forms."""
+    e of family is fed by `group_blocks`, one form's rows per block,
+    seeded by x_n times basis (the basis of degree e - 1) if given."""
     least, others, other_counts = family.pure_powers
     bounds = macaulay._bounds_at(least, e)
     cols = eliminated_shape(family.n, e, least, other_counts)[1]
     seed, again, xn_free = None, [], basis is not None
     if xn_free:
-        seed, again = macaulay._xn_seed(basis, family.n, e, bounds)
+        lost = macaulay._xn_column(family.n, e, bounds)[basis[0]] == cols
+        seed, again = macaulay._xn_seed(basis, lost, family.n, e, bounds)
     built, merges = [], []
     real = modp._merge
 
@@ -785,7 +921,7 @@ def one_form_merges(family, e, basis):
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(modp, "_merge", merge)
-        modp.RowReducer(cols, family.prime, seed).add_blocks(blocks())
+        group_blocks(modp.RowReducer(cols, family.prime, seed), blocks())
     return merges, sum(built)
 
 
@@ -1173,18 +1309,20 @@ def test_the_reducer_alone_holds_the_seed_it_starts_from(monkeypatch):
     cubes = pure_power_family(3, 3).forms
     forms = tuple(random_form(3, 3, rng) for _ in range(3))
     watched, checks = [], []
-    real_add = modp.RowReducer.add_blocks
+    real_add = modp.RowReducer.add_rows
 
-    def add_blocks(self, blocks):
-        checks.append((sys.getrefcount(self._echelon), [ref() for ref in watched]))
-        return real_add(self, blocks)
+    def add_rows(self, block):
+        if not checks:  # the first add_rows call since checks was cleared
+            checks.append((sys.getrefcount(self._echelon), [ref() for ref in watched]))
+        return real_add(self, block)
 
-    monkeypatch.setattr(modp.RowReducer, "add_blocks", add_blocks)
-    # the kept basis of two forms seeds degree 4 of three, which has no chain
+    monkeypatch.setattr(modp.RowReducer, "add_rows", add_rows)
+    # the kept basis of two forms (rank 2 of 7) seeds degree 3 of three,
+    # which has no chain
     kept = KeptBases()
-    ideal_dimension_at_degree(FormFamily(3, cubes + forms[:2]), 4, kept=kept)
+    ideal_dimension_at_degree(FormFamily(3, cubes + forms[:2]), 3, kept=kept)
     checks.clear()
-    ideal_dimension_at_degree(FormFamily(3, cubes + forms), 4, kept=kept)
+    ideal_dimension_at_degree(FormFamily(3, cubes + forms), 3, kept=kept)
     assert checks == [(2, [])]
     # the kept basis of the pure powers alone has no rows: x_n's seed wins
     kept = KeptBases()

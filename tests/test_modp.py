@@ -27,9 +27,10 @@ def rank(matrix, p=DEFAULT_PRIME):
 
 
 def streamed_rank(blocks, cols, p=DEFAULT_PRIME):
-    """Rank of a stream of row blocks fed to one `RowReducer.add_blocks`."""
+    """Rank of row blocks fed to one `RowReducer`, one `add_rows` call
+    each."""
     reducer = RowReducer(cols, p)
-    assert reducer.add_blocks(blocks) == reducer.rank
+    assert sum(reducer.add_rows(block) for block in blocks) == reducer.rank
     return reducer.rank
 
 
@@ -119,44 +120,10 @@ def test_incremental_rank_empty_stream():
     assert streamed_rank(iter([np.zeros((0, 5), dtype=np.int64)]), 5) == 0
 
 
-def test_stream_stops_pulling_at_full_column_rank():
-    """A lazy stream is not pulled again once the rows it gave bring the
-    basis to full column rank, also when those rows are grouped, so a
-    later block is never built."""
-
-    def blocks(rows):
-        yield from rows
-        raise AssertionError("block pulled after full column rank")
-
-    reducer = RowReducer(3, p=101)
-    assert reducer.add_blocks(blocks(np.eye(3, dtype=np.int64))) == 3  # one-row blocks
-    assert reducer.full_column_rank
-    assert reducer.add_blocks(blocks([])) == 0  # already full: nothing pulled
-    rng = np.random.default_rng(2)
-    m = rng.integers(0, DEFAULT_PRIME, size=(5, 5))
-    assert streamed_rank(blocks([m[:2], m[2:]]), 5) == 5
-
-
-def test_stream_groups_short_blocks_into_one_merge(monkeypatch):
-    """Twenty one-row blocks reach add_rows as one call of 20 rows."""
-    heights = []
-    real = RowReducer.add_rows
-
-    def counting(self, block):
-        heights.append(np.atleast_2d(block).shape[0])
-        return real(self, block)
-
-    monkeypatch.setattr(RowReducer, "add_rows", counting)
-    rng = np.random.default_rng(3)
-    m = rng.integers(0, DEFAULT_PRIME, size=(20, 40))
-    assert streamed_rank(iter(m), 40) == 20
-    assert heights == [20]
-
-
 def test_stream_splits_a_block_taller_than_chunk(monkeypatch):
-    """Groups never exceed CHUNK rows, and a taller block is still merged
-    CHUNK rows at a time: the outer merges of [3 rows, 2 CHUNK + 5 rows,
-    2 rows] have heights 3, CHUNK, CHUNK, 5 and 2."""
+    """A block is merged whole, and one taller than CHUNK rows CHUNK rows
+    at a time: the outer merges of add_rows calls of 3, 2 CHUNK + 5 and 2
+    rows have heights 3, CHUNK, CHUNK, 5 and 2."""
     heights = []
     depth = 0
     real = modp._merge

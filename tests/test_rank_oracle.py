@@ -107,15 +107,15 @@ def test_rank_matches_reference(case):
 def test_incremental_rank_matches_reference(case):
     rows, cols, p = case
     reducer = RowReducer(cols, p)
-    reducer.add_blocks(np.array(row, dtype=np.int64) for row in rows)
+    for row in rows:
+        reducer.add_rows(np.array(row, dtype=np.int64))
     assert reducer.rank == reference_rank(rows, p)
 
 
 @settings(max_examples=40, deadline=None)
 @given(planted_matrices(), st.lists(st.integers(0, CHUNK + 2), max_size=5))
 def test_row_reducer_random_blocks_match_reference(case, cuts):
-    """Blocks cut at random heights, fed by one add_rows call each and
-    streamed to add_blocks, which groups them up to CHUNK rows."""
+    """Blocks cut at random heights, fed by one add_rows call each."""
     rows, cols, p = case
     m = as_array(rows, cols)
     bounds = [0] + sorted(c for c in cuts if c < len(rows)) + [len(rows)]
@@ -125,8 +125,6 @@ def test_row_reducer_random_blocks_match_reference(case, cuts):
     expected = reference_rank(rows, p)
     assert reducer.rank == added == expected
     assert reducer.full_column_rank == (expected == cols)
-    streamed = RowReducer(cols, p)
-    assert streamed.add_blocks(iter(blocks)) == streamed.rank == expected
 
 
 def top_rows(height):
@@ -253,9 +251,9 @@ def test_a_basis_taller_than_a_tall_chunk(monkeypatch, chunk):
     lower-triangular 2100 x 2100 block and of 50 random rows, shuffled
     so that each chunk's new pivots back-reduce the basis: U has full
     column rank and [I | X] full row rank. At 1024-row chunks the third
-    merges into a basis of 2048 rows. add_rows and add_blocks (blocks of
-    1, 699, 1200, 100 and 150 rows) both find the planted rank, as they
-    do at CHUNK rows."""
+    merges into a basis of 2048 rows. One add_rows call of every row, and
+    one call per block of 1, 699, 1200, 100 and 150 rows, both find the
+    planted rank, as they do at CHUNK rows."""
     p, r, cols = DEFAULT_PRIME, 2100, 2150
     rng = np.random.default_rng(chunk)
     u = rng.permutation(np.vstack([
@@ -278,4 +276,4 @@ def test_a_basis_taller_than_a_tall_chunk(monkeypatch, chunk):
     assert max(bases) > chunk
     cuts = [0, 1, 700, 1900, 2000, len(m)]
     streamed = RowReducer(cols, p)
-    assert streamed.add_blocks(m[lo:hi] for lo, hi in zip(cuts, cuts[1:])) == r
+    assert sum(streamed.add_rows(m[lo:hi]) for lo, hi in zip(cuts, cuts[1:])) == r
