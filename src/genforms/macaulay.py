@@ -518,7 +518,7 @@ def eliminated_shape(n: int, e: int, least, other_counts, budget=None) -> tuple[
     at degree e, from the pure-power bounds least and the (degree, count)
     pairs of the other forms alone (`FormFamily.pure_powers`), without
     building a row. Over budget, if given, ResourceLimit carrying e: the
-    one budget rule, of the kernel and of `verifier.verify_case`."""
+    one budget rule, of `quotient_series` and of `verifier.verify_case`."""
     rows = sum(
         count * len(_standard_exponents(n, e - dg, _bounds_at(least, e - dg)))
         for dg, count in other_counts
@@ -537,7 +537,6 @@ def ideal_dimension_at_degree(
     family: FormFamily,
     e: int,
     chain: dict[int, modp.Echelon] | None = None,
-    budget: int | None = None,
     kept: KeptBases | None = None,
 ) -> int:
     """dim of the degree-e graded piece of the ideal generated by the family.
@@ -554,12 +553,6 @@ def ideal_dimension_at_degree(
     rank; once the basis has full column rank no further item is taken.
     A merge builds its forms' rows by one `macaulay_rows` call per run of
     forms of one degree and feeds the group by one `add_rows` call.
-
-    budget caps the entries of the matrix eliminated (`eliminated_shape`):
-    every standard multiple of the other forms, however few of them a
-    seeded degree feeds, times the standard columns. ResourceLimit,
-    carrying e, is raised before any row is built. With no pure powers
-    this is the whole Macaulay matrix.
 
     chain, if given, is a dict that one family's calls share across
     degrees: it maps the last degree eliminated with it to that degree's
@@ -589,9 +582,9 @@ def ideal_dimension_at_degree(
     rows_total, total = macaulay_shape(family, e)
     if rows_total == 0:
         return 0
-    least, others, other_counts = family.pure_powers
+    least, others, _ = family.pure_powers
     bounds = _bounds_at(least, e)
-    cols = eliminated_shape(family.n, e, least, other_counts, budget)[1]
+    cols = _standard(family.n, e, bounds)[1]
     prefix = None if kept is None else kept.seed(e, others, bounds, cols)
     if seed is not None:
         # x_n moves off degree e's seed the rows whose pivot it kills
@@ -663,20 +656,23 @@ def quotient_series(family, max_deg, budget=None, kept=None) -> TruncatedSeries:
     and the coefficient is written with no elimination. Once a
     coefficient is zero the ideal contains that power of the maximal
     ideal, so the tail is zero without further elimination.
-    Each degree's basis is carried to the next: x_n times it seeds degree
-    e + 1, and only its rows whose pivot x_n killed and the x_n-free rows
-    are fed (see the module docstring). kept, a `KeptBases` of a family
-    that this one extends, offers each degree a second seed, and takes
-    this family's bases in return (see `ideal_dimension_at_degree`).
-    budget caps the entry count of the matrix eliminated at each degree,
-    checked as the degree is reached (see `ideal_dimension_at_degree`).
+    x_n times each degree's basis seeds the next (see the module
+    docstring); kept, a `KeptBases` of a family that this one extends,
+    offers each degree a second seed, and takes this family's bases in
+    return (see `ideal_dimension_at_degree`). budget, if given, caps the
+    entries of each degree's matrix, every standard multiple of the other
+    forms however few a seed leaves to feed (`eliminated_shape`), and is
+    checked here, before each degree is eliminated.
     """
-    least = family.degree_counts[0][0] if family.forms else max_deg + 1
-    coeffs = [monomial_count(family.n, e) for e in range(min(least, max_deg + 1))]
+    start = family.degree_counts[0][0] if family.forms else max_deg + 1
+    coeffs = [monomial_count(family.n, e) for e in range(min(start, max_deg + 1))]
+    least, _, other_counts = family.pure_powers
     chain = {}  # the last eliminated degree -> its basis
     for e in range(len(coeffs), max_deg + 1):
+        if budget is not None:
+            eliminated_shape(family.n, e, least, other_counts, budget)
         rows, cols = macaulay_shape(family, e)
-        dim = ideal_dimension_at_degree(family, e, chain, budget, kept)
+        dim = ideal_dimension_at_degree(family, e, chain, kept)
         coeff = cols - dim
         # first-order lower bound holds at every specialization
         if coeff < cols - rows:

@@ -325,24 +325,25 @@ def pure_power_family(spec: CaseSpec, seed: int, draws=None) -> FormFamily:
     return FormFamily(n, forms, spec.prime, seed)
 
 
-def _at_pure_powers(spec, budget, kept, draws):
+def _at_pure_powers(spec, stop, kept, draws):
     """The series at `pure_power_family(spec, spec.seed, draws())` if it
     is the conjectured one, else None. draws is called only for k > n,
     the one case in which the point has random forms.
 
-    It runs after `verify_case`'s budget check, so it can meet the budget
-    only past the conjectured series' first zero, after it has missed,
-    and then it returns None as well.
+    It eliminates no degree past stop, the last one `verify_case`'s
+    budget check reached. A series terminated by stop (I_stop = R_stop) is
+    zero through the truncation; one that is not differs from the
+    conjectured one at stop.
 
     kept, for k >= n only, seeds each degree with the basis a smaller k
     of the same draws left there, and keeps this k's bases in its place
     (`pure_power_family`)."""
     family = pure_power_family(spec, spec.seed, draws() if spec.k > spec.n else None)
     kept = kept if spec.k >= spec.n else None
-    try:
-        computed = quotient_series(family, spec.trunc, budget, kept)
-    except ResourceLimit:
-        return None
+    computed = quotient_series(family, stop, kept=kept)
+    if computed.terminated:
+        zeros = (0,) * (spec.trunc - stop)
+        computed = TruncatedSeries(computed.coeffs + zeros, terminated=True)
     if lex_compare(computed, spec.conjectured) is not Ordering.EQUAL:
         return None
     return computed
@@ -373,12 +374,12 @@ def verify_case(
     NotAttained record never depends on it.
 
     The budget is one rule, applied from the spec before any form is
-    drawn: ResourceLimit (Skipped in a sweep) at the first degree, through
-    the conjectured series' first zero, at which the pure-power point's
-    matrix (`macaulay.eliminated_shape` of min(k, n) pure powers and
-    k - min(k, n) other forms) is over budget. A point that attains must
-    eliminate that degree, and a random trial's matrix there is no
-    smaller, so no Verified record is lost.
+    drawn: ResourceLimit (Skipped in a sweep) at the first degree, up to
+    the conjectured series' first zero or else the truncation, at which
+    the pure-power point's matrix (`macaulay.eliminated_shape`) is over
+    budget. A point that attains must eliminate that degree, and a random
+    trial's matrix there is no smaller, so no Verified record is lost.
+    The pure-power point stops at the last degree checked.
 
     A random specialization can be unlucky; only after `trials` failures
     is the verdict NotAttained, with every seed recorded. A record of the
@@ -405,11 +406,12 @@ def verify_case(
     else:
         n, md, pure = spec.n, spec.effective_degree, min(spec.k, spec.n)
         least = (md,) * pure + (None,) * (n - pure)
-        for e in range(md, trunc + 1):  # no rows below degree md
-            eliminated_shape(n, e, least, ((md, spec.k - pure),), budget)
-            if conjectured.coeffs[e] == 0:
+        stop = trunc  # if md > trunc, no degree through trunc has rows
+        for stop in range(md, trunc + 1):  # no rows below degree md
+            eliminated_shape(n, stop, least, ((md, spec.k - pure),), budget)
+            if conjectured.coeffs[stop] == 0:
                 break
-        computed = _at_pure_powers(spec, budget, kept, draws)
+        computed = _at_pure_powers(spec, stop, kept, draws)
         seeds, verdict, method = [spec.seed], VERIFIED, "pure-power"
     if computed is None:
         seeds, verdict, method = [], NOT_ATTAINED, "random"
@@ -612,9 +614,9 @@ def run_sweep(
     draws = cache(partial(powered_draws, todo[-1], todo[-1].seed)) if todo else None
     kept = KeptBases()
     for spec in todo:
-        # a point that attains stops at degree trunc - 1, and the
-        # truncation does not grow with k, so only a missed point could
-        # use a basis of degree trunc or above
+        # a pure-power point of k > n stops by degree trunc - 1, its
+        # spec's first zero, and the truncation does not grow with k, so
+        # no later case could use a basis of degree trunc or above
         kept.drop_from(spec.trunc)
         try:
             found[spec.k] = verify_case(spec, budget, kept=kept, draws=draws)

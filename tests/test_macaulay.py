@@ -844,10 +844,27 @@ def test_nothing_is_taken_after_full_column_rank(monkeypatch):
 def test_the_sweep_n3_merges_are_pinned(monkeypatch):
     """Both sweeps of perfbench's sweep-n3 workload, (3,7,2) and (3,2,7)
     over k = 4..120: 166 outer merges, 2250 rows fed to add_rows and 2182
-    rows built, in at most 162 macaulay_rows calls."""
+    rows built, in at most 162 macaulay_rows calls. Each of the 172
+    eliminated degrees, all at pure-power points, has its shape computed
+    once, by the budget check of its case's spec."""
+    from genforms import verifier
     from genforms.verifier import plan_sweep, run_sweep
 
     fed, built = record_feeding(monkeypatch)
+    shapes, degrees = [], []
+    real_shape, real_dimension = eliminated_shape, ideal_dimension_at_degree
+
+    def shape(n, e, *args):
+        shapes.append(e)
+        return real_shape(n, e, *args)
+
+    def dimension(family, e, *args, **kwargs):
+        degrees.append(e)
+        return real_dimension(family, e, *args, **kwargs)
+
+    for owner in (verifier, macaulay):
+        monkeypatch.setattr(owner, "eliminated_shape", shape)
+    monkeypatch.setattr(macaulay, "ideal_dimension_at_degree", dimension)
     merges, depth = 0, 0
     real_merge = modp._merge
 
@@ -865,6 +882,7 @@ def test_the_sweep_n3_merges_are_pinned(monkeypatch):
         run_sweep(plan_sweep(*cell))
     assert (merges, sum(fed), sum(built)) == (166, 2250, 2182)
     assert len(built) <= 162
+    assert len(shapes) == len(degrees) == 172
 
 
 def group_blocks(reducer, blocks):

@@ -743,7 +743,9 @@ def test_verify_case_certifies_at_the_pure_power_point():
     assert VerificationRecord.from_dict(record.to_dict(), spec) == record
 
 
-@pytest.mark.parametrize("n, d, m, k", [(2, 3, 2, 2), (3, 2, 2, 3), (4, 1, 3, 2), (3, 2, 3, 1)])
+# (2,35,2,2): md = 70 is past the truncation, 64, so no degree is eliminated
+@pytest.mark.parametrize(
+    "n, d, m, k", [(2, 3, 2, 2), (3, 2, 2, 3), (4, 1, 3, 2), (3, 2, 3, 1), (2, 35, 2, 2)])
 def test_complete_intersections_certify_as_the_monomial_sieve(n, d, m, k):
     spec = CaseSpec(n, d, m, k)
     record = verify_case(spec)
@@ -755,9 +757,11 @@ def test_complete_intersections_certify_as_the_monomial_sieve(n, d, m, k):
 
 def test_a_first_attempt_over_budget_falls_through_to_the_random_trials(monkeypatch):
     """(3,2,1,5) at the degenerate point does not terminate at degree 3,
-    and its degree-4 matrix (30x15) is over a budget of 200 entries; the
-    random trials stop at degree 3 (15x10) and certify. Random trials at
-    the degenerate point too meet the budget at degree 4 and raise."""
+    the conjectured series' first zero and so the point's stop: it misses
+    there and never reaches degree 4, where its matrix (30x15) would be
+    over a budget of 200 entries. The random trials stop at degree 3
+    (15x10) and certify. Random trials at the degenerate point do not
+    terminate at degree 3 either, meet the budget at degree 4 and raise."""
     monkeypatch.setattr(verifier, "pure_power_family", degenerate_family)
     record = verify_case(CaseSpec(3, 2, 1, 5), budget=200)
     assert record.verdict == VERIFIED and record.seeds_tried == (0,)
@@ -853,6 +857,42 @@ def test_pure_power_point_under_python_O():
         env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_missed_pure_power_point_stops_where_its_spec_check_did(monkeypatch):
+    """(3,1,3,5), an Alexander-Hirschowitz case: its conjectured series
+    1, 3, 6, 5, 0, 0 has its first zero at degree 4, the last degree the
+    spec's budget check reaches. The pure-power point misses there, and
+    its quotient_series call ends at degree 4, eliminating no degree
+    above it; each random trial runs through the truncation, 5. The
+    record does not depend on the point: NotAttained after seeds
+    (0, 1, 2), with the last trial's series."""
+    calls, eliminated = [], []
+    real_series, real_dimension = verifier.quotient_series, macaulay.ideal_dimension_at_degree
+
+    def series(family, max_deg, *args, **kwargs):
+        calls.append(max_deg)
+        eliminated.append([])
+        return real_series(family, max_deg, *args, **kwargs)
+
+    def dimension(family, e, *args, **kwargs):
+        eliminated[-1].append(e)
+        return real_dimension(family, e, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "quotient_series", series)
+    monkeypatch.setattr(macaulay, "ideal_dimension_at_degree", dimension)
+    record = verify_case(CaseSpec(3, 1, 3, 5)).to_dict()
+    assert calls == [4, 5, 5, 5]
+    assert eliminated == [[3, 4]] + [[3, 4, 5]] * 3
+    del record["millis"]
+    assert record == {
+        "n": 3, "d": 1, "m": 3, "k": 5, "prime": modp.DEFAULT_PRIME, "seed": 0, "trunc": 5,
+        "conjectured": [1, 3, 6, 5, 0, 0], "computed": [1, 3, 6, 5, 1, 0],
+        "verdict": NOT_ATTAINED,
+        "ranks": [[0, 0, 1, 0], [1, 0, 3, 0], [2, 0, 6, 0], [3, 5, 10, 5],
+                  [4, 15, 15, 14], [5, 30, 21, 21]],
+        "seeds_tried": [0, 1, 2], "version": genforms.__version__, "method": "random",
+    }
 
 
 def test_case_spec_rejects_prime_above_2_31():
