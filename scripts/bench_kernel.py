@@ -58,7 +58,7 @@ from genforms.macaulay import (
     macaulay_shape,
     quotient_series,
 )
-from genforms.monomials import enumerate_monomials, monomial_count
+from genforms.monomials import enumerate_monomials, lex_exponents, monomial_count
 from genforms.verifier import (
     DEFAULT_BUDGET,
     CaseSpec,
@@ -158,9 +158,8 @@ def time_chain(chain=CHAIN, repeats=REPEATS) -> dict:
 
 def _clear_caches():
     """Empty the lru_caches, as in a fresh process."""
-    for cached in (macaulay._scatter_table, macaulay._standard, macaulay._standard_exponents,
-                   macaulay._exponents, macaulay.enumerate_monomials, case_series,
-                   verifier._pure_powers):
+    for cached in (macaulay._scatter_table, macaulay._standard, lex_exponents,
+                   enumerate_monomials, case_series, verifier._pure_powers):
         cached.cache_clear()
 
 

@@ -92,7 +92,15 @@ from operator import attrgetter
 import numpy as np
 
 from . import modp
-from .monomials import enumerate_monomials, exponent_array, lex_rank, monomial_count
+# perfbench/tracing.py wraps enumerate_monomials where this module looks
+# it up, so it stays imported though no code here calls it
+from .monomials import (
+    enumerate_monomials,  # noqa: F401
+    exponent_array,
+    lex_exponents,
+    lex_rank,
+    monomial_count,
+)
 from .series import TruncatedSeries
 
 
@@ -157,7 +165,7 @@ class ModPPoly:
         support = np.flatnonzero(self.coeffs)
         if self.degree < 1 or support.size != 1:
             return None
-        exps = _exponents(self.n, self.degree)[support[0]]
+        exps = lex_exponents(self.n, self.degree, None)[support[0]]
         return int(exps.argmax()) if exps.max() == self.degree else None
 
     @classmethod
@@ -315,35 +323,13 @@ def _products(a: np.ndarray, b: np.ndarray, n: int, da: int, db: int, p: int) ->
 
 
 @lru_cache(maxsize=None)
-def _exponents(n: int, d: int) -> np.ndarray:
-    """Exponent vectors of the degree-d monomials, in lex order."""
-    exps = np.array(enumerate_monomials(n, d), dtype=np.int64).reshape(-1, n)
-    exps.flags.writeable = False
-    return exps
-
-
-@lru_cache(maxsize=None)
-def _standard_exponents(n: int, e: int, bounds: tuple[int, ...]) -> np.ndarray:
-    """Exponent vectors of the degree-e standard monomials, those with
-    every exponent e_i < bounds[i], in lex order: built bound by bound,
-    so the monomials that are not standard are never listed."""
-    if n == 0:
-        return np.zeros((int(e == 0), 0), dtype=np.int64)
-    parts = []
-    for a in range(min(e, bounds[0] - 1), -1, -1):
-        rest = _standard_exponents(n - 1, e - a, _bounds_at(bounds[1:], e - a))
-        parts.append(np.hstack([np.full((len(rest), 1), a, dtype=np.int64), rest]))
-    exps = np.vstack(parts) if parts else np.zeros((0, n), dtype=np.int64)
-    exps.flags.writeable = False
-    return exps
-
-
-@lru_cache(maxsize=None)
 def _standard(n: int, e: int, bounds: tuple[int, ...]) -> tuple[np.ndarray, int]:
     """(column, count) of the degree-e standard monomials: column[j] is
     the index of the j-th degree-e monomial among the standard ones, in
-    lex order, or count for a monomial that is not standard."""
-    standard = _standard_exponents(n, e, bounds)
+    lex order, or count for a monomial that is not standard. The standard
+    ones are listed by `monomials.lex_exponents` under bounds, so the
+    others are never listed."""
+    standard = lex_exponents(n, e, bounds)
     count = len(standard)
     column = np.full(monomial_count(n, e), count, dtype=np.intp)
     column[lex_rank(standard)] = np.arange(count)
@@ -358,24 +344,22 @@ def _scatter_table(n: int, dg: int, e: int, xn_free: bool, bounds=None) -> np.nd
     not divisible by x_n) and source monomials of degree dg.
 
     With bounds, a tuple of n exponent bounds, only the standard
-    multipliers are kept (every exponent e_i < bounds[i]), and T[i, j] is
+    multipliers are listed (every exponent e_i < bounds[i], the bounds of
+    degree e - dg passed to `monomials.lex_exponents`), and T[i, j] is
     the product's column among the standard monomials of degree e, or
     their count when it is not standard (see `_standard`).
 
     Built by one broadcast `lex_rank(U[:, None, :] + V[None, :, :])` over
-    the exponent arrays U of the multipliers and V of the sources. The
-    rank is the closed form of the combinatorial number system,
+    the `lex_exponents` arrays U of the multipliers and V of the sources.
+    The rank is the closed form of the combinatorial number system,
     rank(m) = sum_{i=0}^{n-2} monomial_count(n - i, r_i - m_i - 1) with
     r_i the degree left after the first i exponents (a negative degree
     counts 0), so no monomial is looked up.
     """
-    if bounds is None:
-        mult = _exponents(n, e - dg)
-    else:
-        mult = _standard_exponents(n, e - dg, _bounds_at(bounds, e - dg))
+    mult = lex_exponents(n, e - dg, None if bounds is None else _bounds_at(bounds, e - dg))
     if xn_free:
         mult = mult[mult[:, -1] == 0]
-    table = lex_rank(mult[:, None, :] + _exponents(n, dg)[None, :, :])
+    table = lex_rank(mult[:, None, :] + lex_exponents(n, dg, None)[None, :, :])
     if bounds is not None:
         table = _standard(n, e, bounds)[0][table]
     table.flags.writeable = False
@@ -414,8 +398,10 @@ def _xn_column(n: int, e: int, bounds: tuple[int, ...]) -> np.ndarray:
     """sigma: x_n times each standard monomial of degree e - 1, as its
     column among the standard monomials of degree e (bounds those of
     degree e), or their count when x_n kills it (the x_n column of the
-    scatter table of degree 1 into degree e, alone)."""
-    shifted = _standard_exponents(n, e - 1, _bounds_at(bounds, e - 1)).copy()
+    scatter table of degree 1 into degree e, alone). The standard
+    monomials of degree e - 1 are `monomials.lex_exponents` under that
+    degree's bounds."""
+    shifted = lex_exponents(n, e - 1, _bounds_at(bounds, e - 1)).copy()
     shifted[:, -1] += 1
     sigma = _standard(n, e, bounds)[0][lex_rank(shifted)]
     sigma.flags.writeable = False
@@ -517,14 +503,17 @@ def eliminated_shape(n: int, e: int, least, other_counts, budget=None) -> tuple[
     """(rows, cols) of the matrix `ideal_dimension_at_degree` eliminates
     at degree e, from the pure-power bounds least and the (degree, count)
     pairs of the other forms alone (`FormFamily.pure_powers`), without
-    building a row. Over budget, if given, ResourceLimit carrying e: the
-    one budget rule, of `quotient_series` and of `verifier.verify_case`."""
+    building a row: each count of standard monomials is the length of
+    `monomials.lex_exponents` under the bounds of its degree, the arrays
+    the elimination then builds from. Over budget, if given,
+    ResourceLimit carrying e: the one budget rule, of `quotient_series`
+    and of `verifier.verify_case`."""
     rows = sum(
-        count * len(_standard_exponents(n, e - dg, _bounds_at(least, e - dg)))
+        count * len(lex_exponents(n, e - dg, _bounds_at(least, e - dg)))
         for dg, count in other_counts
         if dg <= e
     )
-    cols = len(_standard_exponents(n, e, _bounds_at(least, e)))
+    cols = len(lex_exponents(n, e, _bounds_at(least, e)))
     if budget is not None and rows * cols > budget:
         raise ResourceLimit(
             f"degree-{e} Macaulay matrix has {rows}x{cols} = {rows * cols} "

@@ -2,9 +2,11 @@
 
 A monomial is an exponent tuple of length n. Within a fixed degree we
 order monomials lexicographically on the exponent vector, largest first,
-so x1^d has rank 0. The rank has a closed form (`lex_rank`), so arrays
-of monomials are ranked in numpy without a lookup table. Quotient Hilbert
-functions of monomial ideals are computed by a divisibility sieve.
+so x1^d has rank 0. This order is written once: `lex_exponents` lists a
+degree's monomials in it, optionally only those under exponent bounds,
+and the rank has a closed form (`lex_rank`), so arrays of monomials are
+ranked in numpy without a lookup table. Quotient Hilbert functions of
+monomial ideals are computed by a divisibility sieve.
 """
 
 from __future__ import annotations
@@ -28,17 +30,57 @@ def monomial_count(n: int, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def enumerate_monomials(n: int, d: int) -> tuple[Monomial, ...]:
-    """All degree-d monomials in n variables, lex order, x1^d first."""
+def lex_exponents(n: int, d: int, bounds: tuple[int, ...] | None = None) -> np.ndarray:
+    """Exponent vectors of the degree-d monomials in n variables, in lex
+    order (x1^d first), as a read-only int64 array of shape (count, n):
+    with bounds, a tuple of n ints, only those with every e_i < bounds[i];
+    None bounds nothing. ValueError for n < 1, d < 0, or bounds not of
+    length n.
+
+    Built one variable at a time, with no recursion, so the cache holds
+    only the keys asked for. Variable i gives each prefix with `left`
+    degree still to place every exponent from min(left, b_i - 1) down to
+    max(left - room_i, 0), where room_i = sum_{j>i} min(b_j - 1, d) is the
+    most the later variables can hold; so every prefix listed completes, the
+    last variable takes what is left, and the monomials outside the
+    bounds are never listed. Each level keeps its (parent, exponent)
+    pairs; the columns are filled at the end, one gather per column. The
+    cache keys lex_exponents(n, d) and lex_exponents(n, d, None) apart,
+    so the callers in this package pass None themselves.
+    """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1, d >= 0")
-    if n == 1:
-        return ((d,),)
-    out = []
-    for e in range(d, -1, -1):
-        for rest in enumerate_monomials(n - 1, d - e):
-            out.append((e,) + rest)
-    return tuple(out)
+    if bounds is not None and len(bounds) != n:
+        raise ValueError(f"need {n} bounds, got {len(bounds)}")
+    caps = [d] * n if bounds is None else [min(b - 1, d) for b in bounds]
+    room = np.cumsum([0] + caps[:0:-1])[::-1]  # room[i] = sum of caps[i+1:]
+    left = np.full(int(d <= room[0] + caps[0]), d, dtype=np.int64)
+    levels = []
+    for i in range(n - 1):
+        hi = np.minimum(left, caps[i])
+        counts = np.maximum(hi - np.maximum(left - room[i], 0) + 1, 0)
+        ends = np.cumsum(counts)
+        parent = np.repeat(np.arange(left.size), counts)
+        # a parent's children, from its run's start on, take hi, hi - 1, ...
+        exps = (hi + ends - counts)[parent] - np.arange(parent.size)
+        levels.append((parent, exps))
+        left = left[parent] - exps
+    out = np.empty((left.size, n), dtype=np.int64)
+    out[:, -1] = left
+    index = np.arange(left.size)
+    for i in range(n - 2, -1, -1):
+        parent, exps = levels[i]
+        out[:, i] = exps[index]
+        index = parent[index]
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def enumerate_monomials(n: int, d: int) -> tuple[Monomial, ...]:
+    """All degree-d monomials in n variables, lex order, x1^d first: the
+    rows of `lex_exponents` as tuples."""
+    return tuple(map(tuple, lex_exponents(n, d, None).tolist()))
 
 
 def lex_rank(exps) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Tests for the explicit monomial-ideal family and the search machinery."""
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -34,6 +34,15 @@ from genforms.series import DegreeList, TruncatedSeries, binomial, conjectured_s
 SQUARES_XY_GENS = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 0, 0)]
 
 
+def reference_monomials(n, d):
+    """The degree-d monomials in n variables in lex order, x1^d first,
+    from itertools alone: the reference order of the Macaulay columns and
+    rows here, sharing no code with `monomials.lex_exponents`."""
+    exps = (tuple(c.count(i) for i in range(n))
+            for c in combinations_with_replacement(range(n), d))
+    return sorted(exps, reverse=True)
+
+
 def monomial_form(g):
     return ModPPoly.from_monomial_dict(len(g), sum(g), {tuple(g): 1})
 
@@ -47,7 +56,7 @@ def macaulay_row(generator, multiplier):
     joint degree."""
     n, dm = len(generator), sum(multiplier)
     rows = macaulay_rows(monomial_family(n, [generator]), sum(generator) + dm)
-    return rows[enumerate_monomials(n, dm).index(multiplier)]
+    return rows[reference_monomials(n, dm).index(multiplier)]
 
 
 def has_dependent_rows(n, gens, e):
@@ -212,7 +221,7 @@ def test_syzygy_witness_degree3():
     # x^2 * (x^2 y) = (x y) * x^3 = x^4 y in degree 2d - 1 = 5
     row = macaulay_row((2, 1, 0), (2, 0, 0))
     assert np.array_equal(row, macaulay_row((3, 0, 0), (1, 1, 0)))
-    assert np.flatnonzero(row).tolist() == [enumerate_monomials(3, 5).index((4, 1, 0))]
+    assert np.flatnonzero(row).tolist() == [reference_monomials(3, 5).index((4, 1, 0))]
 
 
 def test_syzygy_witness_pure_powers_only():

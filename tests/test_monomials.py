@@ -13,6 +13,7 @@ from genforms.monomials import (
     divides,
     enumerate_monomials,
     exponent_array,
+    lex_exponents,
     lex_rank,
     monomial_count,
     monomial_to_str,
@@ -61,6 +62,76 @@ def test_rank_unrank_bijective(n, d):
     for m in monos:
         assert len(m) == n and sum(m) == d and min(m) >= 0
     assert lex_rank(exponent_array(monos, n, d)).tolist() == list(range(len(monos)))
+
+
+def reference_lex_exponents(n, d, bounds=None):
+    """The degree-d monomials in lex order, x1^d first, with every e_i <
+    bounds[i] when bounds are given, from itertools alone: it shares no
+    code with `lex_exponents`."""
+    exps = sorted(
+        (tuple(c.count(i) for i in range(n))
+         for c in itertools.combinations_with_replacement(range(n), d)),
+        reverse=True,
+    )
+    if bounds is not None:
+        exps = [m for m in exps if all(x < b for x, b in zip(m, bounds))]
+    return exps
+
+
+def _bound_grid(n, d):
+    """None; a 1 (that variable absent) in each place; values above
+    d + 1; and mixed values."""
+    yield None
+    for i in range(n):
+        yield tuple(1 if j == i else d + 1 for j in range(n))
+    yield (d + 2,) * n
+    yield (d + 5,) + (2,) * (n - 1)
+    yield tuple((3, 1, 2, d + 3, 4, 2)[:n])
+    yield tuple((2, 5, 1, 3, 9, 1)[:n])
+    yield (2,) * n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("d", range(0, 11))
+def test_lex_exponents_is_the_reference_lex_order(n, d):
+    """Every degree-d monomial, or every standard one under bounds, in
+    lex order, as a read-only int64 (count, n) array, also when no
+    monomial is left."""
+    for bounds in _bound_grid(n, d):
+        exps = lex_exponents(n, d, bounds)
+        want = reference_lex_exponents(n, d, bounds)
+        assert exps.dtype == np.int64 and exps.shape == (len(want), n)
+        assert [tuple(m) for m in exps.tolist()] == want
+        assert not exps.flags.writeable
+    assert lex_exponents(n, d).tolist() == [list(m) for m in enumerate_monomials(n, d)]
+
+
+def test_lex_exponents_of_an_empty_set_keeps_its_width():
+    """Bounds that leave no monomial give shape (0, n)."""
+    assert lex_exponents(3, 4, (1, 1, 1)).shape == (0, 3)
+    assert lex_exponents(2, 5, (3, 2)).shape == (0, 2)
+    assert lex_exponents(4, 7, (2, 3, 1, 3)).shape == (0, 4)
+    assert lex_exponents(1, 3, (3,)).shape == (0, 1)
+
+
+def test_lex_exponents_caches_only_the_key_asked_for():
+    """No recursion through its own cache: one call, one cache entry."""
+    lex_exponents.cache_clear()
+    lex_exponents(4, 9, (3, 5, 2, 9))
+    assert lex_exponents.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n, d", [(0, 2), (-1, 0), (3, -1), (1, -2)])
+def test_lex_exponents_rejects_bad_n_or_d(n, d):
+    with pytest.raises(ValueError):
+        lex_exponents(n, d)
+    with pytest.raises(ValueError):
+        enumerate_monomials(n, d)
+
+
+def test_lex_exponents_rejects_bounds_of_another_length():
+    with pytest.raises(ValueError, match="need 3 bounds, got 2"):
+        lex_exponents(3, 2, (2, 2))
 
 
 def test_quotient_hilbert_function_squares_xy_ideal():
