@@ -24,6 +24,11 @@ times one cold elimination (caches cleared first) of each of five
 k = n+2 cases, each cell's costliest, at its pure-power point: the
 truncation, the conjectured series, the draws and their powering, and
 `quotient_series`, the first point `verify_case` tries on them. The
+draws field times cold `FormFamily.random` calls (median of 5 runs,
+caches cleared before each) of the largest family that a sweep of
+(8,2,2) and of (4,2,8) draws, 11880 and 9690 draws: the stream and the
+forms built from it, and the stream alone (`draws.integers`), also per
+draw. The
 hits field times the cache layer: the median of in-process cached
 `genforms --cache F verify` calls of each of the five `ci-deep` cases
 of perfbench, after one call that computes it (`cli.main`, which builds
@@ -51,13 +56,14 @@ from contextlib import redirect_stdout
 
 import numpy as np
 
-from genforms import cli, macaulay, verifier
+from genforms import cli, draws, macaulay, verifier
 from genforms.macaulay import (
     ResourceLimit,
     ideal_dimension_at_degree,
     macaulay_shape,
     quotient_series,
 )
+from genforms.modp import DEFAULT_PRIME
 from genforms.monomials import enumerate_monomials, lex_exponents, monomial_count
 from genforms.verifier import (
     DEFAULT_BUDGET,
@@ -98,6 +104,8 @@ TABLES = (
 )
 # (n, d, m, k) of the frontier cases, each eliminated cold at its pure-power point
 FRONTIER = ((4, 2, 8, 6), (7, 2, 2, 9), (5, 2, 4, 7), (6, 2, 3, 8), (5, 3, 3, 7))
+# (n, d, k) of the largest family a sweep of (8,2,2) and of (4,2,8) draws
+DRAWS = ((8, 2, 330), (4, 2, 969))
 # (n, d, m, k) of perfbench's ci-deep cases, each computed once, then timed as cache hits
 HITS = ((4, 2, 2, 5), (4, 2, 3, 5), (4, 3, 2, 5), (5, 2, 2, 6), (4, 2, 4, 5))
 # (n, d, m, top k, cases, intervals) of each planned cell: k = 1..top k
@@ -209,6 +217,30 @@ def time_frontier(cases=FRONTIER) -> list:
         if series != conjectured:
             raise WrongResult(f"frontier case {list(case)} not attained: {series.coeffs}")
         results.append({"case": list(case), "cold_s": seconds})
+    return results
+
+
+def time_draws(families=DRAWS, repeats=REPEATS) -> list:
+    """Median seconds of `repeats` cold `FormFamily.random` calls of each
+    family at seed 0 and the default prime, the caches cleared before
+    each, and that time per draw in microseconds; then the same for the
+    stream alone (`draws.integers`), without the forms built from it."""
+    results = []
+    for n, d, k in families:
+        count = k * monomial_count(n, d)
+        family_times, stream_times = [], []
+        for _ in range(repeats):
+            _clear_caches()
+            start = time.perf_counter()
+            macaulay.FormFamily.random(n, d, k, SEED)
+            family_times.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            draws.integers(SEED, DEFAULT_PRIME, count)
+            stream_times.append(time.perf_counter() - start)
+        family, stream = statistics.median(family_times), statistics.median(stream_times)
+        results.append({"family": [n, d, k], "draws": count,
+                        "cold_median_s": family, "us_per_draw": family / count * 1e6,
+                        "stream_median_s": stream, "stream_us_per_draw": stream / count * 1e6})
     return results
 
 
@@ -336,6 +368,7 @@ def main() -> int:
         plans = time_plans()
         sweeps = time_sweeps()
         frontier = time_frontier()
+        drawn = time_draws()
         hits = time_hits()
     except WrongResult as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -343,7 +376,7 @@ def main() -> int:
     print(json.dumps({"seed": SEED, "repeats": REPEATS, **environment(),
                       "cases": results, "chain": chain, "assembly": assembly,
                       "plan": plans, "sweep": sweeps, "frontier": frontier,
-                      "hits": hits}))
+                      "draws": drawn, "hits": hits}))
     return 0
 
 

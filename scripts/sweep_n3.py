@@ -8,17 +8,19 @@ Results stream to stdout as one summary line per (d, m) pair.
 
 This reproduces the exhaustive check behind the small-number-of-variables
 power conjecture cases. It is not part of the acceptance gate. At the
-default budget and prime the whole campaign took 1.60-1.99 s (median
-1.82 s over six runs) with 47 MB peak RSS on a 2-core Xeon VM whose
-speed drifts (Python 3.11, numpy 2.4 with OpenBLAS), every k covered
-and none skipped; k = 4 of each cell is Verified by theorem. A case over the matrix budget is counted in
-`skipped`.
+default budget and prime the whole campaign took 1.74-2.27 s (six
+runs) with 41 MB peak RSS on a 2-core Xeon VM whose speed drifts
+(Python 3.11, numpy 2.4 with OpenBLAS), every k covered and none
+skipped; k = 4 of each cell is Verified by theorem. A case over the
+matrix budget is counted in `skipped`. The last line gives the
+campaign's total seconds and peak RSS (`ru_maxrss`).
 
 Usage:
     python3 scripts/sweep_n3.py [--max-dm 20] [--seed S]
 """
 
 import argparse
+import resource
 import sys
 import time
 
@@ -42,6 +44,7 @@ def main():
     shapes.sort(key=lambda dm: (dm[0] * dm[1], dm[0]))
 
     bad = 0
+    campaign_start = time.perf_counter()
     for d, m in shapes:
         k_max = monomial_count(N, m * d)
         start = time.perf_counter()
@@ -59,6 +62,8 @@ def main():
             f"skipped={len(skipped)} ({elapsed:.1f}s)",
             flush=True,
         )
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
+    print(f"total {time.perf_counter() - campaign_start:.2f}s peak_rss={peak_mb:.0f}MB")
     return 2 if bad else 0
 
 

@@ -91,7 +91,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import modp
+from . import draws, modp
 # perfbench/tracing.py wraps enumerate_monomials where this module looks
 # it up, so it stays imported though no code here calls it
 from .monomials import (
@@ -240,14 +240,15 @@ class FormFamily:
     @classmethod
     def random(cls, n, d, k, seed, prime=modp.DEFAULT_PRIME):
         """k independent uniform random forms of degree d: every
-        coefficient drawn independently and uniformly from [0, p), by one
-        `integers` call of k x S draws for S monomials. Row i is form i,
-        the same stream as k draws of S in turn, so the first j forms of
-        a seed do not depend on k. ValueError for d < 1."""
+        coefficient drawn independently and uniformly from [0, p), the
+        first k x S draws of seed's stream (`draws.integers`) for S
+        monomials, form i taking draws iS..(i+1)S - 1. So the first j
+        forms of a seed do not depend on k. ValueError for d < 1, and for
+        a negative seed or k (`draws.integers`)."""
         if d < 1:
             raise ValueError("form degree must be >= 1")
-        rng = np.random.default_rng(seed)
-        coeffs = rng.integers(0, prime, size=(k, monomial_count(n, d)), dtype=np.int64)
+        size = monomial_count(n, d)
+        coeffs = draws.integers(seed, prime, k * size).reshape(-1, size)
         return cls(n, tuple(ModPPoly(n, d, row, prime) for row in coeffs), prime, seed)
 
 

@@ -119,6 +119,8 @@ class CaseSpec:
             )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         modp.check_modulus(self.prime)
 
     @property

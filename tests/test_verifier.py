@@ -900,6 +900,15 @@ def test_case_spec_rejects_prime_above_2_31():
         CaseSpec(3, 2, 1, 4, prime=4294967311)
 
 
+@pytest.mark.parametrize("k", (2, 3, 4, 5, 7), ids=lambda k: f"k={k}")
+def test_case_spec_refuses_a_negative_seed_whatever_the_path(k):
+    """A negative seed is refused when the case is built, as the CLI
+    refuses it, whether the case would draw forms (k > n+1), settle by
+    theorem (k = n+1) or stop at the pure powers alone (k <= n)."""
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        CaseSpec(3, 2, 2, k, seed=-1)
+
+
 # Plants an over-reported rank, an ideal dimension above the row count, a
 # seed basis narrower than the degree below, and a Verified verdict with
 # computed != conjectured at a degenerate pure-power point (the real one
